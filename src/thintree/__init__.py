@@ -20,13 +20,7 @@ from .dual import (
     edge_distance,
     geometric_dual,
 )
-from .embedding import (
-    EmbeddedGraph,
-    build_embedding,
-    expand_parallel,
-    genus,
-    trace_faces,
-)
+from .embedding import EmbeddedGraph, build_embedding, expand_parallel
 from .flows import edge_connectivity
 from .formats import read_atsp, read_emb, write_atsp, write_emb
 from .heldkarp import ATSPInstance, HKSolution, solve_held_karp

@@ -21,7 +21,7 @@ from .errors import (
     CostBoundViolatedError,
     EmbeddingMismatchError,
 )
-from .flows import FlowNetwork, min_cost_circulation
+from .flows import min_cost_circulation, pair_connectivity
 from .heldkarp import ATSPInstance, HKSolution, solve_held_karp
 from .pipeline import genus_bound, weighted_thin_tree
 
@@ -82,27 +82,11 @@ def discretize(y: dict, denominator: int, n: int):
         if copies > 0:
             mult[key] = copies
     guarantee = max(0, 2 * denominator - len(y))
-    net_weight = {key: m for key, m in mult.items()}
-    measured = _abstract_connectivity(n, net_weight)
+    measured = pair_connectivity(n, mult)
     if measured < guarantee:
         raise ConnectivityShortfallError(
             f"measured connectivity {measured} below guarantee {guarantee}")
     return mult, measured, guarantee
-
-
-def _abstract_connectivity(n: int, weight: dict) -> int:
-    best = None
-    for t in range(1, n):
-        net = FlowNetwork(n)
-        for (u, v), w in sorted(weight.items()):
-            net.add_arc(u, v, w)
-            net.add_arc(v, u, w)
-        value = net.max_flow(0, t)
-        if best is None or value < best:
-            best = value
-        if best == 0:
-            break
-    return best
 
 
 def expand_support_embedding(emb: EmbeddedGraph, mult: dict, c_prime: dict):
@@ -247,7 +231,7 @@ def atsp_approx(inst: ATSPInstance, support_embedding: EmbeddedGraph,
     expanded, copy_pair = expand_support_embedding(support_embedding, mult, c_prime)
     genus = expanded.genus()
     beta = genus_bound(genus)
-    weighted = weighted_thin_tree(expanded, bound_fn=lambda _k: beta)
+    weighted = weighted_thin_tree(expanded)
     k_h = weighted.connectivity_trace[0]
     tree_pairs = sorted({copy_pair[e] for e in weighted.tree_edges})
     assert len(tree_pairs) == n - 1, "thin tree reused a parallel pair"

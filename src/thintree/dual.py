@@ -35,13 +35,11 @@ class DualGraph:
     Attributes:
         face_count: number of dual vertices.
         dual_edges: sorted list of (edge_id, left_face, right_face).
-        primal_handle: the EmbeddedGraph this dual was derived from.
     """
 
-    def __init__(self, face_count, dual_edges, primal_handle=None):
+    def __init__(self, face_count, dual_edges):
         self.face_count = face_count
         self.dual_edges = sorted(dual_edges)
-        self.primal_handle = primal_handle
         self._by_id = {e: (l, r) for e, l, r in self.dual_edges}
         self._adj = None
 
@@ -88,7 +86,7 @@ def geometric_dual(g: EmbeddedGraph) -> DualGraph:
     """Construct the geometric dual of g."""
     face_of = g.face_of_dart()
     dual_edges = [(e, face_of[2 * e], face_of[2 * e + 1]) for e in g.edges()]
-    return DualGraph(len(g.faces()), dual_edges, primal_handle=g)
+    return DualGraph(len(g.faces()), dual_edges)
 
 
 def _bfs_dist(adj, sources, avoid_edge=None):
@@ -221,29 +219,36 @@ def cut_to_dual_cycles(g: EmbeddedGraph, d: DualGraph, cut: Cut) -> list[list[in
         if deg % 2:
             raise ParityViolationError(
                 f"face {f} meets the cut's dual edges {deg} times")
-        lst.sort()
+        lst.sort(reverse=True)  # pop() yields the smallest edge first
 
-    unused = set(s_star)
+    # One stack walk that always takes the smallest unused edge.  Every face
+    # has even unused degree, so the walk can only get stuck at its start.
+    # Revisiting a face on the walk closes a cycle; it is popped off and the
+    # walk resumes from that face.  Used edges only accumulate, so they are
+    # dropped from ``incident`` for good, and the start only moves forward.
+    used = set()
     cycles = []
-    while unused:
-        start = min(f for f, lst in incident.items()
-                    if any(e in unused for e, _ in lst))
-        # Walk greedily; every face has even remaining degree, so the walk
-        # can always continue until it revisits a face, closing a cycle.
-        walk_edges = []
+    for start in sorted(incident):
         walk_faces = [start]
+        walk_edges = []
         index_of = {start: 0}
-        cur = start
         while True:
-            e, nxt = next((e, w) for e, w in incident[cur] if e in unused)
-            unused.discard(e)
+            pending = incident[walk_faces[-1]]
+            while pending and pending[-1][0] in used:
+                pending.pop()
+            if not pending:
+                break
+            e, nxt = pending.pop()
+            used.add(e)
             walk_edges.append(e)
             if nxt in index_of:
-                i = index_of[nxt]
-                cycles.append(walk_edges[i:])
-                unused.update(walk_edges[:i])  # unfinished prefix goes back
-                break
-            index_of[nxt] = len(walk_faces)
-            walk_faces.append(nxt)
-            cur = nxt
+                j = index_of[nxt]
+                cycles.append(walk_edges[j:])
+                for f in walk_faces[j + 1:]:
+                    del index_of[f]
+                del walk_faces[j + 1:]
+                del walk_edges[j:]
+            else:
+                index_of[nxt] = len(walk_faces)
+                walk_faces.append(nxt)
     return sorted(cycles, key=min)

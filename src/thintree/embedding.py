@@ -51,6 +51,9 @@ class EmbeddedGraph:
         self.edge_cost = edge_cost
         self._faces = None
         self._components = None
+        self._edges = None
+        self._first_dart = None
+        self._connectivity = None  # memo of flows.edge_connectivity
 
     # -- basic queries ------------------------------------------------
 
@@ -60,7 +63,9 @@ class EmbeddedGraph:
 
     def edges(self) -> list[int]:
         """Sorted ids of the surviving edges."""
-        return sorted({d >> 1 for d in self.dart_owner})
+        if self._edges is None:
+            self._edges = sorted({d >> 1 for d in self.dart_owner})
+        return list(self._edges)
 
     def has_edge(self, e: int) -> bool:
         return 2 * e in self.dart_owner
@@ -71,10 +76,10 @@ class EmbeddedGraph:
 
     def darts_at(self, v: int) -> list[int]:
         """Darts at v in rotation order, starting from the smallest dart."""
-        start = None
-        for d, owner in self.dart_owner.items():
-            if owner == v and (start is None or d < start):
-                start = d
+        if self._first_dart is None:
+            self._first_dart = {
+                owner: d for d, owner in sorted(self.dart_owner.items(), reverse=True)}
+        start = self._first_dart.get(v)
         if start is None:
             return []
         out = [start]
@@ -83,9 +88,6 @@ class EmbeddedGraph:
             out.append(d)
             d = self.rotation_next[d]
         return out
-
-    def degree(self, v: int) -> int:
-        return sum(1 for owner in self.dart_owner.values() if owner == v)
 
     def cost(self, e: int) -> Fraction:
         if self.edge_cost is None:
@@ -341,13 +343,3 @@ def build_embedding(vertex_count, rotations, twin_pairs, costs=None) -> Embedded
     g = EmbeddedGraph(vertex_count, dart_owner, rot, cost_map)
     g.genus()  # validates Euler parity
     return g
-
-
-def trace_faces(g: EmbeddedGraph) -> list[tuple[int, ...]]:
-    """Face walks of g (cycles of phi) in canonical order."""
-    return g.faces()
-
-
-def genus(g: EmbeddedGraph) -> int:
-    """Total genus of the embedding."""
-    return g.genus()

@@ -90,22 +90,34 @@ class FlowNetwork:
 def edge_connectivity(g: EmbeddedGraph) -> int:
     """Exact global min cut size of an undirected multigraph.
 
-    Computed as n-1 max-flows against a fixed source.  Returns 0 when g is
-    disconnected; loops never contribute.
+    Returns 0 when g is disconnected; loops never contribute.  Measured
+    once per graph object and memoised on it, like faces() and components().
     """
     if g.vertex_count < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")
-    weight = {}
-    for e in g.edges():
-        u, v = g.endpoints(e)
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        weight[key] = weight.get(key, 0) + 1
+    if g._connectivity is None:
+        weight = {}
+        for e in g.edges():
+            u, v = g.endpoints(e)
+            if u == v:
+                continue
+            key = (min(u, v), max(u, v))
+            weight[key] = weight.get(key, 0) + 1
+        g._connectivity = pair_connectivity(g.vertex_count, weight)
+    return g._connectivity
+
+
+def pair_connectivity(n: int, weight: dict):
+    """Global min cut of the undirected graph with ``weight[(u, v)]`` on
+    each vertex pair, as n-1 max-flows against the fixed source 0.
+
+    Stops early at 0 (disconnected); returns None when n < 2.
+    """
     best = None
-    for t in range(1, g.vertex_count):
-        net = FlowNetwork(g.vertex_count)
-        for (u, v), w in sorted(weight.items()):
+    items = sorted(weight.items())
+    for t in range(1, n):
+        net = FlowNetwork(n)
+        for (u, v), w in items:
             net.add_arc(u, v, w)
             net.add_arc(v, u, w)
         value = net.max_flow(0, t)

@@ -140,8 +140,8 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
 class WeightedThinTree:
     """Cheapest of several edge-disjoint thin trees.
 
-    ``thinness`` is the claimed bound 2*g(k)/k; ``cost_ratio`` is the
-    measured c(T)/c(G).  ``connectivity_trace`` holds the measured edge
+    ``thinness`` is the claimed bound 2*genus_bound(genus)/k; ``cost_ratio``
+    is the measured c(T)/c(G).  ``connectivity_trace`` holds the measured edge
     connectivity of each residual round, and ``truncated`` flags an early
     stop because a residual graph disconnected.
     """
@@ -156,21 +156,20 @@ class WeightedThinTree:
     truncated: bool = False
 
 
-def weighted_thin_tree(g: EmbeddedGraph, bound_fn=None) -> WeightedThinTree:
-    """Extract floor(k / 2g(k)) edge-disjoint thin trees; keep the cheapest.
+def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
+    """Extract floor(k / 2g) edge-disjoint thin trees; keep the cheapest.
 
-    ``bound_fn`` maps connectivity to the thinness numerator g(k) and must
-    be non-decreasing; it defaults to the constant genus_bound(genus).  Each
-    residual round must keep connectivity at least k - i*g(k); a connected
-    violation raises ExtractionFailureError, while a disconnected residual
-    truncates the round count (reported via ``truncated``).
+    The thinness numerator g is genus_bound(genus).  Each residual round
+    must keep connectivity at least k - i*g; a connected violation raises
+    ExtractionFailureError, while a disconnected residual truncates the
+    round count (reported via ``truncated``).
     """
     if g.edge_cost is None:
         raise ValueError("weighted_thin_tree needs edge costs")
     if not g.is_connected():
         raise DisconnectedError("weighted_thin_tree needs a connected graph")
     k = edge_connectivity(g)
-    g_val = bound_fn(k) if bound_fn is not None else genus_bound(g.genus())
+    g_val = genus_bound(g.genus())
     rounds = max(1, int(Fraction(k) / (2 * g_val)))
 
     trees = []

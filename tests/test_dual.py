@@ -18,6 +18,7 @@ from thintree.flows import edge_connectivity
 from thintree.genlab import amplify, cycle_graph, prism_graph, torus_grid
 from thintree.oracle import bfs_distances
 
+from .conftest import add_edge
 from .test_embedding import rotation_systems
 
 
@@ -125,26 +126,34 @@ def test_torus_row_cut_gives_two_noncontractible_cycles():
         assert len(h.components()) == 1
 
 
-def assert_closed_walk(d, cycle):
-    """Consecutive edges must chain through shared faces back to the start."""
-    if len(cycle) == 1:
-        return  # a dual loop is a closed walk by itself
+def closed_walk_faces(d, cycle):
+    """Faces visited, in order, by the closed walk along ``cycle``, or None
+    when consecutive edges do not chain back to the start."""
     l, r = d.faces_of(cycle[0])
     for start in (l, r):
         at = start
-        ok = True
+        faces = []
         for e in cycle:
+            faces.append(at)
             a, b = d.faces_of(e)
             if at == a:
                 at = b
             elif at == b:
                 at = a
             else:
-                ok = False
                 break
-        if ok and at == start:
-            return
-    raise AssertionError(f"not a closed walk: {cycle}")
+        else:
+            if at == start:
+                return faces
+    return None
+
+
+def assert_closed_walk(d, cycle):
+    """Consecutive edges must chain through shared faces back to the start."""
+    if len(cycle) == 1:
+        return  # a dual loop is a closed walk by itself
+    if closed_walk_faces(d, cycle) is None:
+        raise AssertionError(f"not a closed walk: {cycle}")
 
 
 def test_all_cuts_decompose_exactly(cube):
@@ -161,6 +170,39 @@ def test_all_cuts_decompose_exactly(cube):
             assert flattened == sorted(cut_edges(g, cut))
             for cycle in cycles:
                 assert_closed_walk(d, cycle)
+
+
+# Exact output (cycle order and walk order) of cut_to_dual_cycles, recorded
+# from the original rescanning implementation, for cuts with several cycles.
+GOLDEN_CUTS = [
+    ("amplified cube", [0, 1, 2, 3, 4, 6],
+     [[8, 9, 11, 10, 18, 19], [12, 13, 15, 14, 22, 23]]),
+    ("amplified cube", [0, 1, 3, 4, 6],
+     [[2, 3, 21, 20, 5, 4], [10, 11, 9, 8, 19, 18], [12, 13, 15, 14, 22, 23]]),
+    ("torus", [0, 1, 2], [[9, 11, 10], [15, 17, 16]]),
+    ("torus", [0, 4, 5, 6], [[0, 3, 6], [2, 8, 5], [9, 11, 10], [12, 14, 13]]),
+    ("handle", [0, 2, 3, 4, 5, 6, 7], [[0], [1, 19, 18, 3, 2]]),
+    ("handle", [0, 5, 7],
+     [[0], [1, 16, 17, 7, 6], [8, 9, 11, 10, 18, 19], [12, 13, 15, 14, 22, 23],
+      [24]]),
+]
+GOLDEN_GRAPHS = {
+    "amplified cube": lambda: amplify(prism_graph(4), 2),
+    "torus": lambda: torus_grid(3, 3),
+    "handle": lambda: add_edge(amplify(prism_graph(4), 2), 0, 2, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name, side, expected", GOLDEN_CUTS)
+def test_cut_to_dual_cycles_golden(name, side, expected):
+    g = GOLDEN_GRAPHS[name]()
+    d = geometric_dual(g)
+    cycles = cut_to_dual_cycles(g, d, Cut(frozenset(side)))
+    assert cycles == expected
+    for cycle in cycles:
+        faces = closed_walk_faces(d, cycle)
+        assert faces is not None
+        assert len(set(faces)) == len(faces), f"{cycle} revisits a face"
 
 
 def test_whitney_planar_girth_at_least_connectivity():

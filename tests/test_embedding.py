@@ -9,7 +9,9 @@ from thintree.errors import (
     MalformedRotationError,
     OddEulerDefectError,
 )
-from thintree.genlab import cycle_graph, prism_graph, torus_grid, wheel_graph
+from thintree.flows import edge_connectivity
+from thintree.genlab import amplify, cycle_graph, prism_graph, torus_grid, wheel_graph
+from thintree.oracle import brute_force_edge_connectivity
 
 
 def test_single_loop_on_sphere():
@@ -113,6 +115,31 @@ def test_delete_edges_keeps_ids_and_euler():
     h2 = cube.delete_edges(star)
     assert len(h2.components()) == 2
     assert h2.genus() == 0
+
+
+def test_cached_queries_return_fresh_lists():
+    g = prism_graph(4)
+    edges, darts = g.edges(), g.darts_at(0)
+    g.edges().clear()
+    g.darts_at(0).append(99)
+    assert g.edges() == edges
+    assert g.darts_at(0) == darts
+
+
+def test_isolated_vertex_has_no_darts():
+    g = build_embedding(2, [[0, 1], []], [(0, 1)])
+    assert g.darts_at(0) == [0, 1]
+    assert g.darts_at(1) == []
+
+
+def test_deletion_result_has_its_own_edges_and_connectivity():
+    g = amplify(prism_graph(4), 2)
+    assert edge_connectivity(g) == 6
+    doomed = [d >> 1 for d in g.darts_at(0)[:2]]
+    h = g.delete_edges(doomed)
+    assert h.edges() == [e for e in g.edges() if e not in doomed]
+    assert edge_connectivity(h) == brute_force_edge_connectivity(h) == 4
+    assert edge_connectivity(g) == brute_force_edge_connectivity(g) == 6
 
 
 def test_delete_missing_edge_rejected():
