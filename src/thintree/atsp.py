@@ -47,8 +47,7 @@ def symmetrize(x: HKSolution, inst: ATSPInstance):
     """Undirected shadow of x: y{u,v} = x_uv + x_vu, c'{u,v} = min cost.
 
     Returns (y, c_prime) keyed by sorted vertex pairs.  The degree identity
-    y(delta(v)) = 2 is asserted exactly for exact solutions and within the
-    solver tolerance otherwise.
+    y(delta(v)) = 2 is asserted exactly.
     """
     y = {}
     for (i, j), val in x.x.items():
@@ -57,10 +56,9 @@ def symmetrize(x: HKSolution, inst: ATSPInstance):
     n = inst.n
     c_prime = {key: min(inst.cost[key[0]][key[1]], inst.cost[key[1]][key[0]])
                for key in y}
-    slack = Fraction(str(x.tolerance)) * 4 * n
     for v in range(n):
         total = sum((val for (a, b), val in y.items() if v in (a, b)), Fraction(0))
-        assert abs(total - 2) <= slack, f"y(delta({v})) = {total} != 2"
+        assert total == 2, f"y(delta({v})) = {total} != 2"
     return y, c_prime
 
 
@@ -213,18 +211,22 @@ def _euler_circuit(n: int, arcs, flow) -> list:
 
 
 def atsp_approx(inst: ATSPInstance, support_embedding: EmbeddedGraph,
-                denominator: int | None = None, exact=None):
+                denominator: int | None = None, exact=True):
     """Full pipeline: LP, symmetrize, discretize, thin tree, circulation.
 
     ``support_embedding`` must cover the support of the symmetrized LP
     solution.  Returns (Tour, report) where the report carries every
     certificate value; the tour cost is asserted against the end-to-end
-    bound 3*beta*(1 + 1/n)*c(x) with beta = genus_bound(genus).
+    bound 3*beta*(1 + 1/n)*c(x) with beta = genus_bound(genus).  The LP is
+    always solved exactly; ``exact`` must be true and is kept only for
+    callers that still pass it.
     """
+    if not exact:
+        raise ValueError("the Held-Karp LP is always solved exactly")
     n = inst.n
     if denominator is None:
         denominator = n ** 3
-    x = solve_held_karp(inst, exact=exact)
+    x = solve_held_karp(inst)
     y, c_prime = symmetrize(x, inst)
     mult, k_measured, k_guarantee = discretize(y, denominator, n)
 
@@ -262,6 +264,5 @@ def atsp_approx(inst: ATSPInstance, support_embedding: EmbeddedGraph,
         "connectivity_trace": weighted.connectivity_trace,
         "cuts_added": x.cuts_added,
         "bound": bound,
-        "lp_tolerance": x.tolerance,
     }
     return tour, report

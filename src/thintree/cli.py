@@ -135,9 +135,7 @@ def cmd_pipeline(args) -> int:
 def cmd_atsp(args) -> int:
     inst = ATSPInstance.from_matrix(read_atsp(_read(args.infile)))
     emb = read_emb(_read(args.emb))
-    exact = True if args.exact else None
-    tour, report = atsp_approx(inst, emb, denominator=args.denominator,
-                               exact=exact)
+    tour, report = atsp_approx(inst, emb, denominator=args.denominator)
     payload = {"order": list(tour.order), "cost": _frac(tour.cost)}
     for key, value in report.items():
         if isinstance(value, Fraction):
@@ -183,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, default=3)
     p.add_argument("--mult", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cost-model", default="unit", choices=genlab.COST_MODELS)
+    p.add_argument("--cost-model", choices=genlab.COST_MODELS,
+                   help="default: unit for embeddings, asymmetric-skew "
+                        "for random-metric")
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--emb-out")
@@ -213,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--emb", required=True)
     p.add_argument("--denominator", type=int)
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--exact", action="store_true",
+                   help="accepted for old command lines; does nothing, "
+                        "every Held-Karp solve is exact")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_atsp)
 

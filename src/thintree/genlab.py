@@ -24,11 +24,13 @@ COST_MODELS = ("unit", "uniform-range", "asymmetric-skew")
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Parameters of one generated instance."""
+    """Parameters of one generated instance.  ``cost_model`` None is the
+    family's default: unit for embeddings, asymmetric-skew for random-metric;
+    lp-support-instance draws its own costs and accepts none."""
 
     family: str
     params: dict = field(default_factory=dict)
-    cost_model: str = "unit"
+    cost_model: str | None = None
 
     def seed(self) -> int:
         return int(self.params.get("seed", 0))
@@ -195,6 +197,7 @@ def generate(spec: GenSpec) -> dict:
         raise BadParamsError(f"unknown family {spec.family!r}")
     params = spec.params
     rng = PCG32(spec.seed())
+    model = spec.cost_model
 
     if spec.family == "planar-amplified":
         base_name = params.get("base", "cube")
@@ -203,22 +206,25 @@ def generate(spec: GenSpec) -> dict:
         base = BASES[base_name](int(params.get("n", 0)))
         q = int(params.get("mult", 1))
         g = amplify(base, q)
-        if spec.cost_model != "unit" or params.get("weighted"):
-            g.edge_cost = _edge_costs(g, spec.cost_model, rng)
+        if model not in (None, "unit") or params.get("weighted"):
+            g.edge_cost = _edge_costs(g, model or "unit", rng)
         return {"graph.emb": write_emb(g)}
 
     if spec.family == "torus-grid":
         g = torus_grid(int(params.get("rows", 3)), int(params.get("cols", 3)))
         g = amplify(g, int(params.get("mult", 1)))
-        if spec.cost_model != "unit" or params.get("weighted"):
-            g.edge_cost = _edge_costs(g, spec.cost_model, rng)
+        if model not in (None, "unit") or params.get("weighted"):
+            g.edge_cost = _edge_costs(g, model or "unit", rng)
         return {"graph.emb": write_emb(g)}
 
     if spec.family == "random-metric":
         matrix = random_metric(int(params.get("n", 6)), rng,
-                               spec.cost_model if spec.cost_model != "unit"
-                               else "asymmetric-skew")
+                               model or "asymmetric-skew")
         return {"instance.atsp": write_atsp(matrix)}
+
+    if model is not None:
+        raise BadParamsError(
+            f"lp-support-instance has fixed costs; cost model {model!r} given")
 
     matrix, emb = lp_support_instance(int(params.get("n", 6)), rng)
     return {"instance.atsp": write_atsp(matrix), "support.emb": write_emb(emb)}

@@ -4,20 +4,19 @@ The restricted LP keeps the degree equalities and the subtour constraints
 found so far; separation is a global directed min cut on the current support
 (n-1 max-flow pairs with the fractional values as capacities).  The most
 violated cut is added and the LP re-solved until no directed cut falls below
-one.  With exact arithmetic the final solution is exactly feasible and
-exactly optimal over the generated constraint set.
+one.  The simplex is exact, so the final solution is exactly feasible and
+exactly optimal over the generated constraint set at every n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IterationLimitError
 from .flows import directed_global_min_cut
 from .simplex import solve_lp
 
-EXACT_DEFAULT_LIMIT = 10
 MAX_CUT_ROUNDS = 300
 
 
@@ -30,18 +29,16 @@ class ATSPInstance:
     """
 
     cost: list
-    raw_cost: list = field(repr=False, default=None)
 
     @staticmethod
     def from_matrix(matrix) -> "ATSPInstance":
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise ValueError("cost matrix must be square")
-        raw = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+        cost = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
         for i in range(n):
-            if raw[i][i] != 0:
+            if cost[i][i] != 0:
                 raise ValueError("diagonal must be zero")
-        cost = [row[:] for row in raw]
         for k in range(n):
             for i in range(n):
                 cik = cost[i][k]
@@ -51,7 +48,7 @@ class ATSPInstance:
                     via = cik + row_k[j]
                     if via < row_i[j]:
                         row_i[j] = via
-        return ATSPInstance(cost=cost, raw_cost=raw)
+        return ATSPInstance(cost=cost)
 
     @property
     def n(self) -> int:
@@ -63,14 +60,13 @@ class HKSolution:
     """Optimal fractional solution of the Held-Karp relaxation.
 
     ``x`` maps arcs (i, j) to positive Fractions (zero arcs are omitted),
-    ``objective`` is the LP optimum, ``cuts_added`` counts subtour
-    constraints generated, and ``tolerance`` is 0 for the exact path.
+    ``objective`` is the LP optimum and ``cuts_added`` counts subtour
+    constraints generated.
     """
 
     x: dict
     objective: Fraction
     cuts_added: int
-    tolerance: float
 
     def out_value(self, v: int) -> Fraction:
         return sum((val for (i, _), val in self.x.items() if i == v), Fraction(0))
@@ -84,25 +80,21 @@ def _arc_list(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def solve_held_karp(inst: ATSPInstance, exact=None, eps=1e-9) -> HKSolution:
-    """Solve the Held-Karp relaxation of ``inst``.
+def solve_held_karp(inst: ATSPInstance) -> HKSolution:
+    """Solve the Held-Karp relaxation of ``inst`` exactly.
 
-    ``exact`` defaults to n <= EXACT_DEFAULT_LIMIT.  The 0 <= x <= 1 bounds
-    are implied by the degree equalities, so only those equalities plus the
-    generated cut constraints reach the simplex.
+    The 0 <= x <= 1 bounds are implied by the degree equalities, so only
+    those equalities plus the generated cut constraints reach the simplex.
     """
     n = inst.n
     if n < 3:
         raise ValueError("need at least 3 vertices")
-    if exact is None:
-        exact = n <= EXACT_DEFAULT_LIMIT
     arcs = _arc_list(n)
     arc_index = {a: k for k, a in enumerate(arcs)}
     costs = [inst.cost[i][j] for i, j in arcs]
 
     cut_sides = []
     seen_sides = set()
-    threshold = Fraction(1) if exact else 1 - eps
 
     rounds = 0
     while True:
@@ -137,26 +129,21 @@ def solve_held_karp(inst: ATSPInstance, exact=None, eps=1e-9) -> HKSolution:
             rows.append(row)
             rhs.append(1)
         padded_costs = list(costs) + [0] * num_slack
-        result = solve_lp(padded_costs, rows, rhs, exact=exact)
+        result = solve_lp(padded_costs, rows, rhs)
 
         x = {}
         for k, a in enumerate(arcs):
             val = result.values[k]
-            if val > (0 if exact else eps):
-                x[a] = Fraction(val) if exact else Fraction(val).limit_denominator(10 ** 12)
+            if val > 0:
+                x[a] = val
         value, side = directed_global_min_cut(n, x)
-        if value is not None and value < threshold:
+        if value is not None and value < 1:
             key = tuple(sorted(side))
             if key in seen_sides:
                 raise IterationLimitError(
-                    f"separation repeated the cut {key}; numeric trouble")
+                    f"separation repeated the cut {key}")
             seen_sides.add(key)
             cut_sides.append(frozenset(side))
             continue
-        objective = Fraction(result.objective) if exact else result.objective
-        return HKSolution(
-            x=x,
-            objective=objective,
-            cuts_added=len(cut_sides),
-            tolerance=0.0 if exact else eps,
-        )
+        return HKSolution(x=x, objective=result.objective,
+                          cuts_added=len(cut_sides))

@@ -22,14 +22,6 @@ from .flows import edge_connectivity
 from .spanning import ThinTreeResult, alpha, thin_spanning_tree
 from .surgery import increase_dual_girth
 
-__all__ = [
-    "edge_connectivity",
-    "bounded_genus_thin_tree",
-    "weighted_thin_tree",
-    "genus_bound",
-    "WeightedThinTree",
-]
-
 
 def genus_bound(genus: int) -> Fraction:
     """The claimed thinness numerator f(genus): 10 when planar, else an

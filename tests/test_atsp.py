@@ -28,7 +28,7 @@ def integral_tour_solution(inst, order):
     for i, u in enumerate(order):
         x[(u, order[(i + 1) % n])] = Fraction(1)
     obj = sum((inst.cost[a][b] * v for (a, b), v in x.items()), Fraction(0))
-    return HKSolution(x=x, objective=obj, cuts_added=0, tolerance=0.0)
+    return HKSolution(x=x, objective=obj, cuts_added=0)
 
 
 def test_symmetrize_integral_tour():
@@ -47,7 +47,7 @@ def test_symmetrize_merges_antiparallel():
         x={(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2),
            (1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2),
            (0, 2): Fraction(1, 2), (2, 0): Fraction(1, 2)},
-        objective=Fraction(4), cuts_added=0, tolerance=0.0)
+        objective=Fraction(4), cuts_added=0)
     y, cp = symmetrize(x, inst)
     assert y == {(0, 1): Fraction(1), (1, 2): Fraction(1), (0, 2): Fraction(1)}
 
@@ -187,6 +187,14 @@ def test_atsp_approx_unit_c4():
     assert tour.cost == 4  # equals the DP optimum
     opt, _ = brute_force_atsp(inst.cost)
     assert opt == 4
+
+
+def test_atsp_approx_rejects_inexact_request():
+    matrix, emb = lp_support_instance(6, PCG32(1))
+    inst = ATSPInstance.from_matrix(matrix)
+    for exact in (False, None):
+        with pytest.raises(ValueError):
+            atsp_approx(inst, emb, denominator=60, exact=exact)
 
 
 def test_atsp_approx_rejects_uncovered_support():

@@ -83,6 +83,17 @@ def test_generate_bit_identical():
     assert generate(grid) == generate(grid)
 
 
+def test_explicit_cost_model_is_honoured():
+    files = generate(GenSpec("random-metric", {"n": 5, "seed": 3}, "unit"))
+    assert read_atsp(files["instance.atsp"]) == [
+        [0 if i == j else 1 for j in range(5)] for i in range(5)]
+    default = GenSpec("random-metric", {"n": 5, "seed": 3})
+    skew = GenSpec("random-metric", {"n": 5, "seed": 3}, "asymmetric-skew")
+    assert generate(default) == generate(skew)
+    with pytest.raises(BadParamsError):
+        generate(GenSpec("lp-support-instance", {"n": 6}, "unit"))
+
+
 def test_generated_embeddings_validate():
     files = generate(GenSpec("torus-grid",
                              {"rows": 3, "cols": 4, "mult": 2, "seed": 1}))

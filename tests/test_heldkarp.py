@@ -75,11 +75,23 @@ def test_lp_below_dp_and_final_sweep_clean():
 def test_exact_flag_and_determinism():
     mat = random_metric(6, PCG32(9))
     inst = ATSPInstance.from_matrix(mat)
-    a = solve_held_karp(inst, exact=True)
-    b = solve_held_karp(inst, exact=True)
+    a = solve_held_karp(inst)
+    b = solve_held_karp(inst)
     assert a.x == b.x and a.objective == b.objective
-    approx = solve_held_karp(inst, exact=False)
-    assert abs(float(approx.objective) - float(a.objective)) < 1e-6
+
+
+def test_exact_above_former_float_limit():
+    # n = 11 was solved in float before; every n is now exact
+    for seed in range(4):
+        inst = ATSPInstance.from_matrix(random_metric(11, PCG32(seed)))
+        sol = solve_held_karp(inst)
+        for v in range(11):
+            assert sol.out_value(v) == 1
+            assert sum(val for (_, j), val in sol.x.items() if j == v) == 1
+        value, _ = directed_global_min_cut(11, sol.x)
+        assert value >= 1
+        opt, _ = brute_force_atsp(inst.cost)
+        assert sol.objective <= opt
 
 
 def test_small_n_rejected():
