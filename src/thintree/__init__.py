@@ -48,7 +48,6 @@ from .spanning import (
 from .surgery import (
     SurgeryLog,
     delete_dual_cycle,
-    find_short_dual_cycle,
     increase_dual_girth,
 )
 

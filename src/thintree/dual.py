@@ -8,7 +8,6 @@ edge, under the same edge id.  ``left_face`` is the face containing dart
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .embedding import EmbeddedGraph
@@ -89,44 +88,32 @@ def geometric_dual(g: EmbeddedGraph) -> DualGraph:
     return DualGraph(len(g.faces()), dual_edges)
 
 
-def _bfs_dist(adj, sources, avoid_edge=None):
-    """Hop distances from a set of faces; ``avoid_edge`` is never used."""
-    dist = {}
-    q = deque()
+def _bfs_levels(adj, sources, reached_by, avoid_edge=None):
+    """Breadth-first search over the dual, one level at a time.
+
+    Yields (distance, faces first reached at that distance), starting with
+    the sources at 0, and records in ``reached_by`` the edge that first
+    reached each face (None for a source).  Neighbours are visited in
+    ``adj`` order and ``avoid_edge`` is never crossed.  A level is expanded
+    only when the caller asks for the next one, so stopping after a level
+    costs nothing beyond it.
+    """
+    frontier = []
     for s in sources:
-        if s not in dist:
-            dist[s] = 0
-            q.append(s)
-    while q:
-        u = q.popleft()
-        for e, w in adj[u]:
-            if e == avoid_edge or w in dist:
-                continue
-            dist[w] = dist[u] + 1
-            q.append(w)
-    return dist
-
-
-def _bfs_path(adj, src, dst, avoid_edge):
-    """Edge ids of one shortest src-dst path avoiding one edge, deterministic."""
-    prev = {src: None}
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        if u == dst:
-            break
-        for e, w in adj[u]:
-            if e == avoid_edge or w in prev:
-                continue
-            prev[w] = (u, e)
-            q.append(w)
-    path = []
-    u = dst
-    while prev[u] is not None:
-        u, e = prev[u]
-        path.append(e)
-    path.reverse()
-    return path
+        if s not in reached_by:
+            reached_by[s] = None
+            frontier.append(s)
+    dist = 0
+    while frontier:
+        yield dist, frontier
+        dist += 1
+        nxt = []
+        for u in frontier:
+            for e, w in adj[u]:
+                if e != avoid_edge and w not in reached_by:
+                    reached_by[w] = e
+                    nxt.append(w)
+        frontier = nxt
 
 
 def shortest_dual_cycle(d: DualGraph):
@@ -146,12 +133,23 @@ def shortest_dual_cycle(d: DualGraph):
     for e, l, r in d.dual_edges:
         if best_len is not None and best_len <= 2:
             break
-        dist = _bfs_dist(adj, [l], avoid_edge=e)
-        if r not in dist or (best_len is not None and dist[r] + 1 >= best_len):
-            continue
-        path = _bfs_path(adj, l, r, e)
-        best_len = len(path) + 1
-        best_cycle = path + [e]
+        # only an l-r path of at most best_len - 2 edges improves
+        reached_by = {}
+        for dist, _ in _bfs_levels(adj, [l], reached_by, avoid_edge=e):
+            if r in reached_by:
+                path = []
+                at = r
+                while reached_by[at] is not None:
+                    step = reached_by[at]
+                    path.append(step)
+                    a, b = d.faces_of(step)
+                    at = a if b == at else b
+                path.reverse()
+                best_len = dist + 1
+                best_cycle = path + [e]
+                break
+            if best_len is not None and dist >= best_len - 2:
+                break
     if best_cycle is None:
         return None
     return best_len, best_cycle
@@ -174,15 +172,42 @@ def edge_distance(d: DualGraph, e: int, f: int) -> int:
 
     Adjacent edges (shared endpoint) are at distance 0, as is e == f.
     """
-    le, re = d.faces_of(e)
-    lf, rf = d.faces_of(f)
+    sources = d.faces_of(e)
+    targets = d.faces_of(f)
     if e == f:
         return 0
-    dist = _bfs_dist(d.adjacency(), {le, re})
-    hits = [dist[t] for t in {lf, rf} if t in dist]
-    if not hits:
-        raise ValueError(f"dual edges {e} and {f} lie in different components")
-    return min(hits)
+    reached_by = {}
+    for dist, _ in _bfs_levels(d.adjacency(), sources, reached_by):
+        if any(t in reached_by for t in targets):
+            return dist
+    raise ValueError(f"dual edges {e} and {f} lie in different components")
+
+
+def min_pairwise_distance(d: DualGraph, edge_ids) -> int | None:
+    """Minimum edge_distance over pairs of distinct edges in edge_ids.
+
+    None for fewer than two edges or when no two lie in one component.
+    """
+    ids = sorted(edge_ids)
+    if len(ids) < 2:
+        return None
+    adj = d.adjacency()
+    edges_at = {}
+    for e in ids:
+        for f in d.faces_of(e):
+            edges_at.setdefault(f, []).append(e)
+    best = None
+    # each pair is found from its smaller edge
+    for e in ids:
+        for dist, faces in _bfs_levels(adj, d.faces_of(e), {}):
+            if best is not None and dist >= best:
+                break
+            if any(other > e for f in faces for other in edges_at.get(f, ())):
+                best = dist
+                break
+        if best == 0:
+            break
+    return best
 
 
 def cut_edges(g: EmbeddedGraph, cut: Cut) -> list[int]:

@@ -12,14 +12,14 @@ the same factor as a cost ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
 
 from .embedding import EmbeddedGraph
 from .errors import DisconnectedError, ExtractionFailureError
 from .flows import edge_connectivity
-from .spanning import ThinTreeResult, alpha, thin_spanning_tree
+from .spanning import ThinTreeResult, alpha, thin_spanning_tree, tree_cost_ratio
 from .surgery import increase_dual_girth
 
 
@@ -83,18 +83,9 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
     k = edge_connectivity(g)
     genus = g.genus()
     if genus == 0:
-        result = thin_spanning_tree(g)
-        return ThinTreeResult(
-            tree_edges=result.tree_edges,
-            far_set=result.far_set,
-            thinness_bound=Fraction(10, k),
-            certificate_distance=result.certificate_distance,
-            g_star=result.g_star,
-            alpha=result.alpha,
-            cost_ratio=result.cost_ratio,
-        )
+        return replace(thin_spanning_tree(g), thinness_bound=Fraction(10, k))
 
-    h, log = increase_dual_girth(g, k, genus)
+    h, _ = increase_dual_girth(g, k)
     tree_edges = []
     far_edges = []
     g_star_min = None
@@ -111,12 +102,6 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
     tree_edges = sorted(tree_edges + connectors)
     far_edges = sorted(set(far_edges) | set(connectors))
     assert len(tree_edges) == g.vertex_count - 1
-
-    cost_ratio = None
-    if g.edge_cost is not None:
-        total = g.total_cost()
-        if total > 0:
-            cost_ratio = sum((g.edge_cost[e] for e in tree_edges), Fraction(0)) / total
     return ThinTreeResult(
         tree_edges=tuple(tree_edges),
         far_set=tuple(far_edges),
@@ -124,7 +109,7 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
         certificate_distance=1,
         g_star=g_star_min or 1,
         alpha=alpha(genus),
-        cost_ratio=cost_ratio,
+        cost_ratio=tree_cost_ratio(g, tree_edges),
     )
 
 

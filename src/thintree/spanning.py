@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dual import DualGraph, dual_girth, geometric_dual
+from .dual import DualGraph, dual_girth, geometric_dual, min_pairwise_distance
 from .embedding import EmbeddedGraph
 from .errors import (
     DegreeOneVertexError,
@@ -246,36 +246,15 @@ class ThinTreeResult:
     cost_ratio: Fraction | None = None
 
 
-def _min_pairwise_distance(d: DualGraph, edge_ids) -> int | None:
-    """Minimum pairwise edge distance within edge_ids, None for < 2 edges."""
-    ids = sorted(edge_ids)
-    if len(ids) < 2:
+def tree_cost_ratio(g: EmbeddedGraph, tree_edges) -> Fraction | None:
+    """c(T)/c(G), or None when g is unweighted or its total cost is not
+    positive."""
+    if g.edge_cost is None:
         return None
-    adj = d.adjacency()
-    endpoint_edges = {}
-    for e in ids:
-        for f in d.faces_of(e):
-            endpoint_edges.setdefault(f, set()).add(e)
-    best = None
-    for e in ids:
-        sources = set(d.faces_of(e))
-        dist = {f: 0 for f in sources}
-        q = deque(sources)
-        while q:
-            u = q.popleft()
-            if best is not None and dist[u] >= best:
-                continue
-            for edge2, w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        for f, du in dist.items():
-            for other in endpoint_edges.get(f, ()):
-                if other > e and (best is None or du < best):
-                    best = du
-        if best == 0:
-            break
-    return best
+    total = g.total_cost()
+    if total <= 0:
+        return None
+    return sum((g.edge_cost[e] for e in tree_edges), Fraction(0)) / total
 
 
 def _bfs_spanning_tree(g: EmbeddedGraph, allowed) -> list[int]:
@@ -324,15 +303,10 @@ def thin_spanning_tree(g: EmbeddedGraph) -> ThinTreeResult:
         certificate = 1
     else:
         far = select_far_edge_set(d, g_star, a)
-        measured = _min_pairwise_distance(d, far)
+        measured = min_pairwise_distance(d, far)
         certificate = g_star if measured is None else max(1, min(measured, g_star))
 
     tree = _bfs_spanning_tree(g, far)
-    cost_ratio = None
-    if g.edge_cost is not None:
-        total = g.total_cost()
-        if total > 0:
-            cost_ratio = sum((g.edge_cost[e] for e in tree), Fraction(0)) / total
     return ThinTreeResult(
         tree_edges=tuple(tree),
         far_set=tuple(far),
@@ -340,5 +314,5 @@ def thin_spanning_tree(g: EmbeddedGraph) -> ThinTreeResult:
         certificate_distance=certificate,
         g_star=g_star,
         alpha=a,
-        cost_ratio=cost_ratio,
+        cost_ratio=tree_cost_ratio(g, tree),
     )

@@ -11,9 +11,8 @@ floating point: ``length < k / (3*sqrt(g))`` is evaluated as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .dual import DualGraph, geometric_dual, shortest_dual_cycle
+from .dual import geometric_dual, shortest_dual_cycle
 from .embedding import EmbeddedGraph
 from .errors import (
     DichotomyViolationError,
@@ -64,21 +63,6 @@ def below_threshold(length: int, k: int, genus: int) -> bool:
     return 9 * genus * length * length < k * k
 
 
-def find_short_dual_cycle(d: DualGraph, threshold) -> list[int] | None:
-    """A shortest dual cycle of length < threshold, or None.
-
-    ``threshold`` may be an int or Fraction.  The returned cycle is simple
-    and deterministic.
-    """
-    found = shortest_dual_cycle(d)
-    if found is None:
-        return None
-    length, cycle = found
-    if Fraction(length) < Fraction(threshold):
-        return cycle
-    return None
-
-
 def delete_dual_cycle(g: EmbeddedGraph, cycle_edges) -> EmbeddedGraph:
     """Delete the primal edges of a dual cycle and recheck the dichotomy.
 
@@ -98,21 +82,17 @@ def delete_dual_cycle(g: EmbeddedGraph, cycle_edges) -> EmbeddedGraph:
     return h
 
 
-def increase_dual_girth(g: EmbeddedGraph, k: int, genus: int | None = None):
+def increase_dual_girth(g: EmbeddedGraph, k: int):
     """Delete short dual cycles until girth(H*) >= k / (3*sqrt(genus)).
 
-    ``genus`` defaults to (and is validated against) the measured genus of g
-    and stays fixed across iterations.  Returns (H, SurgeryLog).
+    The genus in the threshold is measured on g once and stays fixed across
+    iterations.  Returns (H, SurgeryLog).
 
     Raises ZeroGenusError for planar inputs (the caller should use the
     planar branch instead) and NotEdgeConnectedError when g is less than
     k-edge-connected.
     """
-    g0 = g.genus()
-    if genus is None:
-        genus = g0
-    elif genus != g0:
-        raise ValueError(f"declared genus {genus} but measured {g0}")
+    genus = g.genus()
     if genus == 0:
         raise ZeroGenusError("input embedding has genus 0")
     measured = edge_connectivity(g)

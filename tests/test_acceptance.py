@@ -233,9 +233,9 @@ def test_criterion_08_held_karp_solver():
                 random_metric(n, PCG32(1000 * seed + n)))
             sol = solve_held_karp(inst)
             opt, _ = brute_force_atsp(inst.cost)
-            assert sol.objective <= opt + Fraction(1, 10 ** 6)
+            assert sol.objective <= opt
             value, _ = directed_global_min_cut(n, sol.x)
-            assert value >= 1 - Fraction(1, 10 ** 6)
+            assert value >= 1
             count += 1
     assert count == 100
     print(f"\nACCEPTANCE 8 PASS: 100 instances: LP objective <= DP optimum "

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,10 @@ import sys
 import pytest
 
 from thintree.cli import main
+from thintree.formats import write_emb
+from thintree.genlab import amplify, prism_graph
+
+from .conftest import add_edge
 
 
 def run_cli(args):
@@ -144,3 +149,80 @@ def test_module_entrypoint_runs(tmp_path, cli_env):
         capture_output=True, text=True, env=cli_env)
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("EMB 1 9 18")
+
+
+# The sha256 of every output file of a fixed command list, by file name.  A
+# change that keeps behaviour keeps these files byte-identical.  The handled
+# cube is the conftest handle instance with costs: its surgery iterates, so
+# the surgery log and the genus branch's connector edges are covered.
+CLI_GOLDEN_COMMANDS = [
+    ["gen", "--family", "planar-amplified", "--base", "cube", "--mult", "12",
+     "--seed", "0", "--cost-model", "uniform-range", "--weighted",
+     "--out", "cube.emb"],
+    ["gen", "--family", "torus-grid", "--rows", "3", "--cols", "3",
+     "--mult", "4", "--seed", "1", "--cost-model", "uniform-range",
+     "--weighted", "--out", "torus.emb"],
+    ["gen", "--family", "random-metric", "--n", "7", "--seed", "9",
+     "--out", "metric.atsp"],
+    ["gen", "--family", "lp-support-instance", "--n", "8", "--seed", "1",
+     "--out", "lp8.atsp", "--emb-out", "lp8.emb"],
+    ["thin-tree", "--in", "cube.emb", "--out", "cube-tree.json", "--certify"],
+    ["pipeline", "--in", "cube.emb", "--out", "cube-pipeline.json"],
+    ["surgery", "--in", "torus.emb", "--k", "16", "--out", "torus-h.emb",
+     "--log", "torus-surgery.log"],
+    ["pipeline", "--in", "torus.emb", "--out", "torus-pipeline.json"],
+    ["pipeline", "--in", "torus.emb", "--weighted",
+     "--out", "torus-weighted.json"],
+    ["surgery", "--in", "handle.emb", "--k", "12", "--out", "handle-h.emb",
+     "--log", "handle-surgery.log"],
+    ["pipeline", "--in", "handle.emb", "--out", "handle-pipeline.json"],
+    ["pipeline", "--in", "handle.emb", "--weighted",
+     "--out", "handle-weighted.json"],
+    ["atsp", "--in", "lp8.atsp", "--emb", "lp8.emb", "--denominator", "60",
+     "--out", "lp8-tour.json"],
+]
+CLI_GOLDEN_DIGESTS = {
+    "cube-pipeline.json":
+        "04e6731a5b64cf6e1f329aa51034de01dfc17208cae90c85cce4d24fdbfc2042",
+    "cube-tree.json":
+        "4de46c8499c07b1051deef163dca2f414ff5e04c9d0082030f5956035dd24120",
+    "cube.emb":
+        "79671466e10b6b26091ecaef813cbc78ec2a325c79dffbf4d6cb271f9a86fef4",
+    "handle-h.emb":
+        "3113e2a6d3f032b72911647d4546d334848530795fccab8dac2889a32d6ebeed",
+    "handle-pipeline.json":
+        "5f3d5a2ff929f693607461b0d8f01a81cdaf55393dd169ec2fada5684339ef34",
+    "handle-surgery.log":
+        "1b1de519905ebb81703e6ab889998825bd19fa43c9b410c805069ed8134dddb1",
+    "handle-weighted.json":
+        "41680404dc4436d8f1c80d0824e7d05bc38404113b6e0588d9b01ae2e63bd8f8",
+    "lp8-tour.json":
+        "a3f695ae33186882be0334893c6cdc8ccf172dfaa5fc4b0151320fcac25ce6e2",
+    "lp8.atsp":
+        "5d8522d58ce50c01c30a15df311227a750f1ee654a80f5b06a81ccadf3cbd13e",
+    "lp8.emb":
+        "69204ec93302a7231fc7adbbdd9262492c41716663895c495c3648d9304f2a6d",
+    "metric.atsp":
+        "464d54ed6f49c4514e1bbffbd897932fba7974565aa6c54b9714afa36dd1862b",
+    "torus-h.emb":
+        "4a6c22180bb831bde7c307bc53ebe2cada81e91b6dbcbdcd418afd369a2cf6eb",
+    "torus-pipeline.json":
+        "07f2612872dde929aa8cba7fc6b28cf36fb8ab0db68f26e588a8aa4a0ac3ceb1",
+    "torus-surgery.log":
+        "36bbe9c7ab03937a139ee73e521e276f3203dd7a2900c140f7230cde66e3f98b",
+    "torus-weighted.json":
+        "1f65f8d108fe5e06499369476c4bbcc8e0f3f3a81baf9d9333272e563cc32e60",
+    "torus.emb":
+        "4a6c22180bb831bde7c307bc53ebe2cada81e91b6dbcbdcd418afd369a2cf6eb",
+}
+
+
+def test_cli_outputs_match_recorded_digests(tmp_path):
+    g = amplify(prism_graph(4), 4, costs=lambda new, old: 1 + (7 * new + old) % 50)
+    (tmp_path / "handle.emb").write_text(write_emb(add_edge(g, 0, 2, 0, 0)))
+    for argv in CLI_GOLDEN_COMMANDS:
+        run_cli([str(tmp_path / a) if a.endswith((".emb", ".atsp", ".json", ".log"))
+                 else a for a in argv])
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir()) if p.name != "handle.emb"}
+    assert digests == CLI_GOLDEN_DIGESTS

@@ -10,6 +10,7 @@ from thintree.dual import (
     dual_girth,
     edge_distance,
     geometric_dual,
+    min_pairwise_distance,
     shortest_dual_cycle,
 )
 from thintree.embedding import build_embedding
@@ -17,6 +18,7 @@ from thintree.errors import EdgeAbsentError, NoCycleError
 from thintree.flows import edge_connectivity
 from thintree.genlab import amplify, cycle_graph, prism_graph, torus_grid
 from thintree.oracle import bfs_distances
+from thintree.spanning import alpha, select_far_edge_set
 
 from .conftest import add_edge
 from .test_embedding import rotation_systems
@@ -223,6 +225,87 @@ def test_shortest_cycle_deterministic_anchor():
     length, cycle = shortest_dual_cycle(d)
     assert length == 3
     assert sorted(cycle) == [0, 1, 2]
+
+
+# Exact output of shortest_dual_cycle, walk order included, recorded from
+# the implementation that ran a distance search and then a path search per
+# edge.  The order comes from the path read back from the search.
+GOLDEN_SHORTEST_CYCLES = [
+    ("cube x3", lambda: geometric_dual(amplify(prism_graph(4), 3)),
+     (9, [3, 4, 5, 27, 28, 29, 2, 1, 0])),
+    ("torus 3x3", lambda: geometric_dual(torus_grid(3, 3)), (3, [6, 3, 0])),
+    ("torus 3x3 x2", lambda: geometric_dual(amplify(torus_grid(3, 3), 2)),
+     (6, [13, 12, 7, 6, 1, 0])),
+    ("prism6 x4", lambda: geometric_dual(amplify(prism_graph(6), 4)),
+     (12, [4, 5, 6, 7, 52, 53, 54, 55, 3, 2, 1, 0])),
+    ("handled cube", lambda: geometric_dual(GOLDEN_GRAPHS["handle"]()), (1, [0])),
+    # edges 3 and 5 are parallel; the triangle 0-1-2 via edge 6 is found first
+    ("parallel", lambda: DualGraph(5, [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 4),
+                                       (4, 4, 0), (5, 4, 3), (6, 2, 0)]),
+     (2, [5, 3])),
+]
+
+
+@pytest.mark.parametrize("name, build, expected", GOLDEN_SHORTEST_CYCLES,
+                         ids=[c[0] for c in GOLDEN_SHORTEST_CYCLES])
+def test_shortest_dual_cycle_golden(name, build, expected):
+    assert shortest_dual_cycle(build()) == expected
+
+
+def brute_force_girth(d):
+    """Minimum over dual edges e = (l, r) of 1 + dist(l, r) without e."""
+    lengths = []
+    for e, l, r in d.dual_edges:
+        rest = [(a, b) for other, a, b in d.dual_edges if other != e]
+        dist = bfs_distances(d.face_count, rest, l)
+        if r in dist:
+            lengths.append(1 + dist[r])
+    return min(lengths, default=None)
+
+
+@given(rotation_systems())
+@settings(max_examples=200, deadline=None)
+def test_shortest_cycle_matches_brute_force(g):
+    d = geometric_dual(g)
+    found = shortest_dual_cycle(d)
+    expected = brute_force_girth(d)
+    if expected is None:
+        assert found is None
+        return
+    length, cycle = found
+    assert length == expected == len(cycle) == len(set(cycle))
+    faces = closed_walk_faces(d, cycle)
+    assert faces is not None, f"not a closed walk: {cycle}"
+    assert len(set(faces)) == len(faces), f"{cycle} revisits a face"
+
+
+def brute_force_min_pairwise(d, ids):
+    pairs = [(a, b) for _, a, b in d.dual_edges]
+    dist = {f: bfs_distances(d.face_count, pairs, f) for f in range(d.face_count)}
+    found = [dist[s][t] for i, e in enumerate(ids) for f in ids[i + 1:]
+             for s in d.faces_of(e) for t in d.faces_of(f) if t in dist[s]]
+    return min(found, default=None)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: amplify(prism_graph(4), 12),
+    lambda: amplify(prism_graph(5), 8),
+    lambda: amplify(torus_grid(3, 3), 6),
+], ids=["cube x12", "prism5 x8", "torus 3x3 x6"])
+def test_far_set_min_pairwise_matches_brute_force(build):
+    g = build()
+    d = geometric_dual(g)
+    far = select_far_edge_set(d, dual_girth(d), alpha(g.genus()))
+    assert len(far) >= 2
+    assert min_pairwise_distance(d, far) == brute_force_min_pairwise(d, far)
+
+
+@given(rotation_systems(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_min_pairwise_matches_brute_force_random(g, data):
+    d = geometric_dual(g)
+    ids = sorted(data.draw(st.sets(st.sampled_from(g.edges()))))
+    assert min_pairwise_distance(d, ids) == brute_force_min_pairwise(d, ids)
 
 
 @given(rotation_systems())

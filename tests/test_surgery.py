@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 
@@ -11,7 +9,6 @@ from thintree.genlab import amplify, prism_graph, torus_grid
 from thintree.surgery import (
     below_threshold,
     delete_dual_cycle,
-    find_short_dual_cycle,
     increase_dual_girth,
 )
 
@@ -28,18 +25,6 @@ def handled_cube(q):
 
 def one_vertex_torus():
     return build_embedding(1, [[0, 2, 1, 3]], [(0, 1), (2, 3)])
-
-
-def test_find_short_cycle_thresholds(cube):
-    d = geometric_dual(cube)  # octahedron, girth 3
-    assert sorted(find_short_dual_cycle(d, 4)) == [0, 1, 9]
-    assert find_short_dual_cycle(d, 3) is None
-    assert find_short_dual_cycle(d, Fraction(7, 2)) is not None
-
-
-def test_find_short_cycle_loop():
-    d = geometric_dual(one_vertex_torus())
-    assert find_short_dual_cycle(d, 2) == [0]
 
 
 def test_exact_threshold_form():
@@ -153,9 +138,3 @@ def test_not_edge_connected_guard():
     t = torus_grid(3, 3)
     with pytest.raises(NotEdgeConnectedError):
         increase_dual_girth(t, 5)
-
-
-def test_declared_genus_must_match():
-    t = torus_grid(3, 3)
-    with pytest.raises(ValueError):
-        increase_dual_girth(t, 4, genus=2)
