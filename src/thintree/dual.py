@@ -42,30 +42,11 @@ class DualGraph:
         self._by_id = {e: (l, r) for e, l, r in self.dual_edges}
         self._adj = None
 
-    def edge_ids(self) -> list[int]:
-        return [e for e, _, _ in self.dual_edges]
-
-    def has_edge(self, e: int) -> bool:
-        return e in self._by_id
-
     def faces_of(self, e: int) -> tuple[int, int]:
         try:
             return self._by_id[e]
         except KeyError:
             raise EdgeAbsentError(f"dual edge {e} absent") from None
-
-    def is_loop(self, e: int) -> bool:
-        l, r = self.faces_of(e)
-        return l == r
-
-    def degree(self, f: int) -> int:
-        deg = 0
-        for _, l, r in self.dual_edges:
-            if l == f:
-                deg += 1
-            if r == f:
-                deg += 1
-        return deg
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """Per-face sorted list of (edge_id, other_face); loops appear once."""
@@ -123,16 +104,39 @@ def shortest_dual_cycle(d: DualGraph):
     avoiding e; minimizing over all edges is exact on multigraphs (loops give
     length 1, parallel pairs length 2).  Deterministic: the anchor is the
     smallest edge id on some shortest cycle.
+
+    A face with exactly two edge-ends links its two edges into a chain, and
+    every cycle through one edge of a chain runs along the whole chain; so
+    only the smallest edge of each chain is searched from, and the result is
+    the same as searching from every edge.
     """
     for e, l, r in d.dual_edges:
         if l == r:
             return 1, [e]
     adj = d.adjacency()
+    # union-find over chains whose root is the chain's smallest edge, so an
+    # edge with a parent is never the first of its chain
+    parent = {}
+
+    def root(e):
+        while e in parent:
+            up = parent[e]
+            parent[e] = parent.get(up, up)  # path halving
+            e = up
+        return e
+
+    for ends in adj:
+        if len(ends) == 2:
+            a, b = root(ends[0][0]), root(ends[1][0])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
     best_len = None
     best_cycle = None
     for e, l, r in d.dual_edges:
         if best_len is not None and best_len <= 2:
             break
+        if e in parent:
+            continue
         # only an l-r path of at most best_len - 2 edges improves
         reached_by = {}
         for dist, _ in _bfs_levels(adj, [l], reached_by, avoid_edge=e):

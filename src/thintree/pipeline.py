@@ -1,9 +1,10 @@
 """End-to-end thin-tree construction and cost-bounded extraction.
 
 ``bounded_genus_thin_tree`` dispatches on genus: planar graphs go straight
-to the selection algorithm (their dual girth is at least the edge
-connectivity), positive genus first raises the dual girth by surgery, finds
-a tree per component, and reconnects the pieces with a few cheap edges.
+to the selection algorithm (their dual girth equals the edge connectivity,
+by bond-cycle duality, Whitney 1932), positive genus first raises the dual
+girth by surgery, finds a tree per component, and reconnects the pieces
+with a few cheap edges.
 
 ``weighted_thin_tree`` repeatedly extracts edge-disjoint thin trees from the
 residual graph and keeps the cheapest, trading a factor 2 in thinness for

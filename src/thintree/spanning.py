@@ -134,8 +134,9 @@ def find_threads(view) -> list[Thread]:
         used.add(first_edge)
         cur = first_other
         while cur != start and view.degree[cur] == 2 and not view.loops[cur]:
+            # two neighbour entries, one of them the edge just walked
             e, nxt = next(
-                (e, w) for e, w in view.incident(cur) if e not in used)
+                (e, w) for e, w in view.neighbors[cur].items() if e not in used)
             used.add(e)
             edges.append(e)
             verts.append(nxt)

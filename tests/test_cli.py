@@ -108,6 +108,20 @@ def test_atsp_and_verify_cli(tmp_path):
     run_cli(["verify", "thinness", "--in", str(g), "--edges", str(tree)])
 
 
+def test_atsp_default_denominator(tmp_path):
+    # without --denominator the paper's D = n**3 is used
+    inst = tmp_path / "inst.atsp"
+    emb = tmp_path / "support.emb"
+    tour = tmp_path / "tour.json"
+    run_cli(["gen", "--family", "lp-support-instance", "--n", "8",
+             "--seed", "1", "--out", str(inst), "--emb-out", str(emb)])
+    run_cli(["atsp", "--in", str(inst), "--emb", str(emb), "--out", str(tour)])
+    payload = json.loads(tour.read_text())
+    assert payload["denominator"] == 8 ** 3
+    assert sorted(payload["order"]) == list(range(8))
+    run_cli(["verify", "tour", "--in", str(inst), "--tour", str(tour)])
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--family", "torus-grid", "--rows", "3", "--cols", "4",
      "--mult", "2", "--seed", "5", "--out", "OUT"],

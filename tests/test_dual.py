@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from thintree.dual import (
     Cut,
     DualGraph,
+    _bfs_levels,
     cut_edges,
     cut_to_dual_cycles,
     dual_girth,
@@ -17,7 +18,7 @@ from thintree.embedding import build_embedding
 from thintree.errors import EdgeAbsentError, NoCycleError
 from thintree.flows import edge_connectivity
 from thintree.genlab import amplify, cycle_graph, prism_graph, torus_grid
-from thintree.oracle import bfs_distances
+from thintree.oracle import bfs_distances, brute_force_edge_connectivity
 from thintree.spanning import alpha, select_far_edge_set
 
 from .conftest import add_edge
@@ -29,17 +30,30 @@ def bond(width):
     return amplify(build_embedding(2, [[0], [1]], [(0, 1)]), width)
 
 
+def dual_edge_ids(d):
+    return [e for e, _, _ in d.dual_edges]
+
+
+def dual_degrees(d):
+    """Edge-ends per face, read off ``dual_edges`` (a loop counts twice)."""
+    degree = [0] * d.face_count
+    for _, l, r in d.dual_edges:
+        degree[l] += 1
+        degree[r] += 1
+    return degree
+
+
 def test_cube_dual_is_octahedron(cube):
     d = geometric_dual(cube)
     assert d.face_count == 6
     assert len(d.dual_edges) == 12
-    assert [d.degree(f) for f in range(6)] == [4] * 6
+    assert dual_degrees(d) == [4] * 6
     assert dual_girth(d) == 3
 
 
 def test_dual_bijection_shares_edge_ids(cube):
     d = geometric_dual(cube)
-    assert d.edge_ids() == cube.edges()
+    assert dual_edge_ids(d) == cube.edges()
 
 
 def test_doubled_cube_dual_girth_doubles(cube):
@@ -53,7 +67,7 @@ def test_dual_degrees_equal_face_lengths(cube):
     doubled = amplify(cube, 2)
     d = geometric_dual(doubled)
     lengths = sorted(len(f) for f in doubled.faces())
-    degrees = sorted(d.degree(f) for f in range(d.face_count))
+    degrees = sorted(dual_degrees(d))
     assert degrees == lengths
 
 
@@ -70,14 +84,14 @@ def test_dual_loop_girth_one():
     # one-vertex torus map: two interleaved loops, single face
     g = build_embedding(1, [[0, 2, 1, 3]], [(0, 1), (2, 3)])
     d = geometric_dual(g)
-    assert d.is_loop(0) and d.is_loop(1)
+    assert d.faces_of(0) == (0, 0) and d.faces_of(1) == (0, 0)
     assert dual_girth(d) == 1
 
 
 def test_edge_distance_cases():
     d = geometric_dual(bond(6))  # dual is C6
     assert dual_girth(d) == 6
-    e_ids = d.edge_ids()
+    e_ids = dual_edge_ids(d)
     assert edge_distance(d, e_ids[0], e_ids[0]) == 0
     # find two adjacent dual edges and two opposite ones via the oracle
     pairs = {e: d.faces_of(e) for e in e_ids}
@@ -207,11 +221,21 @@ def test_cut_to_dual_cycles_golden(name, side, expected):
         assert len(set(faces)) == len(faces), f"{cycle} revisits a face"
 
 
-def test_whitney_planar_girth_at_least_connectivity():
+def test_whitney_planar_girth_equals_connectivity():
     for g in [prism_graph(3), prism_graph(4), amplify(prism_graph(4), 3),
               cycle_graph(7), amplify(cycle_graph(5), 4)]:
         assert g.genus() == 0
-        assert dual_girth(geometric_dual(g)) >= edge_connectivity(g)
+        assert dual_girth(geometric_dual(g)) == edge_connectivity(g)
+
+
+@given(rotation_systems())
+@settings(max_examples=300, deadline=None)
+def test_whitney_planar_girth_equals_oracle_connectivity(g):
+    # bond-cycle duality: in a connected plane multigraph the minimal edge
+    # cuts are exactly the simple dual cycles (Whitney 1932)
+    if not (g.genus() == 0 and g.is_connected() and g.vertex_count >= 2):
+        return
+    assert dual_girth(geometric_dual(g)) == brute_force_edge_connectivity(g)
 
 
 def test_shortest_cycle_prefers_loop():
@@ -279,6 +303,46 @@ def test_shortest_cycle_matches_brute_force(g):
     assert len(set(faces)) == len(faces), f"{cycle} revisits a face"
 
 
+def every_edge_shortest_cycle(d):
+    """shortest_dual_cycle without the chain skip: one search from every
+    edge, in edge order, replacing the best only by a strictly shorter
+    cycle."""
+    for e, l, r in d.dual_edges:
+        if l == r:
+            return 1, [e]
+    adj = d.adjacency()
+    best = None
+    for e, l, r in d.dual_edges:
+        if best is not None and best[0] <= 2:
+            break
+        reached_by = {}
+        for dist, _ in _bfs_levels(adj, [l], reached_by, avoid_edge=e):
+            if r in reached_by:
+                path = []
+                at = r
+                while reached_by[at] is not None:
+                    path.append(reached_by[at])
+                    a, b = d.faces_of(path[-1])
+                    at = a if b == at else b
+                best = dist + 1, path[::-1] + [e]
+                break
+            if best is not None and dist >= best[0] - 2:
+                break
+    return best
+
+
+@given(rotation_systems(), st.integers(2, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_chain_skip_matches_every_edge_search(g, q, data):
+    # amplified duals are made of chains of bigon faces; deleting some
+    # copies leaves residual chains of every length from 0 to q
+    amplified = amplify(g, q)
+    doomed = data.draw(st.sets(st.sampled_from(amplified.edges())))
+    for h in (amplified, amplified.delete_edges(doomed)):
+        d = geometric_dual(h)
+        assert shortest_dual_cycle(d) == every_edge_shortest_cycle(d)
+
+
 def brute_force_min_pairwise(d, ids):
     pairs = [(a, b) for _, a, b in d.dual_edges]
     dist = {f: bfs_distances(d.face_count, pairs, f) for f in range(d.face_count)}
@@ -312,8 +376,8 @@ def test_min_pairwise_matches_brute_force_random(g, data):
 @settings(max_examples=200, deadline=None)
 def test_dual_edge_bijection_random(g):
     d = geometric_dual(g)
-    assert d.edge_ids() == g.edges()
-    assert sum(d.degree(f) for f in range(d.face_count)) == 2 * g.edge_count
+    assert dual_edge_ids(d) == g.edges()
+    assert sum(dual_degrees(d)) == 2 * g.edge_count
 
 
 @given(rotation_systems(), st.data())

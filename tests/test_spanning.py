@@ -18,6 +18,7 @@ from thintree.spanning import (
     thin_spanning_tree,
 )
 
+from .test_dual import dual_degrees, dual_edge_ids
 from .test_embedding import rotation_systems
 
 
@@ -88,7 +89,7 @@ def test_threads_partition_edges():
         d = geometric_dual(g)
         threads = find_threads(d)
         edges = sorted(e for t in threads for e in t.edges)
-        assert edges == d.edge_ids()
+        assert edges == dual_edge_ids(d)
 
 
 def test_degree_one_precondition():
@@ -147,7 +148,7 @@ def test_far_set_with_girth_one_dual_loops():
 def test_threads_satisfy_shape_invariants():
     for g in [bond(8), amplify(prism_graph(4), 3), amplify(torus_grid(3, 3), 2)]:
         d = geometric_dual(g)
-        degree = {f: d.degree(f) for f in range(d.face_count)}
+        degree = dual_degrees(d)
         for t in find_threads(d):
             for v in t.vertices[1:-1]:
                 assert degree[v] == 2
@@ -277,7 +278,7 @@ def test_distance_preservation_during_loop(cube):
         if view.edge_count == 0:
             break
         current_dual = _view_as_dual(view, d)
-        ids = current_dual.edge_ids()
+        ids = dual_edge_ids(current_dual)
         current = {}
         for i, e in enumerate(ids):
             for f in ids[i + 1:]:
