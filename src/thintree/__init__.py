@@ -17,7 +17,6 @@ from .dual import (
     DualGraph,
     cut_to_dual_cycles,
     dual_girth,
-    edge_distance,
     geometric_dual,
 )
 from .embedding import EmbeddedGraph, build_embedding, expand_parallel

@@ -20,7 +20,7 @@ from .flows import edge_connectivity
 from .formats import format_cost, read_atsp, read_emb
 from .heldkarp import ATSPInstance
 from .pipeline import bounded_genus_thin_tree, weighted_thin_tree
-from .spanning import thin_spanning_tree
+from .spanning import thin_spanning_tree, tree_cost_ratio
 from .surgery import increase_dual_girth
 
 
@@ -73,8 +73,9 @@ def cmd_thin_tree(args) -> int:
         "thinness_bound": _frac(result.thinness_bound),
         "certificate_distance": result.certificate_distance,
     }
-    if result.cost_ratio is not None:
-        payload["cost_ratio"] = _frac(result.cost_ratio)
+    cost_ratio = tree_cost_ratio(g, result.tree_edges)
+    if cost_ratio is not None:
+        payload["cost_ratio"] = _frac(cost_ratio)
     if args.certify:
         if g.vertex_count > oracle.MAX_CUT_VERTICES:
             raise TooLargeError(
@@ -126,8 +127,9 @@ def cmd_pipeline(args) -> int:
             "genus": g.genus(),
             "edge_connectivity": edge_connectivity(g),
         }
-        if result.cost_ratio is not None:
-            payload["cost_ratio"] = _frac(result.cost_ratio)
+        cost_ratio = tree_cost_ratio(g, result.tree_edges)
+        if cost_ratio is not None:
+            payload["cost_ratio"] = _frac(cost_ratio)
     _write(args.out, _dump(payload))
     return 0
 

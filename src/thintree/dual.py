@@ -171,26 +171,12 @@ def dual_girth(d: DualGraph) -> int:
     return found[0]
 
 
-def edge_distance(d: DualGraph, e: int, f: int) -> int:
-    """Closest distance between endpoints of dual edges e and f.
-
-    Adjacent edges (shared endpoint) are at distance 0, as is e == f.
-    """
-    sources = d.faces_of(e)
-    targets = d.faces_of(f)
-    if e == f:
-        return 0
-    reached_by = {}
-    for dist, _ in _bfs_levels(d.adjacency(), sources, reached_by):
-        if any(t in reached_by for t in targets):
-            return dist
-    raise ValueError(f"dual edges {e} and {f} lie in different components")
-
-
 def min_pairwise_distance(d: DualGraph, edge_ids) -> int | None:
-    """Minimum edge_distance over pairs of distinct edges in edge_ids.
+    """Minimum distance over pairs of distinct edges in edge_ids.
 
-    None for fewer than two edges or when no two lie in one component.
+    The distance of two dual edges is the closest distance between their
+    endpoints, so adjacent edges are at distance 0.  None for fewer than
+    two edges or when no two lie in one component.
     """
     ids = sorted(edge_ids)
     if len(ids) < 2:

@@ -20,7 +20,7 @@ from math import isqrt
 from .embedding import EmbeddedGraph
 from .errors import DisconnectedError, ExtractionFailureError
 from .flows import edge_connectivity
-from .spanning import ThinTreeResult, alpha, thin_spanning_tree, tree_cost_ratio
+from .spanning import ThinTreeResult, alpha, thin_spanning_tree
 from .surgery import increase_dual_girth
 
 
@@ -110,7 +110,6 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
         certificate_distance=1,
         g_star=g_star_min or 1,
         alpha=alpha(genus),
-        cost_ratio=tree_cost_ratio(g, tree_edges),
     )
 
 

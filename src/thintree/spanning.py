@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import count
 
 from .dual import DualGraph, dual_girth, geometric_dual, min_pairwise_distance
 from .embedding import EmbeddedGraph
@@ -76,7 +78,6 @@ class DualView:
                 self.neighbors[r][e] = l
                 self.degree[l] += 1
                 self.degree[r] += 1
-        self.edge_count = len(d.dual_edges)
 
     def live_vertices(self) -> list[int]:
         return sorted(f for f, deg in self.degree.items() if deg > 0)
@@ -97,19 +98,66 @@ class DualView:
             del self.neighbors[r][e]
             self.degree[l] -= 1
             self.degree[r] -= 1
-        self.edge_count -= 1
 
-    def prune_degree_one(self) -> None:
-        """Iteratively delete degree-1 vertices with their incident edge."""
-        stack = [f for f, deg in self.degree.items() if deg == 1]
+    def prune_degree_one(self, faces=None) -> list[int]:
+        """Iteratively delete degree-1 vertices with their incident edge;
+        return the deleted edges.
+
+        The search starts from ``faces`` (default: every face).  The 2-core
+        is unique, so after one edge removal from a pruned view its two
+        faces are enough to start from.
+        """
+        stack = [f for f in (self.degree if faces is None else faces)
+                 if self.degree[f] == 1]
+        pruned = []
         while stack:
             f = stack.pop()
             if self.degree[f] != 1:
                 continue
             e, other = next(iter(self.neighbors[f].items()))
             self.remove_edge(e, f, other)
+            pruned.append(e)
             if self.degree[other] == 1:
                 stack.append(other)
+        return pruned
+
+    def walk(self, start: int, edge: int, other: int):
+        """Follow the chain from ``start`` along ``edge`` through degree-2
+        vertices; stop at a vertex of another degree or back at ``start``.
+        Returns the walked (edges, vertices)."""
+        edges = [edge]
+        verts = [start, other]
+        cur = other
+        while cur != start and self.degree[cur] == 2 and not self.loops[cur]:
+            # two neighbour entries, one of them the edge just walked
+            first, second = self.neighbors[cur].items()
+            edge, cur = second if first[0] == edge else first
+            edges.append(edge)
+            verts.append(cur)
+        return edges, verts
+
+    def thread_through(self, f: int) -> Thread:
+        """The thread through the degree-2 vertex f.
+
+        A component that is one cycle is anchored at its smallest vertex and
+        starts with the smaller edge there, as find_threads anchors it.
+        """
+        if self.loops[f]:
+            (e,) = self.loops[f]
+            return Thread((e,), (f, f), "cycle")
+        (e1, w1), (e2, w2) = sorted(self.neighbors[f].items())
+        edges, verts = self.walk(f, e1, w1)
+        if verts[-1] == f:
+            i = verts.index(min(verts))
+            if i:
+                edges = edges[i:] + edges[:i]
+                verts = verts[i:-1] + verts[:i + 1]
+            return Thread(tuple(edges), tuple(verts), "cycle")
+        back_edges, back_verts = self.walk(f, e2, w2)
+        edges = back_edges[::-1] + edges
+        verts = back_verts[::-1] + verts[1:]
+        kind = "cycle" if verts[0] == verts[-1] else "path"
+        return Thread(tuple(edges), tuple(verts), kind)
 
 
 def find_threads(view) -> list[Thread]:
@@ -120,31 +168,17 @@ def find_threads(view) -> list[Thread]:
     """
     if isinstance(view, DualGraph):
         view = DualView(view)
-    for f in view.live_vertices():
-        if view.degree[f] == 1:
+    live = view.live_vertices()
+    degree = view.degree
+    for f in live:
+        if degree[f] == 1:
             raise DegreeOneVertexError(f"vertex {f} has degree 1")
 
     threads = []
     used = set()
-
-    def walk(start, first_edge, first_other):
-        """Follow the chain from ``start`` through degree-2 vertices."""
-        edges = [first_edge]
-        verts = [start, first_other]
-        used.add(first_edge)
-        cur = first_other
-        while cur != start and view.degree[cur] == 2 and not view.loops[cur]:
-            # two neighbour entries, one of them the edge just walked
-            e, nxt = next(
-                (e, w) for e, w in view.neighbors[cur].items() if e not in used)
-            used.add(e)
-            edges.append(e)
-            verts.append(nxt)
-            cur = nxt
-        return edges, verts
-
-    branch_vertices = [f for f in view.live_vertices() if view.degree[f] != 2]
-    for b in branch_vertices:
+    for b in live:
+        if degree[b] == 2:
+            continue
         for e, other in view.incident(b):
             if e in used:
                 continue
@@ -152,25 +186,18 @@ def find_threads(view) -> list[Thread]:
                 used.add(e)
                 threads.append(Thread((e,), (b, b), "cycle"))
                 continue
-            edges, verts = walk(b, e, other)
+            edges, verts = view.walk(b, e, other)
+            used.update(edges)
             kind = "cycle" if verts[-1] == b else "path"
             threads.append(Thread(tuple(edges), tuple(verts), kind))
 
-    # components where every vertex has degree 2 are single cycles
-    for f in view.live_vertices():
-        if view.degree[f] != 2:
-            continue
-        pending = [(e, w) for e, w in view.incident(f) if e not in used]
-        if not pending:
-            continue
-        if view.loops[f]:
-            e = min(view.loops[f])
-            used.add(e)
-            threads.append(Thread((e,), (f, f), "cycle"))
-            continue
-        e, other = pending[0]
-        edges, verts = walk(f, e, other)
-        threads.append(Thread(tuple(edges), tuple(verts), "cycle"))
+    # components where every vertex has degree 2 are single cycles; the
+    # first vertex met of each is its smallest
+    for f in live:
+        if degree[f] == 2 and min(view.neighbors[f] or view.loops[f]) not in used:
+            t = view.thread_through(f)
+            used.update(t.edges)
+            threads.append(t)
     return threads
 
 
@@ -199,6 +226,61 @@ def middle_edge(thread: Thread) -> int:
     return t.edges[(t.length + 1) // 2 - 1]
 
 
+class LiveThreads:
+    """The threads of a pruned dual, kept up to date as edges are deleted.
+
+    ``find_threads`` runs once, on the pruned view.  After that a deletion
+    prunes from the deleted edge's two faces only, drops every thread that
+    lost an edge (the pruning takes all of its edges), and walks the thread
+    again through each touched vertex whose degree is now 2, merging its
+    neighbouring threads.  The live threads then equal
+    ``find_threads(self.view)`` up to walk direction.  Threads share no
+    edge, so the heap key ``(-length, min edge id)`` of a live thread is
+    unique; stale heap entries are skipped when they reach the top.
+    """
+
+    def __init__(self, d: DualGraph):
+        self.faces_of = d.faces_of
+        self.view = DualView(d)
+        self.view.prune_degree_one()
+        self.thread_of = {}  # live edge -> its live thread
+        self.heap = []
+        self.pushed = count()  # heap tie-break between stale and live copies
+        for t in find_threads(self.view):
+            self._add(t)
+
+    def _add(self, t: Thread) -> None:
+        for e in t.edges:
+            self.thread_of[e] = t
+        heappush(self.heap, (-t.length, min(t.edges), next(self.pushed), t))
+
+    def longest(self) -> Thread | None:
+        """Live thread of greatest length, ties by smallest minimum edge id;
+        None once the view is empty."""
+        heap = self.heap
+        while heap:
+            t = heap[0][-1]
+            if self.thread_of.get(t.edges[0]) is t:
+                return t
+            heappop(heap)
+        return None
+
+    def delete_edge(self, e: int) -> None:
+        view = self.view
+        l, r = self.faces_of(e)
+        view.remove_edge(e, l, r)
+        touched = set()
+        for gone in [e, *view.prune_degree_one((l, r))]:
+            del self.thread_of[gone]
+            touched.update(self.faces_of(gone))
+        walked = set()
+        for f in touched:
+            if view.degree[f] == 2 and f not in walked:
+                t = view.thread_through(f)
+                walked.update(t.vertices)
+                self._add(t)
+
+
 def select_far_edge_set(d: DualGraph, g_star: int, alpha_value: int) -> list[int]:
     """Run the middle-edge selection loop on the dual; return sorted F*.
 
@@ -207,24 +289,14 @@ def select_far_edge_set(d: DualGraph, g_star: int, alpha_value: int) -> list[int
     thread of length L qualifies when L * alpha >= g_star; by the long-thread
     guarantee one always exists, so a shortfall raises NoLongThreadError.
     """
-    view = DualView(d)
+    live = LiveThreads(d)
     selected = []
-    rounds = 0
-    while view.edge_count > 0:
-        rounds += 1
-        if rounds > 2 * len(d.dual_edges) + 2:
-            raise AssertionError("selection loop failed to terminate")
-        view.prune_degree_one()
-        if view.edge_count == 0:
-            break
-        threads = find_threads(view)
-        best = max(threads, key=lambda t: (t.length, -min(t.edges)))
+    while (best := live.longest()) is not None:
         if best.length * alpha_value < g_star:
             raise NoLongThreadError(
                 f"longest thread has length {best.length} < {g_star}/{alpha_value}")
         mid = middle_edge(best)
-        l, r = d.faces_of(mid)
-        view.remove_edge(mid, l, r)
+        live.delete_edge(mid)
         selected.append(mid)
     return sorted(selected)
 
@@ -244,7 +316,6 @@ class ThinTreeResult:
     certificate_distance: int
     g_star: int
     alpha: int
-    cost_ratio: Fraction | None = None
 
 
 def tree_cost_ratio(g: EmbeddedGraph, tree_edges) -> Fraction | None:
@@ -315,5 +386,4 @@ def thin_spanning_tree(g: EmbeddedGraph) -> ThinTreeResult:
         certificate_distance=certificate,
         g_star=g_star,
         alpha=a,
-        cost_ratio=tree_cost_ratio(g, tree),
     )

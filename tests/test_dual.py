@@ -9,7 +9,6 @@ from thintree.dual import (
     cut_edges,
     cut_to_dual_cycles,
     dual_girth,
-    edge_distance,
     geometric_dual,
     min_pairwise_distance,
     shortest_dual_cycle,
@@ -88,28 +87,36 @@ def test_dual_loop_girth_one():
     assert dual_girth(d) == 1
 
 
+def oracle_edge_distances(d):
+    """Closest distance between the endpoints of every pair of dual edges,
+    by the oracle's BFS; pairs in different components are left out."""
+    pairs = [(a, b) for _, a, b in d.dual_edges]
+    dist = {f: bfs_distances(d.face_count, pairs, f) for f in range(d.face_count)}
+    out = {}
+    for e, a, b in d.dual_edges:
+        for f, s, t in d.dual_edges:
+            found = [dist[x][y] for x in (a, b) for y in (s, t) if y in dist[x]]
+            if found:
+                out[e, f] = min(found)
+    return out
+
+
 def test_edge_distance_cases():
     d = geometric_dual(bond(6))  # dual is C6
     assert dual_girth(d) == 6
     e_ids = dual_edge_ids(d)
-    assert edge_distance(d, e_ids[0], e_ids[0]) == 0
-    # find two adjacent dual edges and two opposite ones via the oracle
-    pairs = {e: d.faces_of(e) for e in e_ids}
-    dist_oracle = {}
-    adjacency = [tuple(v) for v in pairs.values()]
-    for e in e_ids:
-        for f in e_ids:
-            du = min(bfs_distances(d.face_count, adjacency, a).get(b, 99)
-                     for a in pairs[e] for b in pairs[f])
-            dist_oracle[(e, f)] = du
-            assert edge_distance(d, e, f) == du
-    assert max(dist_oracle.values()) == 2  # opposite edges of C6
+    oracle_dist = oracle_edge_distances(d)
+    assert oracle_dist[e_ids[0], e_ids[0]] == 0
+    for i, e in enumerate(e_ids):
+        for f in e_ids[i + 1:]:
+            assert min_pairwise_distance(d, [e, f]) == oracle_dist[e, f]
+    assert max(oracle_dist.values()) == 2  # opposite edges of C6
 
 
 def test_edge_distance_absent():
     d = geometric_dual(bond(3))
     with pytest.raises(EdgeAbsentError):
-        edge_distance(d, 0, 99)
+        min_pairwise_distance(d, [0, 99])
 
 
 def test_cut_validation(cube):
@@ -401,6 +408,12 @@ def test_edge_distance_symmetric_and_near_triangle(g, data):
         return
     d = geometric_dual(g)
     e, f, h = (data.draw(st.sampled_from(edges)) for _ in range(3))
-    assert edge_distance(d, e, f) == edge_distance(d, f, e)
+    oracle_dist = oracle_edge_distances(d)
+
+    def dist(a, b):
+        return 0 if a == b else min_pairwise_distance(d, [a, b])
+
+    for a, b in ((e, f), (f, h), (e, h)):
+        assert dist(a, b) == oracle_dist[a, b] == oracle_dist[b, a]
     # midpoint metric: d(e,h) <= d(e,f) + d(f,h) + 1
-    assert edge_distance(d, e, h) <= edge_distance(d, e, f) + edge_distance(d, f, h) + 1
+    assert dist(e, h) <= dist(e, f) + dist(f, h) + 1

@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from thintree.dual import DualGraph, dual_girth, edge_distance, geometric_dual
+from hypothesis import strategies as st
+from thintree.dual import DualGraph, dual_girth, geometric_dual
 from thintree.embedding import build_embedding
-from thintree.errors import DegreeOneVertexError, DisconnectedError
+from thintree.errors import DegreeOneVertexError, DisconnectedError, NoLongThreadError
 from thintree.genlab import amplify, cycle_graph, prism_graph, torus_grid
 from thintree.oracle import brute_force_thinness
 from thintree.spanning import (
     DualView,
+    LiveThreads,
     Thread,
+    _canonical,
     alpha,
     find_threads,
     middle_edge,
@@ -18,7 +21,8 @@ from thintree.spanning import (
     thin_spanning_tree,
 )
 
-from .test_dual import dual_degrees, dual_edge_ids
+from .conftest import add_edge
+from .test_dual import dual_degrees, dual_edge_ids, oracle_edge_distances
 from .test_embedding import rotation_systems
 
 
@@ -119,7 +123,6 @@ def test_far_set_on_cycle_dual_selects_single_bond_edge():
 
 
 def test_no_long_thread_surfaces_loudly(cube):
-    from thintree.errors import NoLongThreadError
     d = geometric_dual(cube)  # octahedron: all threads have length 1
     with pytest.raises(NoLongThreadError):
         select_far_edge_set(d, 100, 5)
@@ -166,8 +169,8 @@ def test_far_set_distances_cube12(cube):
     g = amplify(cube, 12)
     d = geometric_dual(g)
     far = select_far_edge_set(d, 36, 5)
-    worst = min(edge_distance(d, e, f)
-                for e in far for f in far if e != f)
+    distances = oracle_edge_distances(d)
+    worst = min(distances[e, f] for e in far for f in far if e != f)
     # non-vacuous regime: the run must achieve at least ceil(g*/(2 alpha))
     assert worst >= math.ceil(Fraction(36, 10))
 
@@ -271,25 +274,109 @@ def test_distance_preservation_during_loop(cube):
     a = alpha(g.genus())
     close = Fraction(g_star, a)
 
-    view = DualView(d)
+    live = LiveThreads(d)
     previous = None
-    while view.edge_count > 0:
-        view.prune_degree_one()
-        if view.edge_count == 0:
-            break
-        current_dual = _view_as_dual(view, d)
-        ids = dual_edge_ids(current_dual)
-        current = {}
-        for i, e in enumerate(ids):
-            for f in ids[i + 1:]:
-                current[(e, f)] = edge_distance(current_dual, e, f)
+    while (best := live.longest()) is not None:
+        current = oracle_edge_distances(_view_as_dual(live.view, d))
         if previous is not None:
             for pair, dist in previous.items():
                 if dist < close and pair in current:
                     assert current[pair] == dist, (pair, dist, current[pair])
         previous = current
+        live.delete_edge(middle_edge(best))
+
+
+# --- threads kept up to date across rounds ---------------------------
+
+def _thread_set(threads):
+    return {_canonical(t) for t in threads}
+
+
+def _selection_key(t):
+    return (t.length, -min(t.edges))
+
+
+def assert_threads_current(live):
+    """The maintained threads and the longest one equal a full rebuild."""
+    rebuilt = find_threads(live.view)
+    assert _thread_set(live.thread_of.values()) == _thread_set(rebuilt)
+    best = live.longest()
+    if rebuilt:
+        assert _canonical(best) == _canonical(max(rebuilt, key=_selection_key))
+    else:
+        assert best is None
+
+
+def rebuild_every_round(d, g_star, alpha_value):
+    """The selection loop with every thread found again after each deletion."""
+    view = DualView(d)
+    selected = []
+    while True:
+        view.prune_degree_one()
         threads = find_threads(view)
-        best = max(threads, key=lambda t: (t.length, -min(t.edges)))
+        if not threads:
+            return sorted(selected)
+        best = max(threads, key=_selection_key)
+        if best.length * alpha_value < g_star:
+            raise NoLongThreadError(best.length)
         mid = middle_edge(best)
-        l, r = d.faces_of(mid)
-        view.remove_edge(mid, l, r)
+        view.remove_edge(mid, *d.faces_of(mid))
+        selected.append(mid)
+
+
+HANDLE = add_edge(amplify(prism_graph(4), 2), 0, 2, 0, 0)
+
+
+@st.composite
+def selection_graphs(draw):
+    """A random rotation system or the handled cube, amplified q times, with
+    a random set of edges deleted."""
+    base = draw(st.one_of(rotation_systems(), st.just(HANDLE)))
+    g = amplify(base, draw(st.integers(1, 4)))
+    return g.delete_edges(draw(st.sets(st.sampled_from(g.edges()))))
+
+
+@given(selection_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_live_threads_match_full_rebuild(g, data):
+    # each round deletes the selection's middle edge or any live edge
+    live = LiveThreads(geometric_dual(g))
+    assert_threads_current(live)
+    while (best := live.longest()) is not None:
+        if data.draw(st.booleans()):
+            e = middle_edge(best)
+        else:
+            e = data.draw(st.sampled_from(sorted(live.thread_of)))
+        live.delete_edge(e)
+        assert_threads_current(live)
+
+
+def test_cycle_left_at_a_cut_face_is_anchored_at_its_smallest_face():
+    # two triangles share face 3; once one goes, the other is a whole
+    # component, which find_threads anchors at its smallest face 2
+    d = DualGraph(5, [(0, 3, 0), (1, 0, 1), (2, 1, 3),
+                      (3, 3, 2), (4, 2, 4), (5, 4, 3)])
+    live = LiveThreads(d)
+    live.delete_edge(1)
+    assert {t.vertices[0] for t in live.thread_of.values()} == {2}
+    assert_threads_current(live)
+
+
+@given(selection_graphs())
+@settings(max_examples=150, deadline=None)
+def test_far_set_matches_rebuild_every_round(g):
+    d = geometric_dual(g)
+    assert select_far_edge_set(d, 1, 1) == rebuild_every_round(d, 1, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: amplify(prism_graph(4), 12),
+    lambda: amplify(prism_graph(5), 8),
+    lambda: amplify(torus_grid(3, 3), 6),
+    lambda: amplify(HANDLE, 6),
+], ids=["cube x12", "prism5 x8", "torus 3x3 x6", "handle x6"])
+def test_far_set_matches_rebuild_every_round_at_girth(build):
+    g = build()
+    d = geometric_dual(g)
+    g_star, a = dual_girth(d), alpha(g.genus())
+    assert select_far_edge_set(d, g_star, a) == rebuild_every_round(d, g_star, a)
