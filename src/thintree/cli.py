@@ -17,7 +17,7 @@ from . import genlab, oracle
 from .atsp import atsp_approx
 from .errors import ThinTreeError, TooLargeError
 from .flows import edge_connectivity
-from .formats import format_cost, read_atsp, read_emb
+from .formats import format_cost, read_atsp, read_emb, write_emb
 from .heldkarp import ATSPInstance
 from .pipeline import bounded_genus_thin_tree, weighted_thin_tree
 from .spanning import thin_spanning_tree, tree_cost_ratio
@@ -40,6 +40,22 @@ def _write(path: str, text: str) -> None:
 def _read(path: str) -> str:
     with open(path) as fh:
         return fh.read()
+
+
+def _tree_payload(g, result) -> dict:
+    """The fields of a ThinTreeResult, plus cost_ratio when g is weighted."""
+    payload = {
+        "tree_edges": sorted(result.tree_edges),
+        "far_set": sorted(result.far_set),
+        "g_star": result.g_star,
+        "alpha": result.alpha,
+        "thinness_bound": _frac(result.thinness_bound),
+        "certificate_distance": result.certificate_distance,
+    }
+    cost_ratio = tree_cost_ratio(g, result.tree_edges)
+    if cost_ratio is not None:
+        payload["cost_ratio"] = _frac(cost_ratio)
+    return payload
 
 
 def cmd_gen(args) -> int:
@@ -65,17 +81,7 @@ def cmd_gen(args) -> int:
 def cmd_thin_tree(args) -> int:
     g = read_emb(_read(args.infile))
     result = thin_spanning_tree(g)
-    payload = {
-        "tree_edges": sorted(result.tree_edges),
-        "far_set": sorted(result.far_set),
-        "g_star": result.g_star,
-        "alpha": result.alpha,
-        "thinness_bound": _frac(result.thinness_bound),
-        "certificate_distance": result.certificate_distance,
-    }
-    cost_ratio = tree_cost_ratio(g, result.tree_edges)
-    if cost_ratio is not None:
-        payload["cost_ratio"] = _frac(cost_ratio)
+    payload = _tree_payload(g, result)
     if args.certify:
         if g.vertex_count > oracle.MAX_CUT_VERTICES:
             raise TooLargeError(
@@ -92,7 +98,6 @@ def cmd_thin_tree(args) -> int:
 def cmd_surgery(args) -> int:
     g = read_emb(_read(args.infile))
     h, log = increase_dual_girth(g, args.k)
-    from .formats import write_emb
     _write(args.out, write_emb(h))
     lines = [json.dumps(rec, sort_keys=True) for rec in log.records()]
     lines.append(json.dumps({"total_deleted": log.total_deleted,
@@ -116,20 +121,8 @@ def cmd_pipeline(args) -> int:
             "truncated": result.truncated,
         }
     else:
-        result = bounded_genus_thin_tree(g)
-        payload = {
-            "tree_edges": sorted(result.tree_edges),
-            "far_set": sorted(result.far_set),
-            "thinness_bound": _frac(result.thinness_bound),
-            "certificate_distance": result.certificate_distance,
-            "g_star": result.g_star,
-            "alpha": result.alpha,
-            "genus": g.genus(),
-            "edge_connectivity": edge_connectivity(g),
-        }
-        cost_ratio = tree_cost_ratio(g, result.tree_edges)
-        if cost_ratio is not None:
-            payload["cost_ratio"] = _frac(cost_ratio)
+        payload = _tree_payload(g, bounded_genus_thin_tree(g))
+        payload.update(genus=g.genus(), edge_connectivity=edge_connectivity(g))
     _write(args.out, _dump(payload))
     return 0
 

@@ -89,11 +89,6 @@ class EmbeddedGraph:
             d = self.rotation_next[d]
         return out
 
-    def cost(self, e: int) -> Fraction:
-        if self.edge_cost is None:
-            raise ValueError("graph has no costs")
-        return self.edge_cost[e]
-
     def total_cost(self) -> Fraction:
         return sum((self.edge_cost[e] for e in self.edges()), Fraction(0))
 

@@ -4,7 +4,8 @@ All routines work on small dense instances with exact arithmetic (int or
 Fraction capacities) and deterministic tie-breaking.  Augmenting-path
 max-flow is used because the number of augmentations is capacity-independent
 (shortest augmenting paths), which keeps Fraction capacities exact and fast
-at this scale.
+at this scale.  One residual network serves all three: max-flow finds its
+paths by BFS, min-cost flow by a Bellman-Ford queue over the same arcs.
 """
 
 from __future__ import annotations
@@ -23,26 +24,40 @@ class FlowNetwork:
         self.n = n
         self.head = []
         self.cap = []
+        self.cost = []
         self.adj = [[] for _ in range(n)]
 
-    def add_arc(self, u: int, v: int, capacity) -> int:
+    def add_arc(self, u: int, v: int, capacity, cost=0) -> int:
         """Directed arc u->v; returns its index (reverse is index ^ 1)."""
         idx = len(self.head)
-        self.head.append(v)
-        self.cap.append(capacity)
+        self.head += (v, u)
+        self.cap += (capacity, capacity * 0)  # zero of the capacity type
+        self.cost += (cost, -cost)
         self.adj[u].append(idx)
-        self.head.append(u)
-        self.cap.append(capacity * 0)  # zero of the capacity type
         self.adj[v].append(idx + 1)
         return idx
 
+    def _augment(self, s: int, t: int, prev_arc: list):
+        """Push the bottleneck along the s-t path whose last arc into each
+        vertex is ``prev_arc``; returns the amount pushed."""
+        path = []
+        v = t
+        while v != s:
+            idx = prev_arc[v]
+            path.append(idx)
+            v = self.head[idx ^ 1]
+        bottleneck = min(self.cap[idx] for idx in path)
+        for idx in path:
+            self.cap[idx] -= bottleneck
+            self.cap[idx ^ 1] += bottleneck
+        return bottleneck
+
     def max_flow(self, s: int, t: int):
         """Edmonds-Karp; returns the flow value."""
-        total = None
+        total = 0
         while True:
-            prev = [-1] * self.n
-            prev_arc = [-1] * self.n
-            prev[s] = s
+            prev_arc = [None] * self.n
+            prev_arc[s] = -1
             q = deque([s])
             while q:
                 u = q.popleft()
@@ -50,27 +65,42 @@ class FlowNetwork:
                     break
                 for idx in self.adj[u]:
                     v = self.head[idx]
-                    if prev[v] == -1 and self.cap[idx] > 0:
-                        prev[v] = u
+                    if prev_arc[v] is None and self.cap[idx] > 0:
                         prev_arc[v] = idx
                         q.append(v)
-            if prev[t] == -1:
-                break
-            bottleneck = None
-            v = t
-            while v != s:
-                idx = prev_arc[v]
-                if bottleneck is None or self.cap[idx] < bottleneck:
-                    bottleneck = self.cap[idx]
-                v = prev[v]
-            v = t
-            while v != s:
-                idx = prev_arc[v]
-                self.cap[idx] -= bottleneck
-                self.cap[idx ^ 1] += bottleneck
-                v = prev[v]
-            total = bottleneck if total is None else total + bottleneck
-        return 0 if total is None else total
+            if prev_arc[t] is None:
+                return total
+            total += self._augment(s, t, prev_arc)
+
+    def min_cost_flow(self, s: int, t: int):
+        """Successive shortest paths (Bellman-Ford queue, so residual arcs
+        may carry negative costs); returns the value of a maximum s-t flow
+        of minimum cost.  Costs must leave no negative cycle."""
+        total = 0
+        while True:
+            dist = [None] * self.n
+            in_queue = [False] * self.n
+            prev_arc = [-1] * self.n
+            dist[s] = 0
+            q = deque([s])
+            in_queue[s] = True
+            while q:
+                u = q.popleft()
+                in_queue[u] = False
+                for idx in self.adj[u]:
+                    if self.cap[idx] <= 0:
+                        continue
+                    v = self.head[idx]
+                    nd = dist[u] + self.cost[idx]
+                    if dist[v] is None or nd < dist[v]:
+                        dist[v] = nd
+                        prev_arc[v] = idx
+                        if not in_queue[v]:
+                            q.append(v)
+                            in_queue[v] = True
+            if dist[t] is None:
+                return total
+            total += self._augment(s, t, prev_arc)
 
     def min_cut_side(self, s: int) -> frozenset:
         """Vertices reachable from s in the residual network (run after
@@ -85,6 +115,29 @@ class FlowNetwork:
                     seen.add(v)
                     q.append(v)
         return frozenset(seen)
+
+
+def _min_cut_sweep(n: int, arcs, pairs):
+    """First minimum (value, source side) of the s-t max-flows over
+    ``pairs`` on one network with the directed ``arcs`` (u, v, capacity).
+
+    The network is built once and its capacities restored before each
+    pair.  Stops at a zero, which no later pair can undercut; returns
+    (None, None) when ``pairs`` is empty.
+    """
+    net = FlowNetwork(n)
+    for u, v, w in arcs:
+        net.add_arc(u, v, w)
+    capacities = list(net.cap)
+    best, best_side = None, None
+    for s, t in pairs:
+        net.cap[:] = capacities
+        value = net.max_flow(s, t)
+        if best is None or value < best:
+            best, best_side = value, net.min_cut_side(s)
+            if best == 0:
+                break
+    return best, best_side
 
 
 def edge_connectivity(g: EmbeddedGraph) -> int:
@@ -113,19 +166,10 @@ def pair_connectivity(n: int, weight: dict):
 
     Stops early at 0 (disconnected); returns None when n < 2.
     """
-    best = None
-    items = sorted(weight.items())
-    for t in range(1, n):
-        net = FlowNetwork(n)
-        for (u, v), w in items:
-            net.add_arc(u, v, w)
-            net.add_arc(v, u, w)
-        value = net.max_flow(0, t)
-        if best is None or value < best:
-            best = value
-        if best == 0:
-            break
-    return best
+    arcs = []
+    for (u, v), w in sorted(weight.items()):
+        arcs += ((u, v, w), (v, u, w))
+    return _min_cut_sweep(n, arcs, ((0, t) for t in range(1, n)))[0]
 
 
 def directed_global_min_cut(n: int, arcs: dict):
@@ -135,89 +179,9 @@ def directed_global_min_cut(n: int, arcs: dict):
     proper sides; deterministic (first minimum found, scanning sinks in
     ascending order, source side before sink side).
     """
-    best = None
-    best_side = None
-    items = sorted(arcs.items())
-    for t in range(1, n):
-        for direction in (0, 1):
-            net = FlowNetwork(n)
-            for (u, v), w in items:
-                if w > 0:
-                    net.add_arc(u, v, w)
-            s, sink = (0, t) if direction == 0 else (t, 0)
-            value = net.max_flow(s, sink)
-            if best is None or value < best:
-                side = net.min_cut_side(s)
-                best = value
-                best_side = side
-    return best, best_side
-
-
-class MinCostFlow:
-    """Successive shortest paths with Bellman-Ford (costs may grow sparse)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head = []
-        self.cap = []
-        self.cost = []
-        self.adj = [[] for _ in range(n)]
-
-    def add_arc(self, u: int, v: int, capacity: int, cost) -> int:
-        idx = len(self.head)
-        self.head.append(v)
-        self.cap.append(capacity)
-        self.cost.append(cost)
-        self.adj[u].append(idx)
-        self.head.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        self.adj[v].append(idx + 1)
-        return idx
-
-    def run(self, s: int, t: int):
-        """Max flow of min cost from s to t; returns (flow, cost)."""
-        flow = 0
-        total_cost = Fraction(0)
-        while True:
-            dist = [None] * self.n
-            in_queue = [False] * self.n
-            prev_arc = [-1] * self.n
-            dist[s] = Fraction(0)
-            q = deque([s])
-            in_queue[s] = True
-            while q:
-                u = q.popleft()
-                in_queue[u] = False
-                for idx in self.adj[u]:
-                    if self.cap[idx] <= 0:
-                        continue
-                    v = self.head[idx]
-                    nd = dist[u] + self.cost[idx]
-                    if dist[v] is None or nd < dist[v]:
-                        dist[v] = nd
-                        prev_arc[v] = idx
-                        if not in_queue[v]:
-                            q.append(v)
-                            in_queue[v] = True
-            if dist[t] is None:
-                break
-            bottleneck = None
-            v = t
-            while v != s:
-                idx = prev_arc[v]
-                if bottleneck is None or self.cap[idx] < bottleneck:
-                    bottleneck = self.cap[idx]
-                v = self.head[idx ^ 1]
-            v = t
-            while v != s:
-                idx = prev_arc[v]
-                self.cap[idx] -= bottleneck
-                self.cap[idx ^ 1] += bottleneck
-                v = self.head[idx ^ 1]
-            flow += bottleneck
-            total_cost += dist[t] * bottleneck
-        return flow, total_cost
+    positive = [(u, v, w) for (u, v), w in sorted(arcs.items()) if w > 0]
+    pairs = (p for t in range(1, n) for p in ((0, t), (t, 0)))
+    return _min_cut_sweep(n, positive, pairs)
 
 
 def min_cost_circulation(n: int, arcs: list):
@@ -232,7 +196,7 @@ def min_cost_circulation(n: int, arcs: list):
     bounds.
     """
     excess = [0] * n
-    solver = MinCostFlow(n + 2)
+    net = FlowNetwork(n + 2)
     source, sink = n, n + 1
     arc_idx = []
     for u, v, lower, upper, cost in arcs:
@@ -240,21 +204,16 @@ def min_cost_circulation(n: int, arcs: list):
             raise CirculationInfeasibleError(f"lower {lower} > upper {upper}")
         excess[v] += lower
         excess[u] -= lower
-        arc_idx.append(solver.add_arc(u, v, upper - lower, Fraction(cost)))
+        arc_idx.append(net.add_arc(u, v, upper - lower, Fraction(cost)))
     need = 0
     for v in range(n):
         if excess[v] > 0:
-            solver.add_arc(source, v, excess[v], Fraction(0))
+            net.add_arc(source, v, excess[v])
             need += excess[v]
         elif excess[v] < 0:
-            solver.add_arc(v, sink, -excess[v], Fraction(0))
-    flow, _ = solver.run(source, sink)
+            net.add_arc(v, sink, -excess[v])
+    flow = net.min_cost_flow(source, sink)
     if flow != need:
         raise CirculationInfeasibleError(
             f"only {flow} of {need} units of mandatory flow routable")
-    out = []
-    for (u, v, lower, upper, cost), idx in zip(arcs, arc_idx):
-        residual = solver.cap[idx]
-        sent = (upper - lower) - residual
-        out.append(lower + sent)
-    return out
+    return [upper - net.cap[idx] for (_, _, _, upper, _), idx in zip(arcs, arc_idx)]

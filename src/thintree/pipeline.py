@@ -13,7 +13,7 @@ the same factor as a cost ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -84,7 +84,10 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
     k = edge_connectivity(g)
     genus = g.genus()
     if genus == 0:
-        return replace(thin_spanning_tree(g), thinness_bound=Fraction(10, k))
+        result = thin_spanning_tree(g)
+        # 2*alpha(0)/g* with g* = k: planar dual girth is the edge connectivity
+        assert result.thinness_bound == Fraction(10, k)
+        return result
 
     h, _ = increase_dual_girth(g, k)
     tree_edges = []

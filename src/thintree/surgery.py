@@ -10,7 +10,7 @@ floating point: ``length < k / (3*sqrt(g))`` is evaluated as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .dual import geometric_dual, shortest_dual_cycle
 from .embedding import EmbeddedGraph
@@ -45,17 +45,7 @@ class SurgeryLog:
         return sum(it.cycle_length for it in self.iterations)
 
     def records(self) -> list[dict]:
-        out = []
-        for it in self.iterations:
-            out.append({
-                "cycle_edges": sorted(it.cycle_edges),
-                "cycle_length": it.cycle_length,
-                "genus_before": it.genus_before,
-                "genus_after": it.genus_after,
-                "components_before": it.components_before,
-                "components_after": it.components_after,
-            })
-        return out
+        return [asdict(it) for it in self.iterations]
 
 
 def below_threshold(length: int, k: int, genus: int) -> bool:
@@ -63,23 +53,30 @@ def below_threshold(length: int, k: int, genus: int) -> bool:
     return 9 * genus * length * length < k * k
 
 
-def delete_dual_cycle(g: EmbeddedGraph, cycle_edges) -> EmbeddedGraph:
+def delete_dual_cycle(g: EmbeddedGraph, cycle_edges):
     """Delete the primal edges of a dual cycle and recheck the dichotomy.
 
-    The new graph must have smaller genus or more components; a violation
-    means the rotation-level surgery disagrees with the surface argument and
-    is a fatal correctness bug.
+    Returns (H, the SurgeryIteration measured on g and H).  The new graph
+    must have smaller genus or more components; a violation means the
+    rotation-level surgery disagrees with the surface argument and is a
+    fatal correctness bug.
     """
     genus_before = g.genus()
     comps_before = len(g.components())
     h = g.delete_edges(cycle_edges)
-    genus_after = h.genus()
-    comps_after = len(h.components())
-    if not (genus_after < genus_before or comps_after > comps_before):
+    step = SurgeryIteration(
+        cycle_edges=tuple(sorted(cycle_edges)),
+        cycle_length=len(cycle_edges),
+        genus_before=genus_before,
+        genus_after=h.genus(),
+        components_before=comps_before,
+        components_after=len(h.components()),
+    )
+    if not (step.genus_after < genus_before or step.components_after > comps_before):
         raise DichotomyViolationError(
             f"deleting dual cycle {sorted(cycle_edges)} kept genus "
             f"{genus_before} and components {comps_before}")
-    return h
+    return h, step
 
 
 def increase_dual_girth(g: EmbeddedGraph, k: int):
@@ -109,17 +106,8 @@ def increase_dual_girth(g: EmbeddedGraph, k: int):
         length, cycle = found
         if not below_threshold(length, k, genus):
             break
-        genus_before = h.genus()
-        comps_before = len(h.components())
-        h = delete_dual_cycle(h, cycle)
-        log.iterations.append(SurgeryIteration(
-            cycle_edges=tuple(sorted(cycle)),
-            cycle_length=length,
-            genus_before=genus_before,
-            genus_after=h.genus(),
-            components_before=comps_before,
-            components_after=len(h.components()),
-        ))
+        h, step = delete_dual_cycle(h, cycle)
+        log.iterations.append(step)
 
     kappa = len(h.components())
     assert kappa * kappa <= 4 * genus, (

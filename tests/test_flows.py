@@ -1,0 +1,149 @@
+"""Flow routines against brute-force enumeration, plus golden values.
+
+Every proper side of a small vertex set is enumerated for the min cuts, and
+every integral flow within bounds for the circulation; these enumerations
+share no code with ``flows``.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thintree.errors import CirculationInfeasibleError
+from thintree.flows import (
+    FlowNetwork,
+    directed_global_min_cut,
+    min_cost_circulation,
+    pair_connectivity,
+)
+
+WEIGHTS = st.fractions(min_value=0, max_value=4, max_denominator=6)
+
+
+def proper_sides(n):
+    for mask in range(1, 2 ** n - 1):
+        yield frozenset(v for v in range(n) if mask >> v & 1)
+
+
+def leaving(arcs: dict, side) -> Fraction:
+    return sum((w for (u, v), w in arcs.items() if u in side and v not in side),
+               Fraction(0))
+
+
+def crossing(weight: dict, side) -> Fraction:
+    return sum((w for (u, v), w in weight.items() if (u in side) != (v in side)),
+               Fraction(0))
+
+
+@st.composite
+def weighted_pairs(draw, directed: bool):
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n)
+             if u != v and (directed or u < v)]
+    return n, draw(st.dictionaries(st.sampled_from(pairs), WEIGHTS))
+
+
+@given(weighted_pairs(directed=True))
+@settings(max_examples=200, deadline=None)
+def test_directed_min_cut_matches_enumeration(case):
+    n, arcs = case
+    value, side = directed_global_min_cut(n, arcs)
+    assert value == min(leaving(arcs, s) for s in proper_sides(n))
+    assert 0 < len(side) < n
+    assert leaving(arcs, side) == value
+
+
+@given(weighted_pairs(directed=False))
+@settings(max_examples=200, deadline=None)
+def test_pair_connectivity_matches_enumeration(case):
+    n, weight = case
+    assert pair_connectivity(n, weight) == min(
+        crossing(weight, s) for s in proper_sides(n))
+
+
+def test_max_flow_cancels_through_reverse_arcs():
+    """BFS takes 0-1-3-5 first; the maximum of 2 needs 0-1-4-5 and
+    0-2-3-5, so the flow on 1->3 must go back."""
+    net = FlowNetwork(6)
+    for u, v in ((0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)):
+        net.add_arc(u, v, 1)
+    assert net.max_flow(0, 5) == 2
+    assert net.min_cut_side(0) == {0}
+
+
+@st.composite
+def bounded_arcs(draw):
+    """At most 6 arcs on at most 4 vertices, loops allowed, upper <= 3;
+    lower exceeds upper by one now and then."""
+    n = draw(st.integers(1, 4))
+    arcs = []
+    for _ in range(draw(st.integers(0, 6))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        upper = draw(st.integers(0, 3))
+        lower = draw(st.integers(0, min(upper + 1, 3)))
+        arcs.append((u, v, lower, upper, draw(st.integers(0, 5))))
+    return n, arcs
+
+
+def balanced(n, arcs, flow) -> bool:
+    net = [0] * n
+    for (u, v, *_), f in zip(arcs, flow):
+        net[u] -= f
+        net[v] += f
+    return not any(net)
+
+
+def cost_of(arcs, flow):
+    return sum(c * f for (*_, c), f in zip(arcs, flow))
+
+
+@given(bounded_arcs())
+@settings(max_examples=200, deadline=None)
+def test_circulation_matches_enumeration(case):
+    n, arcs = case
+    feasible = [flow for flow in product(*(range(lo, up + 1) for _, _, lo, up, _ in arcs))
+                if balanced(n, arcs, flow)]
+    if not feasible:
+        with pytest.raises(CirculationInfeasibleError):
+            min_cost_circulation(n, arcs)
+        return
+    flow = min_cost_circulation(n, arcs)
+    assert all(lo <= f <= up for (_, _, lo, up, _), f in zip(arcs, flow))
+    assert balanced(n, arcs, flow)
+    assert cost_of(arcs, flow) == min(cost_of(arcs, f) for f in feasible)
+
+
+def test_golden_values():
+    """Values, sides and flow vectors, pinned so that a change of arc order
+    or tie-breaking shows."""
+    F = Fraction
+    weight = {(0, 1): 3, (0, 2): 1, (1, 2): 2, (1, 3): 1, (2, 3): F(5, 2),
+              (3, 4): F(3, 2), (2, 4): 1}
+    assert pair_connectivity(5, weight) == F(5, 2)
+    assert pair_connectivity(4, {(0, 1): 2, (2, 3): 5}) == 0
+    assert pair_connectivity(1, {}) is None
+
+    arcs = {(0, 1): F(1, 2), (1, 2): F(1, 2), (2, 0): F(1, 2), (1, 0): F(1, 2),
+            (2, 1): F(1, 2), (0, 2): F(1, 2), (2, 3): 1, (3, 4): F(3, 4),
+            (4, 2): 1, (4, 3): F(1, 4), (3, 2): F(1, 3)}
+    assert directed_global_min_cut(5, arcs) == (F(3, 4), frozenset({0, 1, 2, 3}))
+    ring = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 0): 1, (0, 2): F(1, 3), (2, 0): 0}
+    assert directed_global_min_cut(4, ring) == (1, frozenset({0, 2, 3}))
+    assert directed_global_min_cut(3, {(0, 1): 1, (1, 0): 1}) == (0, frozenset({0, 1}))
+
+    circ = [(0, 1, 1, 3, F(2)), (1, 2, 0, 2, F(1)), (2, 0, 0, 3, F(1)),
+            (1, 0, 0, 2, F(5)), (0, 2, 0, 2, F(1, 2)), (2, 1, 1, 1, F(3))]
+    assert min_cost_circulation(3, circ) == [1, 2, 1, 0, 0, 1]
+    circ = [(0, 1, 0, 2, 4), (1, 2, 1, 2, 1), (2, 0, 0, 2, 1), (2, 1, 0, 1, 0),
+            (0, 2, 0, 1, 7)]
+    assert min_cost_circulation(3, circ) == [0, 1, 0, 1, 0]
+    for bad, message in (
+            ([(0, 1, 1, 1, F(1))], "only 0 of 1 units of mandatory flow routable"),
+            ([(0, 1, 2, 1, F(1))], "lower 2 > upper 1"),
+            ([(0, 1, 2, 3, 1), (1, 0, 0, 1, 1)],
+             "only 1 of 2 units of mandatory flow routable")):
+        with pytest.raises(CirculationInfeasibleError, match=message):
+            min_cost_circulation(2, bad)

@@ -7,6 +7,7 @@ from thintree.errors import NotEdgeConnectedError, ZeroGenusError
 from thintree.flows import edge_connectivity
 from thintree.genlab import amplify, prism_graph, torus_grid
 from thintree.surgery import (
+    SurgeryIteration,
     below_threshold,
     delete_dual_cycle,
     increase_dual_girth,
@@ -39,21 +40,22 @@ def test_delete_noncontractible_cycle_drops_genus():
     t = torus_grid(3, 3)
     length, cycle = shortest_dual_cycle(geometric_dual(t))
     assert length == 3
-    h = delete_dual_cycle(t, cycle)
+    h, step = delete_dual_cycle(t, cycle)
+    assert step == SurgeryIteration(tuple(sorted(cycle)), 3, 1, 0, 1, 1)
     assert h.genus() == 0
     assert len(h.components()) == 1
 
 
 def test_delete_bond_splits_component(cube):
     bond = cut_edges(cube, Cut(frozenset({0})))
-    h = delete_dual_cycle(cube, bond)
+    h, _ = delete_dual_cycle(cube, bond)
     assert h.genus() == 0
     assert len(h.components()) == 2
 
 
 def test_delete_dual_loop_on_torus():
     t = one_vertex_torus()
-    h = delete_dual_cycle(t, [0])
+    h, _ = delete_dual_cycle(t, [0])
     assert h.genus() == 0
     assert len(h.components()) == 1
 
