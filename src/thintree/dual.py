@@ -1,13 +1,21 @@
-"""Geometric duals, dual girth, edge distances, and cut/cycle translation.
+"""Geometric duals, dual girth, pairwise dual distances, and cut/cycle
+translation.
 
 The dual of an embedded graph has one vertex per face and one edge per primal
 edge, under the same edge id.  ``left_face`` is the face containing dart
 ``2e`` and ``right_face`` the face containing dart ``2e+1``; a dual loop
 (both sides the same face) is allowed and counts as a cycle of length 1.
+
+The girth search contracts every maximal chain of faces with exactly two
+edge-ends (each parallel bundle of an amplified graph is one) into a single
+edge weighted by the chain's length.  It runs one Dijkstra search per chain
+over that contracted dual and one breadth-first search over the full dual,
+which reads back the cycle it picked.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .embedding import EmbeddedGraph
@@ -97,6 +105,65 @@ def _bfs_levels(adj, sources, reached_by, avoid_edge=None):
         frontier = nxt
 
 
+def _chains(adj):
+    """Maximal chains of faces with exactly two edge-ends, each contracted to
+    (smallest edge id, length, end, end), sorted.
+
+    The ends are the chain's branch faces (faces with other than two
+    edge-ends), possibly one face twice; both are None for a component that
+    is one closed chain.  ``adj`` must have no loops, so a face's edge-ends
+    are its ``adj`` entries.
+    """
+    seen = set()  # edges already in a chain
+    chains = []
+
+    def walk(start, e, at):
+        key = last = e
+        length = 1
+        seen.add(e)
+        while at != start and len(adj[at]) == 2:
+            (e1, f1), (e2, f2) = adj[at]
+            last, at = (e2, f2) if e1 == last else (e1, f1)
+            seen.add(last)
+            if last < key:
+                key = last
+            length += 1
+        return key, length, at
+
+    for f, ends in enumerate(adj):
+        if len(ends) != 2:
+            for e, at in ends:
+                if e not in seen:
+                    key, length, end = walk(f, e, at)
+                    chains.append((key, length, f, end))
+    for f, ends in enumerate(adj):
+        if len(ends) == 2 and ends[0][0] not in seen:
+            key, length, _ = walk(f, *ends[0])
+            chains.append((key, length, None, None))
+    chains.sort()
+    return chains
+
+
+def _chain_distance(links, source, target, skip, bound):
+    """Dijkstra distance from source to target over the contracted chains in
+    ``links``, never using chain ``skip``; None when target is unreachable
+    or only at ``bound`` or more."""
+    dist = {source: 0}
+    heap = [(0, source)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if u == target:
+            return du
+        if du > dist[u]:
+            continue
+        for length, key, v in links[u]:
+            dv = du + length
+            if key != skip and dv < dist.get(v, bound):
+                dist[v] = dv
+                heapq.heappush(heap, (dv, v))
+    return None
+
+
 def shortest_dual_cycle(d: DualGraph):
     """Shortest simple cycle as (length, edge id list), or None if acyclic.
 
@@ -106,57 +173,51 @@ def shortest_dual_cycle(d: DualGraph):
     smallest edge id on some shortest cycle.
 
     A face with exactly two edge-ends links its two edges into a chain, and
-    every cycle through one edge of a chain runs along the whole chain; so
-    only the smallest edge of each chain is searched from, and the result is
-    the same as searching from every edge.
+    every cycle through one edge of a chain runs along the whole chain.  So
+    the search runs on the dual with each chain contracted to one edge
+    weighted by its length: the shortest cycle through a chain is the chain
+    plus a Dijkstra path between its two ends that avoids it.  Chains are
+    taken in order of their smallest edge, and only a strictly shorter cycle
+    replaces the best, so the anchor is that of searching from every edge.
+    One breadth-first search from the anchor then reads the cycle back.
     """
     for e, l, r in d.dual_edges:
         if l == r:
             return 1, [e]
     adj = d.adjacency()
-    # union-find over chains whose root is the chain's smallest edge, so an
-    # edge with a parent is never the first of its chain
-    parent = {}
-
-    def root(e):
-        while e in parent:
-            up = parent[e]
-            parent[e] = parent.get(up, up)  # path halving
-            e = up
-        return e
-
-    for ends in adj:
-        if len(ends) == 2:
-            a, b = root(ends[0][0]), root(ends[1][0])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    best_len = None
-    best_cycle = None
-    for e, l, r in d.dual_edges:
-        if best_len is not None and best_len <= 2:
-            break
-        if e in parent:
-            continue
-        # only an l-r path of at most best_len - 2 edges improves
-        reached_by = {}
-        for dist, _ in _bfs_levels(adj, [l], reached_by, avoid_edge=e):
-            if r in reached_by:
-                path = []
-                at = r
-                while reached_by[at] is not None:
-                    step = reached_by[at]
-                    path.append(step)
-                    a, b = d.faces_of(step)
-                    at = a if b == at else b
-                path.reverse()
-                best_len = dist + 1
-                best_cycle = path + [e]
-                break
-            if best_len is not None and dist >= best_len - 2:
-                break
-    if best_cycle is None:
+    chains = _chains(adj)
+    links = {}  # branch face -> (length, key, other end) of its two-ended chains
+    for key, length, a, b in chains:
+        if a is not None and a != b:
+            links.setdefault(a, []).append((length, key, b))
+            links.setdefault(b, []).append((length, key, a))
+    best_len, best_key = len(d.dual_edges) + 1, None  # longer than any cycle
+    for key, length, a, b in chains:
+        if a is None or a == b:
+            found = length
+        else:
+            rest = _chain_distance(links, a, b, key, best_len - length)
+            if rest is None:
+                continue
+            found = length + rest
+        if found < best_len:
+            best_len, best_key = found, key
+    if best_key is None:
         return None
-    return best_len, best_cycle
+    l, r = d.faces_of(best_key)
+    reached_by = {}
+    for _ in _bfs_levels(adj, [l], reached_by, avoid_edge=best_key):
+        if r in reached_by:
+            break
+    path = []
+    at = r
+    while reached_by[at] is not None:
+        step = reached_by[at]
+        path.append(step)
+        a, b = d.faces_of(step)
+        at = a if b == at else b
+    path.reverse()
+    return best_len, path + [best_key]
 
 
 def dual_girth(d: DualGraph) -> int:

@@ -90,7 +90,13 @@ class EmbeddedGraph:
         return out
 
     def total_cost(self) -> Fraction:
-        return sum((self.edge_cost[e] for e in self.edges()), Fraction(0))
+        # numerators summed per denominator, so that only the few group
+        # totals are added as Fractions
+        groups = {}
+        for e in self.edges():
+            c = self.edge_cost[e]
+            groups[c.denominator] = groups.get(c.denominator, 0) + c.numerator
+        return sum((Fraction(n, d) for d, n in groups.items()), Fraction(0))
 
     # -- faces, genus, components --------------------------------------
 

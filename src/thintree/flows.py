@@ -75,7 +75,7 @@ class FlowNetwork:
     def min_cost_flow(self, s: int, t: int):
         """Successive shortest paths (Bellman-Ford queue, so residual arcs
         may carry negative costs); returns the value of a maximum s-t flow
-        of minimum cost.  Costs must leave no negative cycle."""
+        of minimum cost.  Arc costs must be >= 0."""
         total = 0
         while True:
             dist = [None] * self.n
@@ -192,8 +192,8 @@ def min_cost_circulation(n: int, arcs: list):
     send the mandatory lower bounds, then balance the induced excess with a
     min-cost flow between two auxiliary terminals.
 
-    Raises CirculationInfeasibleError when no circulation satisfies the
-    bounds.
+    Costs must be >= 0 (ValueError otherwise).  Raises
+    CirculationInfeasibleError when no circulation satisfies the bounds.
     """
     excess = [0] * n
     net = FlowNetwork(n + 2)
@@ -202,6 +202,8 @@ def min_cost_circulation(n: int, arcs: list):
     for u, v, lower, upper, cost in arcs:
         if lower > upper:
             raise CirculationInfeasibleError(f"lower {lower} > upper {upper}")
+        if cost < 0:
+            raise ValueError(f"arc ({u}, {v}) has negative cost {cost}")
         excess[v] += lower
         excess[u] -= lower
         arc_idx.append(net.add_arc(u, v, upper - lower, Fraction(cost)))

@@ -120,6 +120,8 @@ def test_atsp_default_denominator(tmp_path):
     assert payload["denominator"] == 8 ** 3
     assert sorted(payload["order"]) == list(range(8))
     run_cli(["verify", "tour", "--in", str(inst), "--tour", str(tour)])
+    assert hashlib.sha256(tour.read_bytes()).hexdigest() == (
+        "4beebf1a485fc740ddfddd22ee05e014a66702868ab6eeedf16fabfa4d2db9f6")
 
 
 @pytest.mark.parametrize("argv", [

@@ -274,6 +274,35 @@ GOLDEN_SHORTEST_CYCLES = [
     ("parallel", lambda: DualGraph(5, [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 4),
                                        (4, 4, 0), (5, 4, 3), (6, 2, 0)]),
      (2, [5, 3])),
+    # a K_{2,3} (three 2-chains between faces 0 and 1) beside a component
+    # that is one closed 3-chain
+    ("closed chain", lambda: DualGraph(8, [(0, 0, 2), (1, 2, 1), (2, 0, 3), (3, 3, 1),
+                                           (4, 0, 4), (6, 4, 1), (5, 5, 6), (7, 6, 7),
+                                           (8, 7, 5)]),
+     (3, [8, 7, 5])),
+    # a 4-chain from face 0 back to face 0, a bridge 0-4, and a 5-chain from
+    # face 4 back to face 4
+    ("chain back to its face", lambda: DualGraph(9, [(1, 0, 1), (3, 1, 2), (5, 2, 3),
+                                                     (7, 3, 0), (0, 0, 4), (2, 4, 5),
+                                                     (4, 5, 6), (6, 6, 7), (8, 7, 8),
+                                                     (9, 8, 4)]),
+     (4, [7, 5, 3, 1])),
+    # a square 0-1-2-3 with diagonal 0-2, leaf face 4 on face 1, and a chain
+    # 3-5-6 ending at leaf face 6
+    ("leaf face", lambda: DualGraph(7, [(4, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0),
+                                        (0, 0, 2), (5, 1, 4), (6, 3, 5), (7, 5, 6)]),
+     (3, [3, 2, 0])),
+    # chains of lengths 2, 4 and 3 between faces 0 and 1
+    ("parallel chains", lambda: DualGraph(8, [(6, 0, 2), (1, 2, 1), (0, 0, 3), (7, 3, 4),
+                                              (2, 4, 5), (3, 5, 1), (5, 0, 6), (8, 6, 7),
+                                              (4, 7, 1)]),
+     (5, [6, 5, 8, 4, 1])),
+    # three 2-chains between faces 0 and 1 and a closed 4-chain on faces 5-8
+    # all give length 4; the chain with the smallest edge (2) anchors
+    ("tied chains", lambda: DualGraph(9, [(4, 0, 2), (7, 2, 1), (2, 3, 0), (9, 1, 3),
+                                          (6, 1, 4), (8, 4, 0), (10, 5, 6), (11, 6, 7),
+                                          (12, 7, 8), (13, 8, 5)]),
+     (4, [9, 6, 8, 2])),
 ]
 
 
@@ -338,7 +367,7 @@ def every_edge_shortest_cycle(d):
     return best
 
 
-@given(rotation_systems(), st.integers(2, 4), st.data())
+@given(rotation_systems(), st.integers(2, 8), st.data())
 @settings(max_examples=200, deadline=None)
 def test_chain_skip_matches_every_edge_search(g, q, data):
     # amplified duals are made of chains of bigon faces; deleting some

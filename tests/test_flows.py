@@ -147,3 +147,10 @@ def test_golden_values():
              "only 1 of 2 units of mandatory flow routable")):
         with pytest.raises(CirculationInfeasibleError, match=message):
             min_cost_circulation(2, bad)
+
+
+def test_circulation_rejects_negative_cost():
+    # the arcs (0, 1, cost -3) and (1, 0, cost 1) form a negative cycle
+    arcs = [(0, 1, 1, 1, 0), (1, 0, 0, 2, 0), (0, 1, 0, 1, -3), (1, 0, 0, 1, 1)]
+    with pytest.raises(ValueError, match=r"arc \(0, 1\) has negative cost -3"):
+        min_cost_circulation(2, arcs)
