@@ -15,8 +15,10 @@ from .atsp import (
 from .dual import (
     Cut,
     DualGraph,
+    Thread,
     cut_to_dual_cycles,
     dual_girth,
+    find_threads,
     geometric_dual,
 )
 from .embedding import EmbeddedGraph, build_embedding, expand_parallel
@@ -37,10 +39,8 @@ from .pipeline import (
     weighted_thin_tree,
 )
 from .spanning import (
-    Thread,
     ThinTreeResult,
     alpha,
-    find_threads,
     select_far_edge_set,
     thin_spanning_tree,
 )

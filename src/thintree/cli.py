@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import genlab, oracle
 from .atsp import atsp_approx
-from .errors import ThinTreeError, TooLargeError
+from .errors import FormatError, ThinTreeError, TooLargeError
 from .flows import edge_connectivity
 from .formats import format_cost, read_atsp, read_emb, write_emb
 from .heldkarp import ATSPInstance
@@ -155,7 +155,9 @@ def cmd_verify(args) -> int:
     else:
         inst = ATSPInstance.from_matrix(read_atsp(_read(args.infile)))
         tour = json.loads(_read(args.tour))
-        order = tour["order"] if isinstance(tour, dict) else tour
+        order = tour.get("order") if isinstance(tour, dict) else tour
+        if not isinstance(order, list):
+            raise FormatError(f"{args.tour}: want a vertex list or an object with 'order'")
         cost = oracle.verify_tour(order, inst.cost)
         payload = {"cost": _frac(cost), "hamiltonian": True}
     sys.stdout.write(_dump(payload))

@@ -1,16 +1,18 @@
-"""Geometric duals, dual girth, pairwise dual distances, and cut/cycle
-translation.
+"""Geometric duals, their threads, dual girth, pairwise dual distances, and
+cut/cycle translation.
 
 The dual of an embedded graph has one vertex per face and one edge per primal
 edge, under the same edge id.  ``left_face`` is the face containing dart
 ``2e`` and ``right_face`` the face containing dart ``2e+1``; a dual loop
 (both sides the same face) is allowed and counts as a cycle of length 1.
 
-The girth search contracts every maximal chain of faces with exactly two
-edge-ends (each parallel bundle of an amplified graph is one) into a single
-edge weighted by the chain's length.  It runs one Dijkstra search per chain
-over that contracted dual and one breadth-first search over the full dual,
-which reads back the cycle it picked.
+A thread is a maximal chain of degree-2 faces (each parallel bundle of an
+amplified graph is one).  ``find_threads`` is the one chain decomposition:
+the threads of a dual's 2-core are found once per ``DualGraph`` and serve
+both the girth search, which contracts each thread into one edge weighted
+by its length and runs one Dijkstra search per thread, and the far-set
+selection in ``spanning``, which starts from them.  One breadth-first search
+over the dual reads back the cycle the girth search picked.
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ import heapq
 from dataclasses import dataclass
 
 from .embedding import EmbeddedGraph
-from .errors import EdgeAbsentError, NoCycleError, ParityViolationError
+from .errors import (
+    DegreeOneVertexError,
+    EdgeAbsentError,
+    NoCycleError,
+    ParityViolationError,
+)
 
 
 @dataclass(frozen=True)
@@ -42,13 +49,16 @@ class DualGraph:
     Attributes:
         face_count: number of dual vertices.
         dual_edges: sorted list of (edge_id, left_face, right_face).
+        loops: (edge_id, face) of each loop, in edge-id order.
     """
 
     def __init__(self, face_count, dual_edges):
         self.face_count = face_count
         self.dual_edges = sorted(dual_edges)
         self._by_id = {e: (l, r) for e, l, r in self.dual_edges}
-        self._adj = None
+        self.loops = [(e, l) for e, l, r in self.dual_edges if l == r]
+        self._neighbors = None
+        self._threads = None
 
     def faces_of(self, e: int) -> tuple[int, int]:
         try:
@@ -56,18 +66,28 @@ class DualGraph:
         except KeyError:
             raise EdgeAbsentError(f"dual edge {e} absent") from None
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-face sorted list of (edge_id, other_face); loops appear once."""
-        if self._adj is None:
-            adj = [[] for _ in range(self.face_count)]
+    def neighbors(self) -> list[dict[int, int]]:
+        """Per-face {edge_id: other_face} in edge-id order, loops omitted.
+
+        Built once and shared: callers must not mutate it.
+        """
+        if self._neighbors is None:
+            adj = [{} for _ in range(self.face_count)]
             for e, l, r in self.dual_edges:
-                adj[l].append((e, r))
-                if r != l:
-                    adj[r].append((e, l))
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
-        return self._adj
+                if l != r:
+                    adj[l][e] = r
+                    adj[r][e] = l
+            self._neighbors = adj
+        return self._neighbors
+
+    def core_threads(self) -> tuple[Thread, ...]:
+        """The threads of the dual's 2-core (every degree-1 face pruned
+        away, repeatedly), found once."""
+        if self._threads is None:
+            view = DualView(self)
+            view.prune_degree_one()
+            self._threads = tuple(find_threads(view))
+        return self._threads
 
 
 def geometric_dual(g: EmbeddedGraph) -> DualGraph:
@@ -98,56 +118,178 @@ def _bfs_levels(adj, sources, reached_by, avoid_edge=None):
         dist += 1
         nxt = []
         for u in frontier:
-            for e, w in adj[u]:
+            for e, w in adj[u].items():
                 if e != avoid_edge and w not in reached_by:
                     reached_by[w] = e
                     nxt.append(w)
         frontier = nxt
 
 
-def _chains(adj):
-    """Maximal chains of faces with exactly two edge-ends, each contracted to
-    (smallest edge id, length, end, end), sorted.
+@dataclass(frozen=True)
+class Thread:
+    """Maximal chain of degree-2 dual vertices.
 
-    The ends are the chain's branch faces (faces with other than two
-    edge-ends), possibly one face twice; both are None for a component that
-    is one closed chain.  ``adj`` must have no loops, so a face's edge-ends
-    are its ``adj`` entries.
+    ``vertices`` is the walk (one longer than ``edges`` for paths; first ==
+    last for cycles).  A cycle thread is either a whole component in which
+    every vertex has degree 2, or a closed chain attached to one branch
+    vertex.
     """
-    seen = set()  # edges already in a chain
-    chains = []
 
-    def walk(start, e, at):
-        key = last = e
-        length = 1
-        seen.add(e)
-        while at != start and len(adj[at]) == 2:
-            (e1, f1), (e2, f2) = adj[at]
-            last, at = (e2, f2) if e1 == last else (e1, f1)
-            seen.add(last)
-            if last < key:
-                key = last
-            length += 1
-        return key, length, at
+    edges: tuple[int, ...]
+    vertices: tuple[int, ...]
+    kind: str  # "path" | "cycle"
 
-    for f, ends in enumerate(adj):
-        if len(ends) != 2:
-            for e, at in ends:
-                if e not in seen:
-                    key, length, end = walk(f, e, at)
-                    chains.append((key, length, f, end))
-    for f, ends in enumerate(adj):
-        if len(ends) == 2 and ends[0][0] not in seen:
-            key, length, _ = walk(f, *ends[0])
-            chains.append((key, length, None, None))
-    chains.sort()
-    return chains
+    @property
+    def length(self) -> int:
+        return len(self.edges)
+
+
+class DualView:
+    """Mutable working copy of a dual graph.
+
+    ``neighbors[f]`` is ``DualGraph.neighbors()[f]`` until the first
+    deletion copies them all, so a view with nothing to prune costs no copy;
+    deletions keep the edge-id order.  ``loops`` holds the loop edge ids of
+    faces that have loops, and ``degree[f]`` counts a loop twice.
+    """
+
+    def __init__(self, d: DualGraph):
+        self.neighbors = d.neighbors()
+        self._shared = True
+        self.degree = [len(m) for m in self.neighbors]
+        self.loops = {}
+        for e, f in d.loops:
+            self.loops.setdefault(f, set()).add(e)
+            self.degree[f] += 2
+
+    def remove_edge(self, e: int, l: int, r: int) -> None:
+        if self._shared:
+            self.neighbors = [dict(m) for m in self.neighbors]
+            self._shared = False
+        if l == r:
+            self.loops[l].discard(e)
+            self.degree[l] -= 2
+        else:
+            del self.neighbors[l][e]
+            del self.neighbors[r][e]
+            self.degree[l] -= 1
+            self.degree[r] -= 1
+
+    def prune_degree_one(self, faces=None) -> list[int]:
+        """Iteratively delete degree-1 vertices with their incident edge;
+        return the deleted edges.
+
+        The search starts from ``faces`` (default: every face).  The 2-core
+        is unique, so after one edge removal from a pruned view its two
+        faces are enough to start from.
+        """
+        degree = self.degree
+        stack = [f for f in (range(len(degree)) if faces is None else faces)
+                 if degree[f] == 1]
+        pruned = []
+        while stack:
+            f = stack.pop()
+            if degree[f] != 1:
+                continue
+            e, other = next(iter(self.neighbors[f].items()))
+            self.remove_edge(e, f, other)
+            pruned.append(e)
+            if degree[other] == 1:
+                stack.append(other)
+        return pruned
+
+    def walk(self, start: int, edge: int, other: int):
+        """Follow the chain from ``start`` along the non-loop ``edge`` through
+        degree-2 vertices; stop at a vertex of another degree or back at
+        ``start``.  Returns the walked (edges, vertices).
+
+        A vertex entered by a non-loop edge that has degree 2 has no loop,
+        so its two neighbour entries are the way in and the way on.
+        """
+        neighbors, degree = self.neighbors, self.degree
+        edges = [edge]
+        verts = [start, other]
+        add_edge, add_vert = edges.append, verts.append
+        cur = other
+        while cur != start and degree[cur] == 2:
+            ends = neighbors[cur]
+            e1, e2 = ends
+            edge = e2 if e1 == edge else e1
+            cur = ends[edge]
+            add_edge(edge)
+            add_vert(cur)
+        return edges, verts
+
+    def thread_through(self, f: int) -> Thread:
+        """The thread through the degree-2 vertex f.
+
+        A component that is one cycle is anchored at its smallest vertex and
+        starts with the smaller edge there, as find_threads anchors it.
+        """
+        if self.loops.get(f):
+            (e,) = self.loops[f]
+            return Thread((e,), (f, f), "cycle")
+        (e1, w1), (e2, w2) = self.neighbors[f].items()
+        edges, verts = self.walk(f, e1, w1)
+        if verts[-1] == f:
+            i = verts.index(min(verts))
+            if i:
+                edges = edges[i:] + edges[:i]
+                verts = verts[i:-1] + verts[:i + 1]
+            return Thread(tuple(edges), tuple(verts), "cycle")
+        back_edges, back_verts = self.walk(f, e2, w2)
+        edges = back_edges[::-1] + edges
+        verts = back_verts[::-1] + verts[1:]
+        kind = "cycle" if verts[0] == verts[-1] else "path"
+        return Thread(tuple(edges), tuple(verts), kind)
+
+
+def find_threads(view) -> list[Thread]:
+    """Decompose a min-degree-2 dual view into maximal threads.
+
+    Every live edge belongs to exactly one returned thread.  Raises
+    DegreeOneVertexError when the precondition is violated.
+    """
+    if isinstance(view, DualGraph):
+        view = DualView(view)
+    degree = view.degree
+    threads = []
+    used = set()
+    for b, deg in enumerate(degree):
+        if deg == 2 or deg == 0:
+            continue
+        if deg == 1:
+            raise DegreeOneVertexError(f"vertex {b} has degree 1")
+        incident = view.neighbors[b].items()  # in edge-id order
+        if b in view.loops:
+            incident = sorted([(e, b) for e in view.loops[b]] + list(incident))
+        for e, other in incident:
+            if e in used:
+                continue
+            if other == b:  # loop at a branch vertex: cycle of length 1
+                used.add(e)
+                threads.append(Thread((e,), (b, b), "cycle"))
+                continue
+            edges, verts = view.walk(b, e, other)
+            used.update(edges)
+            kind = "cycle" if verts[-1] == b else "path"
+            threads.append(Thread(tuple(edges), tuple(verts), kind))
+
+    # the edges left over form components where every vertex has degree 2,
+    # single cycles; the first vertex met of each is its smallest
+    if len(used) < sum(degree) // 2:
+        for f, deg in enumerate(degree):
+            if deg == 2 and min(view.neighbors[f] or view.loops[f]) not in used:
+                t = view.thread_through(f)
+                used.update(t.edges)
+                threads.append(t)
+    return threads
 
 
 def _chain_distance(links, source, target, skip, bound):
-    """Dijkstra distance from source to target over the contracted chains in
-    ``links``, never using chain ``skip``; None when target is unreachable
-    or only at ``bound`` or more."""
+    """Dijkstra distance from source to target over the contracted path
+    threads in ``links``, never using thread ``skip``; None when target is
+    unreachable or only at ``bound`` or more."""
     dist = {source: 0}
     heap = [(0, source)]
     while heap:
@@ -172,28 +314,28 @@ def shortest_dual_cycle(d: DualGraph):
     length 1, parallel pairs length 2).  Deterministic: the anchor is the
     smallest edge id on some shortest cycle.
 
-    A face with exactly two edge-ends links its two edges into a chain, and
-    every cycle through one edge of a chain runs along the whole chain.  So
-    the search runs on the dual with each chain contracted to one edge
-    weighted by its length: the shortest cycle through a chain is the chain
-    plus a Dijkstra path between its two ends that avoids it.  Chains are
-    taken in order of their smallest edge, and only a strictly shorter cycle
-    replaces the best, so the anchor is that of searching from every edge.
-    One breadth-first search from the anchor then reads the cycle back.
+    Pendant trees carry no cycle, so the search runs on the 2-core, whose
+    threads ``core_threads`` gives.  Every cycle through one edge of a
+    thread runs along the whole thread.  A cycle thread is a cycle of its
+    own length; a path thread is contracted to one edge weighted by its
+    length, and the shortest cycle through it is the thread plus a Dijkstra
+    path between its two ends that avoids it.  Threads are taken in order of
+    their smallest edge, and only a strictly shorter cycle replaces the
+    best, so the anchor is that of searching from every edge.  One
+    breadth-first search from the anchor then reads the cycle back.
     """
-    for e, l, r in d.dual_edges:
-        if l == r:
-            return 1, [e]
-    adj = d.adjacency()
-    chains = _chains(adj)
-    links = {}  # branch face -> (length, key, other end) of its two-ended chains
+    if d.loops:
+        return 1, [d.loops[0][0]]
+    chains = sorted((min(t.edges), t.length, t.vertices[0], t.vertices[-1])
+                    for t in d.core_threads())
+    links = {}  # branch face -> (length, key, other end) of its path threads
     for key, length, a, b in chains:
-        if a is not None and a != b:
+        if a != b:
             links.setdefault(a, []).append((length, key, b))
             links.setdefault(b, []).append((length, key, a))
     best_len, best_key = len(d.dual_edges) + 1, None  # longer than any cycle
     for key, length, a, b in chains:
-        if a is None or a == b:
+        if a == b:
             found = length
         else:
             rest = _chain_distance(links, a, b, key, best_len - length)
@@ -206,7 +348,7 @@ def shortest_dual_cycle(d: DualGraph):
         return None
     l, r = d.faces_of(best_key)
     reached_by = {}
-    for _ in _bfs_levels(adj, [l], reached_by, avoid_edge=best_key):
+    for _ in _bfs_levels(d.neighbors(), [l], reached_by, avoid_edge=best_key):
         if r in reached_by:
             break
     path = []
@@ -242,7 +384,7 @@ def min_pairwise_distance(d: DualGraph, edge_ids) -> int | None:
     ids = sorted(edge_ids)
     if len(ids) < 2:
         return None
-    adj = d.adjacency()
+    adj = d.neighbors()
     edges_at = {}
     for e in ids:
         for f in d.faces_of(e):

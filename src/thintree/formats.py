@@ -86,29 +86,30 @@ def read_emb(text: str) -> EmbeddedGraph:
             f"expected {1 + n_vertices + n_edges} lines, got {len(lines)}")
 
     rotations = [None] * n_vertices
-    for ln in lines[1:1 + n_vertices]:
-        parts = ln.split()
-        if parts[0] != "rot":
-            raise FormatError(f"expected 'rot' directive, got {ln!r}")
-        v = int(parts[1])
-        if not 0 <= v < n_vertices or rotations[v] is not None:
-            raise FormatError(f"bad or repeated vertex id in {ln!r}")
-        rotations[v] = [int(p) for p in parts[2:]]
-
     twins = []
     costs = {}
-    for ln in lines[1 + n_vertices:]:
-        parts = ln.split()
-        if parts[0] != "edge":
-            raise FormatError(f"expected 'edge' directive, got {ln!r}")
-        if len(parts) not in (4, 5):
-            raise FormatError(f"bad edge line {ln!r}")
-        e, da, db = int(parts[1]), int(parts[2]), int(parts[3])
-        if {da, db} != {2 * e, 2 * e + 1}:
-            raise FormatError(f"edge {e} must own darts {2*e},{2*e+1}: {ln!r}")
-        twins.append((da, db))
-        if len(parts) == 5:
-            costs[e] = parse_cost(parts[4])
+    try:  # int() is the only call below that raises ValueError
+        for ln in lines[1:1 + n_vertices]:
+            parts = ln.split()
+            if parts[0] != "rot" or len(parts) < 2:
+                raise FormatError(f"expected 'rot <vertex-id> <dart-id>...', got {ln!r}")
+            v = int(parts[1])
+            if not 0 <= v < n_vertices or rotations[v] is not None:
+                raise FormatError(f"bad or repeated vertex id in {ln!r}")
+            rotations[v] = [int(p) for p in parts[2:]]
+
+        for ln in lines[1 + n_vertices:]:
+            parts = ln.split()
+            if parts[0] != "edge" or len(parts) not in (4, 5):
+                raise FormatError(f"expected 'edge <id> <dart> <dart> [cost]', got {ln!r}")
+            e, da, db = int(parts[1]), int(parts[2]), int(parts[3])
+            if {da, db} != {2 * e, 2 * e + 1}:
+                raise FormatError(f"edge {e} must own darts {2*e},{2*e+1}: {ln!r}")
+            twins.append((da, db))
+            if len(parts) == 5:
+                costs[e] = parse_cost(parts[4])
+    except ValueError:
+        raise FormatError(f"non-integer id in {ln!r}") from None
     return build_embedding(n_vertices, rotations, twins, costs or None)
 
 

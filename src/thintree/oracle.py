@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .dual import Cut
 from .embedding import EmbeddedGraph
-from .errors import NotHamiltonianError, TooLargeError
+from .errors import EdgeAbsentError, NotHamiltonianError, TooLargeError
 
 MAX_CUT_VERTICES = 24
 MAX_DP_VERTICES = 12
@@ -31,7 +31,8 @@ def brute_force_thinness(g: EmbeddedGraph, f_edges) -> ThinnessReport:
     """Exact thinness of the edge set ``f_edges`` in g over all cuts.
 
     Enumerates every one of the 2^(V-1) - 1 cuts with vertex 0 fixed on one
-    side.  Requires a connected g with at most MAX_CUT_VERTICES vertices.
+    side.  Requires a connected g with at most MAX_CUT_VERTICES vertices;
+    raises EdgeAbsentError when ``f_edges`` names an edge g does not have.
     """
     n = g.vertex_count
     if n > MAX_CUT_VERTICES:
@@ -39,6 +40,9 @@ def brute_force_thinness(g: EmbeddedGraph, f_edges) -> ThinnessReport:
     if n < 2:
         raise ValueError("need at least 2 vertices to have a cut")
     f_set = set(f_edges)
+    absent = f_set.difference(g.edges())
+    if absent:
+        raise EdgeAbsentError(f"edge ids not in the graph: {sorted(absent, key=repr)}")
     # independent adjacency recomputation: plain endpoint arrays
     pairs = []
     for e in g.edges():
@@ -144,10 +148,10 @@ def verify_tour(order, cost: list[list[Fraction]]) -> Fraction:
     """Validate a tour and return its exact cost.
 
     Raises NotHamiltonianError when ``order`` is not a permutation of all
-    vertices.
+    vertices given as plain ints (``True`` is not vertex 1).
     """
     n = len(cost)
-    if sorted(order) != list(range(n)):
+    if any(type(v) is not int for v in order) or sorted(order) != list(range(n)):
         raise NotHamiltonianError(f"not a permutation of 0..{n - 1}: {list(order)}")
     total = Fraction(0)
     for i, u in enumerate(order):

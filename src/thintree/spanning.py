@@ -2,11 +2,13 @@
 
 The driver picks one "middle" edge out of a long thread of the dual graph,
 deletes it, prunes dangling vertices, and repeats until the dual is empty.
-The primal edges of the selected set hit every dual cycle, hence cross every
-cut, hence span; and because the selected dual edges end up far apart, the
-set crosses no cut too often.  The emitted certificate is the measured
-minimum pairwise dual distance m (capped at the dual girth), which makes the
-selected set 1/m-thin.
+It starts from ``DualGraph.core_threads()``, which the girth search has
+already found, and keeps the threads up to date.  The primal edges of the
+selected set hit every dual cycle, hence cross every cut, hence span; and
+because the selected dual edges end up far apart, the set crosses no cut
+too often.  The emitted certificate is the measured minimum pairwise dual
+distance m (capped at the dual girth), which makes the selected set
+1/m-thin.
 """
 
 from __future__ import annotations
@@ -17,13 +19,17 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count
 
-from .dual import DualGraph, dual_girth, geometric_dual, min_pairwise_distance
-from .embedding import EmbeddedGraph
-from .errors import (
-    DegreeOneVertexError,
-    DisconnectedError,
-    NoLongThreadError,
+from .dual import (
+    DualGraph,
+    DualView,
+    Thread,
+    dual_girth,
+    find_threads,  # noqa: F401  (the benchmark traces it under this name)
+    geometric_dual,
+    min_pairwise_distance,
 )
+from .embedding import EmbeddedGraph
+from .errors import DisconnectedError, NoLongThreadError
 
 
 def alpha(genus: int) -> int:
@@ -36,169 +42,6 @@ def alpha(genus: int) -> int:
     if genus < 0:
         raise ValueError("genus must be non-negative")
     return ((2 * genus + 3) ** 2).bit_length() + 1
-
-
-@dataclass(frozen=True)
-class Thread(object):
-    """Maximal chain of degree-2 dual vertices.
-
-    ``vertices`` is the walk (one longer than ``edges`` for paths; first ==
-    last for cycles).  A cycle thread is either a whole component in which
-    every vertex has degree 2, or a closed chain attached to one branch
-    vertex.
-    """
-
-    edges: tuple[int, ...]
-    vertices: tuple[int, ...]
-    kind: str  # "path" | "cycle"
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-
-class DualView:
-    """Mutable working copy of a dual graph for the selection loop."""
-
-    def __init__(self, d: DualGraph):
-        self.neighbors = {}  # face -> dict edge_id -> other face
-        self.loops = {}      # face -> set of loop edge ids
-        self.degree = {}
-        for e, l, r in d.dual_edges:
-            for f in (l, r):
-                if f not in self.neighbors:
-                    self.neighbors[f] = {}
-                    self.loops[f] = set()
-                    self.degree[f] = 0
-            if l == r:
-                self.loops[l].add(e)
-                self.degree[l] += 2
-            else:
-                self.neighbors[l][e] = r
-                self.neighbors[r][e] = l
-                self.degree[l] += 1
-                self.degree[r] += 1
-
-    def live_vertices(self) -> list[int]:
-        return sorted(f for f, deg in self.degree.items() if deg > 0)
-
-    def incident(self, f: int) -> list[tuple[int, int]]:
-        """Sorted (edge, other) pairs at f; loops appear once."""
-        out = [(e, f) for e in self.loops[f]]
-        out.extend(self.neighbors[f].items())
-        out.sort()
-        return out
-
-    def remove_edge(self, e: int, l: int, r: int) -> None:
-        if l == r:
-            self.loops[l].discard(e)
-            self.degree[l] -= 2
-        else:
-            del self.neighbors[l][e]
-            del self.neighbors[r][e]
-            self.degree[l] -= 1
-            self.degree[r] -= 1
-
-    def prune_degree_one(self, faces=None) -> list[int]:
-        """Iteratively delete degree-1 vertices with their incident edge;
-        return the deleted edges.
-
-        The search starts from ``faces`` (default: every face).  The 2-core
-        is unique, so after one edge removal from a pruned view its two
-        faces are enough to start from.
-        """
-        stack = [f for f in (self.degree if faces is None else faces)
-                 if self.degree[f] == 1]
-        pruned = []
-        while stack:
-            f = stack.pop()
-            if self.degree[f] != 1:
-                continue
-            e, other = next(iter(self.neighbors[f].items()))
-            self.remove_edge(e, f, other)
-            pruned.append(e)
-            if self.degree[other] == 1:
-                stack.append(other)
-        return pruned
-
-    def walk(self, start: int, edge: int, other: int):
-        """Follow the chain from ``start`` along ``edge`` through degree-2
-        vertices; stop at a vertex of another degree or back at ``start``.
-        Returns the walked (edges, vertices)."""
-        edges = [edge]
-        verts = [start, other]
-        cur = other
-        while cur != start and self.degree[cur] == 2 and not self.loops[cur]:
-            # two neighbour entries, one of them the edge just walked
-            first, second = self.neighbors[cur].items()
-            edge, cur = second if first[0] == edge else first
-            edges.append(edge)
-            verts.append(cur)
-        return edges, verts
-
-    def thread_through(self, f: int) -> Thread:
-        """The thread through the degree-2 vertex f.
-
-        A component that is one cycle is anchored at its smallest vertex and
-        starts with the smaller edge there, as find_threads anchors it.
-        """
-        if self.loops[f]:
-            (e,) = self.loops[f]
-            return Thread((e,), (f, f), "cycle")
-        (e1, w1), (e2, w2) = sorted(self.neighbors[f].items())
-        edges, verts = self.walk(f, e1, w1)
-        if verts[-1] == f:
-            i = verts.index(min(verts))
-            if i:
-                edges = edges[i:] + edges[:i]
-                verts = verts[i:-1] + verts[:i + 1]
-            return Thread(tuple(edges), tuple(verts), "cycle")
-        back_edges, back_verts = self.walk(f, e2, w2)
-        edges = back_edges[::-1] + edges
-        verts = back_verts[::-1] + verts[1:]
-        kind = "cycle" if verts[0] == verts[-1] else "path"
-        return Thread(tuple(edges), tuple(verts), kind)
-
-
-def find_threads(view) -> list[Thread]:
-    """Decompose a min-degree-2 dual view into maximal threads.
-
-    Every live edge belongs to exactly one returned thread.  Raises
-    DegreeOneVertexError when the precondition is violated.
-    """
-    if isinstance(view, DualGraph):
-        view = DualView(view)
-    live = view.live_vertices()
-    degree = view.degree
-    for f in live:
-        if degree[f] == 1:
-            raise DegreeOneVertexError(f"vertex {f} has degree 1")
-
-    threads = []
-    used = set()
-    for b in live:
-        if degree[b] == 2:
-            continue
-        for e, other in view.incident(b):
-            if e in used:
-                continue
-            if other == b:  # loop at a branch vertex: cycle of length 1
-                used.add(e)
-                threads.append(Thread((e,), (b, b), "cycle"))
-                continue
-            edges, verts = view.walk(b, e, other)
-            used.update(edges)
-            kind = "cycle" if verts[-1] == b else "path"
-            threads.append(Thread(tuple(edges), tuple(verts), kind))
-
-    # components where every vertex has degree 2 are single cycles; the
-    # first vertex met of each is its smallest
-    for f in live:
-        if degree[f] == 2 and min(view.neighbors[f] or view.loops[f]) not in used:
-            t = view.thread_through(f)
-            used.update(t.edges)
-            threads.append(t)
-    return threads
 
 
 def _canonical(thread: Thread) -> Thread:
@@ -229,11 +72,12 @@ def middle_edge(thread: Thread) -> int:
 class LiveThreads:
     """The threads of a pruned dual, kept up to date as edges are deleted.
 
-    ``find_threads`` runs once, on the pruned view.  After that a deletion
-    prunes from the deleted edge's two faces only, drops every thread that
-    lost an edge (the pruning takes all of its edges), and walks the thread
-    again through each touched vertex whose degree is now 2, merging its
-    neighbouring threads.  The live threads then equal
+    They start as ``d.core_threads()``, which the girth search has usually
+    found already, on ``self.view``, a pruned copy of ``d``.  After that a
+    deletion prunes from the deleted edge's two faces only, drops every
+    thread that lost an edge (the pruning takes all of its edges), and walks
+    the thread again through each touched vertex whose degree is now 2,
+    merging its neighbouring threads.  The live threads then equal
     ``find_threads(self.view)`` up to walk direction.  Threads share no
     edge, so the heap key ``(-length, min edge id)`` of a live thread is
     unique; stale heap entries are skipped when they reach the top.
@@ -246,7 +90,7 @@ class LiveThreads:
         self.thread_of = {}  # live edge -> its live thread
         self.heap = []
         self.pushed = count()  # heap tie-break between stale and live copies
-        for t in find_threads(self.view):
+        for t in d.core_threads():
             self._add(t)
 
     def _add(self, t: Thread) -> None:

@@ -108,6 +108,27 @@ def test_atsp_and_verify_cli(tmp_path):
     run_cli(["verify", "thinness", "--in", str(g), "--edges", str(tree)])
 
 
+@pytest.mark.parametrize("tour", ['{"cost": "3"}', "[true, 0, 2]", '[0, 1, "a"]',
+                                  '{"order": 5}'],
+                         ids=["no order", "bool", "str", "not a list"])
+def test_verify_tour_rejects_malformed_tour(tmp_path, capsys, tour):
+    inst = tmp_path / "inst.atsp"
+    inst.write_text("ATSP 1 3\n0 1 1\n1 0 1\n1 1 0\n")
+    (tmp_path / "tour.json").write_text(tour)
+    code = main(["verify", "tour", "--in", str(inst), "--tour", str(tmp_path / "tour.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_thinness_rejects_absent_edge(tmp_path, capsys):
+    g = tmp_path / "g.emb"
+    edges = tmp_path / "edges.json"
+    g.write_text(write_emb(amplify(prism_graph(4), 2)))
+    edges.write_text("[0, 1, 999]")
+    assert main(["verify", "thinness", "--in", str(g), "--edges", str(edges)]) == 2
+    assert "999" in capsys.readouterr().err
+
+
 def test_atsp_default_denominator(tmp_path):
     # without --denominator the paper's D = n**3 is used
     inst = tmp_path / "inst.atsp"

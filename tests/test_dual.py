@@ -346,7 +346,7 @@ def every_edge_shortest_cycle(d):
     for e, l, r in d.dual_edges:
         if l == r:
             return 1, [e]
-    adj = d.adjacency()
+    adj = d.neighbors()
     best = None
     for e, l, r in d.dual_edges:
         if best is not None and best[0] <= 2:

@@ -143,6 +143,19 @@ def test_emb_rejects_wrong_darts():
         read_emb(text)
 
 
+@pytest.mark.parametrize("text", [
+    "EMB 1 2 1\nrot one 1\nrot 1 0\nedge 0 0 1\n",
+    "EMB 1 2 1\nrot 0 x\nrot 1 1\nedge 0 0 1\n",
+    "EMB 1 2 1\nrot 0 0\nrot 1 1\nedge 0 0 x\n",
+    "EMB 1 2 1\nrot 0 0\nrot 1 1\nedge 0.0 0 1\n",
+    "EMB 1 2 1\nrot\nrot 1 1\nedge 0 0 1\n",
+    "EMB 1 2 1\nrot 0 0\nrot 1 1\nedge 0 0\n",
+], ids=["vertex", "dart", "edge dart", "edge id", "bare rot", "short edge"])
+def test_emb_rejects_malformed_lines(text):
+    with pytest.raises(FormatError):
+        read_emb(text)
+
+
 def test_emb_rejects_bad_header():
     with pytest.raises(FormatError):
         read_emb("EMB 2 1 1\nrot 0 0 1\nedge 0 0 1\n")

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from thintree.errors import NotHamiltonianError, TooLargeError
+from thintree.errors import EdgeAbsentError, NotHamiltonianError, TooLargeError
 from thintree.genlab import amplify, cycle_graph
 from thintree.heldkarp import ATSPInstance
 from thintree.oracle import (
@@ -87,6 +87,20 @@ def test_verify_tour_rejects_repeats():
         verify_tour([0, 0], cost)
     with pytest.raises(NotHamiltonianError):
         verify_tour([0], cost)
+
+
+@pytest.mark.parametrize("order", [[True, 0, 2], [0, 1, "a"], [0, 1, 2.0], [0, 1, None]],
+                         ids=["bool", "str", "float", "null"])
+def test_verify_tour_rejects_non_int_entries(order):
+    cost = [[Fraction(0 if i == j else 1) for j in range(3)] for i in range(3)]
+    with pytest.raises(NotHamiltonianError):
+        verify_tour(order, cost)
+
+
+def test_thinness_rejects_absent_edge(cube):
+    doubled = amplify(cube, 2)
+    with pytest.raises(EdgeAbsentError):
+        brute_force_thinness(doubled, [0, 1, 999])
 
 
 def test_reversed_tour_same_cost_symmetric():

@@ -4,18 +4,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from thintree.dual import DualGraph, dual_girth, geometric_dual
+from thintree.dual import (
+    DualGraph,
+    DualView,
+    Thread,
+    dual_girth,
+    find_threads,
+    geometric_dual,
+)
 from thintree.embedding import build_embedding
 from thintree.errors import DegreeOneVertexError, DisconnectedError, NoLongThreadError
 from thintree.genlab import amplify, cycle_graph, prism_graph, torus_grid
 from thintree.oracle import brute_force_thinness
 from thintree.spanning import (
-    DualView,
     LiveThreads,
-    Thread,
     _canonical,
     alpha,
-    find_threads,
     middle_edge,
     select_far_edge_set,
     thin_spanning_tree,
@@ -100,6 +104,30 @@ def test_degree_one_precondition():
     d = DualGraph(3, [(0, 0, 1), (1, 1, 2)])
     with pytest.raises(DegreeOneVertexError):
         find_threads(d)
+
+
+def test_unpruned_view_raises_until_pruned():
+    # a triangle on faces 0, 1, 2 with a pendant face 3 on face 0
+    view = DualView(DualGraph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 3)]))
+    with pytest.raises(DegreeOneVertexError):
+        find_threads(view)
+    assert view.prune_degree_one() == [3]
+    assert [(t.kind, t.edges) for t in find_threads(view)] == [("cycle", (0, 1, 2))]
+
+
+def test_threads_found_once_per_dual(monkeypatch):
+    import thintree.dual
+    import thintree.spanning
+
+    duals, calls = [], []
+    real_dual, real_find = thintree.spanning.geometric_dual, thintree.dual.find_threads
+    monkeypatch.setattr(thintree.spanning, "geometric_dual",
+                        lambda g: duals.append(real_dual(g)) or duals[-1])
+    monkeypatch.setattr(thintree.dual, "find_threads",
+                        lambda view: calls.append(view) or real_find(view))
+    r = thin_spanning_tree(amplify(prism_graph(4), 12))
+    assert r.g_star > 2 * r.alpha  # the far-set selection ran
+    assert len(duals) == len(calls) == 1
 
 
 def test_middle_edge_deterministic():
@@ -258,7 +286,7 @@ def _view_as_dual(view, d):
     edges = []
     for e, l, r in d.dual_edges:
         alive = (e in view.loops.get(l, ())) if l == r else (
-            e in view.neighbors.get(l, {}))
+            e in view.neighbors[l])
         if alive:
             edges.append((e, l, r))
     return DualGraph(d.face_count, edges)
