@@ -141,12 +141,23 @@ def cmd_atsp(args) -> int:
     return 0
 
 
+def _json_list(path: str, key: str) -> list:
+    """The list in the JSON file at ``path``: the whole file, or the
+    ``key`` entry of an object."""
+    try:
+        data = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not valid JSON ({exc})") from None
+    value = data.get(key) if isinstance(data, dict) else data
+    if not isinstance(value, list):
+        raise FormatError(f"{path}: want a list or an object with a {key!r} list")
+    return value
+
+
 def cmd_verify(args) -> int:
     if args.what == "thinness":
         g = read_emb(_read(args.infile))
-        edges = json.loads(_read(args.edges))
-        edge_set = edges["tree_edges"] if isinstance(edges, dict) else edges
-        report = oracle.brute_force_thinness(g, edge_set)
+        report = oracle.brute_force_thinness(g, _json_list(args.edges, "tree_edges"))
         payload = {
             "max_ratio": _frac(report.max_ratio),
             "witness_cut": sorted(report.witness_cut.side),
@@ -154,11 +165,7 @@ def cmd_verify(args) -> int:
         }
     else:
         inst = ATSPInstance.from_matrix(read_atsp(_read(args.infile)))
-        tour = json.loads(_read(args.tour))
-        order = tour.get("order") if isinstance(tour, dict) else tour
-        if not isinstance(order, list):
-            raise FormatError(f"{args.tour}: want a vertex list or an object with 'order'")
-        cost = oracle.verify_tour(order, inst.cost)
+        cost = oracle.verify_tour(_json_list(args.tour, "order"), inst.cost)
         payload = {"cost": _frac(cost), "hamiltonian": True}
     sys.stdout.write(_dump(payload))
     return 0

@@ -221,23 +221,21 @@ class DualView:
         return edges, verts
 
     def thread_through(self, f: int) -> Thread:
-        """The thread through the degree-2 vertex f.
-
-        A component that is one cycle is anchored at its smallest vertex and
-        starts with the smaller edge there, as find_threads anchors it.
-        """
+        """The thread through the degree-2 vertex f, in the canonical
+        direction that ``find_threads`` gives every thread."""
         if self.loops.get(f):
             (e,) = self.loops[f]
             return Thread((e,), (f, f), "cycle")
         (e1, w1), (e2, w2) = self.neighbors[f].items()
         edges, verts = self.walk(f, e1, w1)
-        if verts[-1] == f:
-            i = verts.index(min(verts))
-            if i:
-                edges = edges[i:] + edges[:i]
-                verts = verts[i:-1] + verts[:i + 1]
+        if verts[-1] == f:  # a component that is one cycle
+            m = min(verts)
+            if m != f:
+                edges, verts = self.walk(m, *next(iter(self.neighbors[m].items())))
             return Thread(tuple(edges), tuple(verts), "cycle")
         back_edges, back_verts = self.walk(f, e2, w2)
+        if (verts[-1], edges[-1]) < (back_verts[-1], back_edges[-1]):
+            edges, verts, back_edges, back_verts = back_edges, back_verts, edges, verts
         edges = back_edges[::-1] + edges
         verts = back_verts[::-1] + verts[1:]
         kind = "cycle" if verts[0] == verts[-1] else "path"
@@ -247,7 +245,10 @@ class DualView:
 def find_threads(view) -> list[Thread]:
     """Decompose a min-degree-2 dual view into maximal threads.
 
-    Every live edge belongs to exactly one returned thread.  Raises
+    Every live edge belongs to exactly one returned thread, walked in its
+    canonical direction: a path runs from its end with the smaller id; a
+    cycle starts at its branch vertex, or else at its smallest vertex, and
+    leaves along the smaller of its two end edges.  Raises
     DegreeOneVertexError when the precondition is violated.
     """
     if isinstance(view, DualGraph):

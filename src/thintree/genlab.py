@@ -16,6 +16,7 @@ from fractions import Fraction
 from .embedding import EmbeddedGraph, build_embedding, expand_parallel
 from .errors import BadParamsError
 from .formats import write_atsp, write_emb
+from .heldkarp import ATSPInstance
 from .prng import PCG32
 
 FAMILIES = ("planar-amplified", "torus-grid", "random-metric", "lp-support-instance")
@@ -181,14 +182,9 @@ def lp_support_instance(n: int, rng: PCG32):
         u, v = base.endpoints(e)
         matrix[u][v] = Fraction(rng.randint(10, 19))
         matrix[v][u] = Fraction(rng.randint(10, 19))
-    for k in range(n):  # exact completion; keeps entries integral
-        for i in range(n):
-            for j in range(n):
-                via = matrix[i][k] + matrix[k][j]
-                if via < matrix[i][j]:
-                    matrix[i][j] = via
     base.edge_cost = {e: Fraction(1) for e in base.edges()}
-    return matrix, base
+    # the exact completion keeps entries integral
+    return ATSPInstance.from_matrix(matrix).cost, base
 
 
 def generate(spec: GenSpec) -> dict:

@@ -76,74 +76,42 @@ class HKSolution:
                     if i in side and j not in side), Fraction(0))
 
 
-def _arc_list(n: int) -> list:
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
 def solve_held_karp(inst: ATSPInstance) -> HKSolution:
     """Solve the Held-Karp relaxation of ``inst`` exactly.
 
     The 0 <= x <= 1 bounds are implied by the degree equalities, so only
     those equalities plus the generated cut constraints reach the simplex.
+    Each row is built once: the 2n degree rows before the first round, a
+    cut row when separation finds its side.  With k cuts every row is
+    padded by k slack columns, and cut r reads x(delta+(S_r)) - s_r = 1.
     """
     n = inst.n
     if n < 3:
         raise ValueError("need at least 3 vertices")
-    arcs = _arc_list(n)
-    arc_index = {a: k for k, a in enumerate(arcs)}
+    arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
     costs = [inst.cost[i][j] for i, j in arcs]
-
-    cut_sides = []
+    degree_rows = [[0] * len(arcs) for _ in range(2 * n)]  # out(v), then in(v)
+    for col, (i, j) in enumerate(arcs):
+        degree_rows[i][col] = 1
+        degree_rows[n + j][col] = 1
+    cut_rows = []
     seen_sides = set()
 
-    rounds = 0
     while True:
-        rounds += 1
-        if rounds > MAX_CUT_ROUNDS:
-            raise IterationLimitError(f"{rounds} cutting-plane rounds")
-        num_slack = len(cut_sides)
-        width = len(arcs) + num_slack
-        rows = []
-        rhs = []
-        for v in range(n):  # out-degree
-            row = [0] * width
-            for j in range(n):
-                if j != v:
-                    row[arc_index[(v, j)]] = 1
-            rows.append(row)
-            rhs.append(1)
-        for v in range(n):  # in-degree
-            row = [0] * width
-            for i in range(n):
-                if i != v:
-                    row[arc_index[(i, v)]] = 1
-            rows.append(row)
-            rhs.append(1)
-        for k, side in enumerate(cut_sides):  # x(delta+(S)) - slack = 1
-            row = [0] * width
-            for i in side:
-                for j in range(n):
-                    if j not in side and j != i:
-                        row[arc_index[(i, j)]] = 1
-            row[len(arcs) + k] = -1
-            rows.append(row)
-            rhs.append(1)
-        padded_costs = list(costs) + [0] * num_slack
-        result = solve_lp(padded_costs, rows, rhs)
+        k = len(cut_rows)
+        if k >= MAX_CUT_ROUNDS:
+            raise IterationLimitError(f"{k + 1} cutting-plane rounds")
+        rows = [row + [0] * k for row in degree_rows]
+        rows += [row + [0] * r + [-1] + [0] * (k - 1 - r)
+                 for r, row in enumerate(cut_rows)]
+        result = solve_lp(costs + [0] * k, rows, [1] * len(rows))
 
-        x = {}
-        for k, a in enumerate(arcs):
-            val = result.values[k]
-            if val > 0:
-                x[a] = val
+        x = {a: val for a, val in zip(arcs, result.values) if val > 0}
         value, side = directed_global_min_cut(n, x)
-        if value is not None and value < 1:
-            key = tuple(sorted(side))
-            if key in seen_sides:
-                raise IterationLimitError(
-                    f"separation repeated the cut {key}")
-            seen_sides.add(key)
-            cut_sides.append(frozenset(side))
-            continue
-        return HKSolution(x=x, objective=result.objective,
-                          cuts_added=len(cut_sides))
+        if value is None or value >= 1:
+            return HKSolution(x=x, objective=result.objective, cuts_added=k)
+        key = tuple(sorted(side))
+        if key in seen_sides:
+            raise IterationLimitError(f"separation repeated the cut {key}")
+        seen_sides.add(key)
+        cut_rows.append([int(i in side and j not in side) for i, j in arcs])

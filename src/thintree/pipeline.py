@@ -40,8 +40,9 @@ def genus_bound(genus: int) -> Fraction:
     return Fraction(7 * genus * a, root)
 
 
-def _connector_edges(g: EmbeddedGraph, forest_edges) -> list[int]:
-    """Cheapest edges of g joining distinct components of the forest.
+def _connector_edges(g: EmbeddedGraph, forest_edges, candidates) -> list[int]:
+    """Cheapest edges among ``candidates`` joining distinct components of
+    the forest.
 
     Kruskal order: (cost, edge id) with cost 0 when g is unweighted.
     """
@@ -60,9 +61,8 @@ def _connector_edges(g: EmbeddedGraph, forest_edges) -> list[int]:
     def cost_of(e):
         return g.edge_cost[e] if g.edge_cost is not None else Fraction(0)
 
-    candidates = sorted(g.edges(), key=lambda e: (cost_of(e), e))
     out = []
-    for e in candidates:
+    for e in sorted(candidates, key=lambda e: (cost_of(e), e)):
         u, v = g.endpoints(e)
         ru, rv = find(u), find(v)
         if ru != rv:
@@ -89,7 +89,7 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
         assert result.thinness_bound == Fraction(10, k)
         return result
 
-    h, _ = increase_dual_girth(g, k)
+    h, log = increase_dual_girth(g, k)
     tree_edges = []
     far_edges = []
     g_star_min = None
@@ -102,7 +102,10 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
         far_edges.extend(edge_map[e] for e in sub_result.far_set)
         if g_star_min is None or sub_result.g_star < g_star_min:
             g_star_min = sub_result.g_star
-    connectors = _connector_edges(g, tree_edges)
+    # every edge of h lies inside one of its spanned components, so only
+    # the edges surgery deleted can join two of them
+    deleted = [e for it in log.iterations for e in it.cycle_edges]
+    connectors = _connector_edges(g, tree_edges, deleted)
     tree_edges = sorted(tree_edges + connectors)
     far_edges = sorted(set(far_edges) | set(connectors))
     assert len(tree_edges) == g.vertex_count - 1

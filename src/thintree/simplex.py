@@ -81,7 +81,8 @@ def solve_lp(costs, rows, rhs):
             tableau[:] = [[-v for v in target] for target in tableau]
         basis[row_i] = col_j
 
-    def run_phase(allowed_cols):
+    def run_phase():
+        # only real variables enter; artificials never return to the basis
         iterations = 0
         bland_after = 20 * (m + num_vars) + 200
         while True:
@@ -90,12 +91,12 @@ def solve_lp(costs, rows, rhs):
             enter = -1
             if iterations <= bland_after:
                 best = 0
-                for j in allowed_cols:
+                for j in range(num_vars):
                     if obj_row[j] < best:
                         best = obj_row[j]
                         enter = j
             else:  # Bland: first improving column
-                for j in allowed_cols:
+                for j in range(num_vars):
                     if obj_row[j] < 0:
                         enter = j
                         break
@@ -123,7 +124,7 @@ def solve_lp(costs, rows, rhs):
     for row in tableau:  # price out the artificial basis
         obj = [o - v for o, v in zip(obj, row)]
     tableau.append(obj)
-    run_phase(range(num_vars))
+    run_phase()
     if tableau[m][width - 1] != 0:
         infeas = Fraction(-tableau[m][width - 1], d)
         raise InfeasibleError(f"phase-1 objective {infeas}")
@@ -151,7 +152,7 @@ def solve_lp(costs, rows, rhs):
         if factor != 0:
             obj = [o - factor * v for o, v in zip(obj, tableau[i])]
     tableau[m] = obj
-    run_phase(range(num_vars))
+    run_phase()
 
     values = [Fraction(0)] * num_vars
     for i in range(m):

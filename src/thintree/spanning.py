@@ -44,29 +44,10 @@ def alpha(genus: int) -> int:
     return ((2 * genus + 3) ** 2).bit_length() + 1
 
 
-def _canonical(thread: Thread) -> Thread:
-    """Fix a walk direction so the middle edge is reproducible.
-
-    Paths run from the endpoint with the smaller vertex id.  Cycles start at
-    the unique vertex of degree != 2 if there is one (else the smallest
-    vertex, which is how find_threads already anchors them) and take the
-    direction whose first edge id is smaller.
-    """
-    if thread.kind == "path":
-        if thread.vertices[0] > thread.vertices[-1]:
-            return Thread(tuple(reversed(thread.edges)),
-                          tuple(reversed(thread.vertices)), "path")
-        return thread
-    if thread.length >= 2 and thread.edges[-1] < thread.edges[0]:
-        inner = tuple(reversed(thread.vertices))
-        return Thread(tuple(reversed(thread.edges)), inner, "cycle")
-    return thread
-
-
 def middle_edge(thread: Thread) -> int:
-    """Edge at position ceil(L/2) along the canonical walk (1-based)."""
-    t = _canonical(thread)
-    return t.edges[(t.length + 1) // 2 - 1]
+    """Edge at position ceil(L/2) along the thread's walk (1-based); every
+    thread is walked in its canonical direction (see ``find_threads``)."""
+    return thread.edges[(thread.length + 1) // 2 - 1]
 
 
 class LiveThreads:
@@ -78,7 +59,7 @@ class LiveThreads:
     thread that lost an edge (the pruning takes all of its edges), and walks
     the thread again through each touched vertex whose degree is now 2,
     merging its neighbouring threads.  The live threads then equal
-    ``find_threads(self.view)`` up to walk direction.  Threads share no
+    ``find_threads(self.view)``, walk direction included.  Threads share no
     edge, so the heap key ``(-length, min edge id)`` of a live thread is
     unique; stale heap entries are skipped when they reach the top.
     """

@@ -109,8 +109,8 @@ def test_atsp_and_verify_cli(tmp_path):
 
 
 @pytest.mark.parametrize("tour", ['{"cost": "3"}', "[true, 0, 2]", '[0, 1, "a"]',
-                                  '{"order": 5}'],
-                         ids=["no order", "bool", "str", "not a list"])
+                                  '{"order": 5}', "[0, 1,"],
+                         ids=["no order", "bool", "str", "not a list", "not json"])
 def test_verify_tour_rejects_malformed_tour(tmp_path, capsys, tour):
     inst = tmp_path / "inst.atsp"
     inst.write_text("ATSP 1 3\n0 1 1\n1 0 1\n1 1 0\n")
@@ -127,6 +127,18 @@ def test_verify_thinness_rejects_absent_edge(tmp_path, capsys):
     edges.write_text("[0, 1, 999]")
     assert main(["verify", "thinness", "--in", str(g), "--edges", str(edges)]) == 2
     assert "999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edges", ["[0, 1,", '{"far_set": [0]}', '{"tree_edges": 5}', "5"],
+                         ids=["not json", "no tree_edges", "not a list", "bare number"])
+def test_verify_thinness_rejects_malformed_edges(tmp_path, capsys, edges):
+    g = tmp_path / "g.emb"
+    g.write_text(write_emb(amplify(prism_graph(4), 2)))
+    edges_file = tmp_path / "edges.json"
+    edges_file.write_text(edges)
+    code = main(["verify", "thinness", "--in", str(g), "--edges", str(edges_file)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_atsp_default_denominator(tmp_path):

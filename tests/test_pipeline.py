@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thintree.embedding import build_embedding
 from thintree.errors import DisconnectedError
@@ -11,6 +13,7 @@ from thintree.oracle import (
     brute_force_thinness,
 )
 from thintree.pipeline import (
+    _connector_edges,
     bounded_genus_thin_tree,
     genus_bound,
     weighted_thin_tree,
@@ -18,6 +21,7 @@ from thintree.pipeline import (
 from thintree.prng import PCG32
 
 from .conftest import add_edge
+from .test_embedding import rotation_systems
 
 
 def test_edge_connectivity_examples(cube):
@@ -90,6 +94,50 @@ def test_connector_edges_bounded():
     assert len(result.tree_edges) == g.vertex_count - 1
     report = brute_force_thinness(g, result.tree_edges)
     assert report.max_ratio <= result.thinness_bound
+
+
+def _kruskal(g, order, forest=()):
+    """Edges of ``order`` that join two components, forest edges merged
+    first: Kruskal's rule written out on its own."""
+    label = list(range(g.vertex_count))
+    picked = []
+    for e in [*forest, *order]:
+        u, v = g.endpoints(e)
+        lu, lv = label[u], label[v]
+        if lu != lv:
+            label = [lv if x == lu else x for x in label]
+            if e not in forest:
+                picked.append(e)
+    return picked
+
+
+def assert_connectors_from_deleted(g, deleted):
+    """Connectors chosen among the deleted edges equal a Kruskal over all
+    of g, starting from a spanning forest of g minus the deleted edges."""
+    h = g.delete_edges(deleted)
+    forest = _kruskal(h, h.edges())
+    everything = sorted(g.edges(), key=lambda e: (g.edge_cost[e], e))
+    expected = _kruskal(g, everything, forest)
+    assert _connector_edges(g, forest, deleted) == expected
+    return h, expected
+
+
+def test_connectors_join_two_components(cube):
+    # deleting the copies of the four edges between the cube's two squares
+    # leaves the squares as two components, joined by the cheapest copy
+    g = amplify(cube, 2)
+    g.edge_cost = {e: Fraction(e % 5 + 1, 2) for e in g.edges()}
+    between = [e for e in g.edges() if {u < 4 for u in g.endpoints(e)} == {True, False}]
+    h, connectors = assert_connectors_from_deleted(g, between)
+    assert len(h.components()) == 2
+    assert len(connectors) == 1
+
+
+@given(rotation_systems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_connectors_match_kruskal_over_all_edges(g, data):
+    g.edge_cost = {e: Fraction(data.draw(st.integers(0, 3))) for e in g.edges()}
+    assert_connectors_from_deleted(g, data.draw(st.sets(st.sampled_from(g.edges()))))
 
 
 def test_disconnected_rejected():

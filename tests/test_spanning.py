@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from thintree.dual import (
     DualGraph,
     DualView,
-    Thread,
     dual_girth,
     find_threads,
     geometric_dual,
@@ -18,7 +17,6 @@ from thintree.genlab import amplify, cycle_graph, prism_graph, torus_grid
 from thintree.oracle import brute_force_thinness
 from thintree.spanning import (
     LiveThreads,
-    _canonical,
     alpha,
     middle_edge,
     select_far_edge_set,
@@ -131,11 +129,18 @@ def test_threads_found_once_per_dual(monkeypatch):
 
 
 def test_middle_edge_deterministic():
-    t = Thread(edges=(4, 9, 2), vertices=(7, 5, 6, 3), kind="path")
-    # canonical direction runs from vertex 3: reversed edge order (2, 9, 4)
-    assert middle_edge(t) == 9
-    even = Thread(edges=(4, 9), vertices=(1, 5, 3), kind="path")
-    # from vertex 1: position ceil(2/2) = 1 -> first edge
+    # faces 3 and 7 are joined by edges 0 and 1 and by the path 3-6-5-7;
+    # walked from any of its faces, the path runs from face 3
+    d = DualGraph(8, [(0, 3, 7), (1, 3, 7), (2, 3, 6), (9, 6, 5), (4, 5, 7)])
+    view = DualView(d)
+    for f in (5, 6):
+        t = view.thread_through(f)
+        assert (t.edges, t.vertices) == ((2, 9, 4), (3, 6, 5, 7))
+        assert middle_edge(t) == 9
+    # from face 1: position ceil(2/2) = 1 -> first edge
+    d = DualGraph(6, [(0, 1, 3), (1, 1, 3), (4, 1, 5), (9, 5, 3)])
+    even = DualView(d).thread_through(5)
+    assert (even.edges, even.vertices) == ((4, 9), (1, 5, 3))
     assert middle_edge(even) == 4
 
 
@@ -316,10 +321,6 @@ def test_distance_preservation_during_loop(cube):
 
 # --- threads kept up to date across rounds ---------------------------
 
-def _thread_set(threads):
-    return {_canonical(t) for t in threads}
-
-
 def _selection_key(t):
     return (t.length, -min(t.edges))
 
@@ -327,10 +328,10 @@ def _selection_key(t):
 def assert_threads_current(live):
     """The maintained threads and the longest one equal a full rebuild."""
     rebuilt = find_threads(live.view)
-    assert _thread_set(live.thread_of.values()) == _thread_set(rebuilt)
+    assert set(live.thread_of.values()) == set(rebuilt)
     best = live.longest()
     if rebuilt:
-        assert _canonical(best) == _canonical(max(rebuilt, key=_selection_key))
+        assert best == max(rebuilt, key=_selection_key)
     else:
         assert best is None
 
