@@ -137,7 +137,10 @@ class Thread:
 
     edges: tuple[int, ...]
     vertices: tuple[int, ...]
-    kind: str  # "path" | "cycle"
+
+    @property
+    def kind(self) -> str:
+        return "cycle" if self.vertices[0] == self.vertices[-1] else "path"
 
     @property
     def length(self) -> int:
@@ -225,21 +228,20 @@ class DualView:
         direction that ``find_threads`` gives every thread."""
         if self.loops.get(f):
             (e,) = self.loops[f]
-            return Thread((e,), (f, f), "cycle")
+            return Thread((e,), (f, f))
         (e1, w1), (e2, w2) = self.neighbors[f].items()
         edges, verts = self.walk(f, e1, w1)
         if verts[-1] == f:  # a component that is one cycle
             m = min(verts)
             if m != f:
                 edges, verts = self.walk(m, *next(iter(self.neighbors[m].items())))
-            return Thread(tuple(edges), tuple(verts), "cycle")
+            return Thread(tuple(edges), tuple(verts))
         back_edges, back_verts = self.walk(f, e2, w2)
         if (verts[-1], edges[-1]) < (back_verts[-1], back_edges[-1]):
             edges, verts, back_edges, back_verts = back_edges, back_verts, edges, verts
         edges = back_edges[::-1] + edges
         verts = back_verts[::-1] + verts[1:]
-        kind = "cycle" if verts[0] == verts[-1] else "path"
-        return Thread(tuple(edges), tuple(verts), kind)
+        return Thread(tuple(edges), tuple(verts))
 
 
 def find_threads(view) -> list[Thread]:
@@ -269,12 +271,11 @@ def find_threads(view) -> list[Thread]:
                 continue
             if other == b:  # loop at a branch vertex: cycle of length 1
                 used.add(e)
-                threads.append(Thread((e,), (b, b), "cycle"))
+                threads.append(Thread((e,), (b, b)))
                 continue
             edges, verts = view.walk(b, e, other)
             used.update(edges)
-            kind = "cycle" if verts[-1] == b else "path"
-            threads.append(Thread(tuple(edges), tuple(verts), kind))
+            threads.append(Thread(tuple(edges), tuple(verts)))
 
     # the edges left over form components where every vertex has degree 2,
     # single cycles; the first vertex met of each is its smallest

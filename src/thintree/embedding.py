@@ -181,35 +181,25 @@ class EmbeddedGraph:
             cost = {e: c for e, c in self.edge_cost.items() if 2 * e in owner}
         return EmbeddedGraph(self.vertex_count, owner, rot, cost)
 
-    def restrict_to_component(self, vertices) -> tuple["EmbeddedGraph", dict, dict]:
+    def restrict_to_component(self, vertices) -> "EmbeddedGraph":
         """Standalone embedding of one component.
 
-        ``vertices`` must be a full component.  Returns (subgraph, vertex_map,
-        edge_map) where the maps send sub ids back to ids in self.
+        ``vertices`` must be a full component.  Vertices are renumbered in
+        sorted order; edges, darts and costs keep their ids in self.
         """
-        vset = set(vertices)
-        vmap_back = sorted(vset)
-        vmap_fwd = {v: i for i, v in enumerate(vmap_back)}
-        edges = [e for e in self.edges() if self.dart_owner[2 * e] in vset]
-        for e in edges:
-            if self.dart_owner[2 * e + 1] not in vset:
-                raise DisconnectedError("vertex set is not a full component")
-        emap_back = {i: e for i, e in enumerate(edges)}
-        emap_fwd = {e: i for i, e in enumerate(edges)}
+        vmap = {v: i for i, v in enumerate(sorted(set(vertices)))}
+        edges = [e for e in self.edges() if self.dart_owner[2 * e] in vmap]
         owner = {}
-        rot = {}
         for e in edges:
             for d in (2 * e, 2 * e + 1):
-                sub_d = 2 * emap_fwd[d >> 1] + (d & 1)
-                owner[sub_d] = vmap_fwd[self.dart_owner[d]]
-                nxt = self.rotation_next[d]
-                rot[sub_d] = 2 * emap_fwd[nxt >> 1] + (nxt & 1)
+                if self.dart_owner[d] not in vmap:
+                    raise DisconnectedError("vertex set is not a full component")
+                owner[d] = vmap[self.dart_owner[d]]
+        rot = {d: self.rotation_next[d] for d in owner}
         cost = None
         if self.edge_cost is not None:
-            cost = {emap_fwd[e]: self.edge_cost[e] for e in edges}
-        sub = EmbeddedGraph(len(vmap_back), owner, rot, cost)
-        vmap = {i: v for i, v in enumerate(vmap_back)}
-        return sub, vmap, emap_back
+            cost = {e: self.edge_cost[e] for e in edges}
+        return EmbeddedGraph(len(vmap), owner, rot, cost)
 
 
 def expand_parallel(g: EmbeddedGraph, multiplicity, cost_of=None):

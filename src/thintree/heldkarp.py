@@ -68,13 +68,6 @@ class HKSolution:
     objective: Fraction
     cuts_added: int
 
-    def out_value(self, v: int) -> Fraction:
-        return sum((val for (i, _), val in self.x.items() if i == v), Fraction(0))
-
-    def cut_value(self, side) -> Fraction:
-        return sum((val for (i, j), val in self.x.items()
-                    if i in side and j not in side), Fraction(0))
-
 
 def solve_held_karp(inst: ATSPInstance) -> HKSolution:
     """Solve the Held-Karp relaxation of ``inst`` exactly.

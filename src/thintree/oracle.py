@@ -32,13 +32,18 @@ def brute_force_thinness(g: EmbeddedGraph, f_edges) -> ThinnessReport:
 
     Enumerates every one of the 2^(V-1) - 1 cuts with vertex 0 fixed on one
     side.  Requires a connected g with at most MAX_CUT_VERTICES vertices;
-    raises EdgeAbsentError when ``f_edges`` names an edge g does not have.
+    raises EdgeAbsentError when ``f_edges`` names an edge g does not have or
+    holds an entry that is not a plain int (``True`` is not edge 1).
     """
     n = g.vertex_count
     if n > MAX_CUT_VERTICES:
         raise TooLargeError(f"{n} vertices exceeds the {MAX_CUT_VERTICES} cut budget")
     if n < 2:
         raise ValueError("need at least 2 vertices to have a cut")
+    f_edges = list(f_edges)
+    bad = [e for e in f_edges if type(e) is not int]
+    if bad:
+        raise EdgeAbsentError(f"edge ids are not plain ints: {bad}")
     f_set = set(f_edges)
     absent = f_set.difference(g.edges())
     if absent:

@@ -40,23 +40,14 @@ def genus_bound(genus: int) -> Fraction:
     return Fraction(7 * genus * a, root)
 
 
-def _connector_edges(g: EmbeddedGraph, forest_edges, candidates) -> list[int]:
+def _connector_edges(g: EmbeddedGraph, h: EmbeddedGraph, candidates) -> list[int]:
     """Cheapest edges among ``candidates`` joining distinct components of
-    the forest.
+    h, a subgraph of g on the same vertices.
 
     Kruskal order: (cost, edge id) with cost 0 when g is unweighted.
     """
-    parent = list(range(g.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in forest_edges:
-        u, v = g.endpoints(e)
-        parent[find(u)] = find(v)
+    members = list(h.components())
+    label = {v: i for i, component in enumerate(members) for v in component}
 
     def cost_of(e):
         return g.edge_cost[e] if g.edge_cost is not None else Fraction(0)
@@ -64,9 +55,11 @@ def _connector_edges(g: EmbeddedGraph, forest_edges, candidates) -> list[int]:
     out = []
     for e in sorted(candidates, key=lambda e: (cost_of(e), e)):
         u, v = g.endpoints(e)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        a, b = label[u], label[v]
+        if a != b:
+            for x in members[a]:
+                label[x] = b
+            members[b] = members[b] + members[a]  # h's own lists stay intact
             out.append(e)
     return out
 
@@ -96,16 +89,15 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
     for component in h.components():
         if len(component) == 1:
             continue
-        sub, _, edge_map = h.restrict_to_component(component)
-        sub_result = thin_spanning_tree(sub)
-        tree_edges.extend(edge_map[e] for e in sub_result.tree_edges)
-        far_edges.extend(edge_map[e] for e in sub_result.far_set)
+        sub_result = thin_spanning_tree(h.restrict_to_component(component))
+        tree_edges.extend(sub_result.tree_edges)
+        far_edges.extend(sub_result.far_set)
         if g_star_min is None or sub_result.g_star < g_star_min:
             g_star_min = sub_result.g_star
     # every edge of h lies inside one of its spanned components, so only
     # the edges surgery deleted can join two of them
     deleted = [e for it in log.iterations for e in it.cycle_edges]
-    connectors = _connector_edges(g, tree_edges, deleted)
+    connectors = _connector_edges(g, h, deleted)
     tree_edges = sorted(tree_edges + connectors)
     far_edges = sorted(set(far_edges) | set(connectors))
     assert len(tree_edges) == g.vertex_count - 1
@@ -160,7 +152,7 @@ def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
     truncated = False
     residual = g
     for i in range(rounds):
-        k_i = edge_connectivity(residual) if residual.vertex_count > 1 else 0
+        k_i = edge_connectivity(residual)
         if k_i == 0:
             truncated = True
             break

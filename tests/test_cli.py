@@ -129,8 +129,10 @@ def test_verify_thinness_rejects_absent_edge(tmp_path, capsys):
     assert "999" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edges", ["[0, 1,", '{"far_set": [0]}', '{"tree_edges": 5}', "5"],
-                         ids=["not json", "no tree_edges", "not a list", "bare number"])
+@pytest.mark.parametrize("edges", ["[0, 1,", '{"far_set": [0]}', '{"tree_edges": 5}', "5",
+                                   "[[0]]", "[true, 0]", '{"tree_edges": [0, 1.5]}'],
+                         ids=["not json", "no tree_edges", "not a list", "bare number",
+                              "nested list", "bool", "float"])
 def test_verify_thinness_rejects_malformed_edges(tmp_path, capsys, edges):
     g = tmp_path / "g.emb"
     g.write_text(write_emb(amplify(prism_graph(4), 2)))

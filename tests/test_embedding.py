@@ -12,6 +12,7 @@ from thintree.errors import (
 from thintree.flows import edge_connectivity
 from thintree.genlab import amplify, cycle_graph, prism_graph, torus_grid, wheel_graph
 from thintree.oracle import brute_force_edge_connectivity
+from thintree.spanning import thin_spanning_tree
 
 
 def test_single_loop_on_sphere():
@@ -152,13 +153,44 @@ def test_restrict_to_component_roundtrip():
     star = [e for e in cube.edges() if 0 in cube.endpoints(e)]
     h = cube.delete_edges(star)
     big = max(h.components(), key=len)
-    sub, vmap, emap = h.restrict_to_component(big)
+    sub = h.restrict_to_component(big)
     assert sub.vertex_count == 7
     assert sub.genus() == 0
-    assert sorted(emap.values()) == sorted(h.edges())
-    for new_e, old_e in emap.items():
-        su, sv = sub.endpoints(new_e)
-        assert {vmap[su], vmap[sv]} == set(h.endpoints(old_e))
+    assert sub.edges() == h.edges()
+    for e in sub.edges():
+        su, sv = sub.endpoints(e)
+        assert {big[su], big[sv]} == set(h.endpoints(e))
+
+
+def squares_apart():
+    """Weighted cube x2 without the copies between its two squares: two
+    4-vertex components."""
+    g = amplify(prism_graph(4), 2, costs=lambda new, old: new % 5 + 1)
+    between = [e for e in g.edges() if {u < 4 for u in g.endpoints(e)} == {True, False}]
+    return g.delete_edges(between)
+
+
+def test_restrict_keeps_edge_ids_and_costs():
+    h = squares_apart()
+    assert [len(c) for c in h.components()] == [4, 4]
+    parts = [h.restrict_to_component(c) for c in h.components()]
+    for component, sub in zip(h.components(), parts):
+        assert sub.vertex_count == 4
+        for e in sub.edges():
+            u, v = sub.endpoints(e)
+            assert (component[u], component[v]) == h.endpoints(e)
+            assert sub.edge_cost[e] == h.edge_cost[e]
+    assert sorted(e for sub in parts for e in sub.edges()) == h.edges()
+    assert sum(sub.genus() for sub in parts) == h.genus()
+
+
+def test_restricted_thin_trees_span_their_components():
+    h = squares_apart()
+    for component in h.components():
+        tree = thin_spanning_tree(h.restrict_to_component(component)).tree_edges
+        assert len(tree) == len(component) - 1
+        forest = h.delete_edges([e for e in h.edges() if e not in tree])
+        assert component in forest.components()
 
 
 def test_restrict_rejects_partial_component(cube):

@@ -103,6 +103,14 @@ def test_thinness_rejects_absent_edge(cube):
         brute_force_thinness(doubled, [0, 1, 999])
 
 
+@pytest.mark.parametrize("edges", [[[0]], [True, 0], [0, 1.0], [0, "1"], [None]],
+                         ids=["list", "bool", "float", "str", "null"])
+def test_thinness_rejects_non_int_edge_ids(cube, edges):
+    with pytest.raises(EdgeAbsentError) as info:
+        brute_force_thinness(amplify(cube, 2), edges)
+    assert repr([e for e in edges if type(e) is not int]) in str(info.value)
+
+
 def test_reversed_tour_same_cost_symmetric():
     inst = ATSPInstance.from_matrix(
         [[0, 2, 4, 3], [2, 0, 5, 1], [4, 5, 0, 7], [3, 1, 7, 0]])

@@ -118,7 +118,7 @@ def assert_connectors_from_deleted(g, deleted):
     forest = _kruskal(h, h.edges())
     everything = sorted(g.edges(), key=lambda e: (g.edge_cost[e], e))
     expected = _kruskal(g, everything, forest)
-    assert _connector_edges(g, forest, deleted) == expected
+    assert _connector_edges(g, h, deleted) == expected
     return h, expected
 
 
