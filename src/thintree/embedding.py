@@ -185,9 +185,14 @@ class EmbeddedGraph:
         """Standalone embedding of one component.
 
         ``vertices`` must be a full component.  Vertices are renumbered in
-        sorted order; edges, darts and costs keep their ids in self.
+        sorted order; edges, darts and costs keep their ids in self.  The
+        whole vertex set returns self: the renumbering is then the identity
+        and graphs are immutable.
         """
-        vmap = {v: i for i, v in enumerate(sorted(set(vertices)))}
+        kept = sorted(set(vertices))
+        if kept == list(range(self.vertex_count)):
+            return self
+        vmap = {v: i for i, v in enumerate(kept)}
         edges = [e for e in self.edges() if self.dart_owner[2 * e] in vmap]
         owner = {}
         for e in edges:

@@ -31,9 +31,11 @@ def brute_force_thinness(g: EmbeddedGraph, f_edges) -> ThinnessReport:
     """Exact thinness of the edge set ``f_edges`` in g over all cuts.
 
     Enumerates every one of the 2^(V-1) - 1 cuts with vertex 0 fixed on one
-    side.  Requires a connected g with at most MAX_CUT_VERTICES vertices;
-    raises EdgeAbsentError when ``f_edges`` names an edge g does not have or
-    holds an entry that is not a plain int (``True`` is not edge 1).
+    side, counting parallel copies per endpoint pair, so the cost is
+    2^(V-1) times the number of distinct pairs.  Requires a connected g with
+    at most MAX_CUT_VERTICES vertices; raises EdgeAbsentError when
+    ``f_edges`` names an edge g does not have or holds an entry that is not
+    a plain int (``True`` is not edge 1).
     """
     n = g.vertex_count
     if n > MAX_CUT_VERTICES:
@@ -48,11 +50,17 @@ def brute_force_thinness(g: EmbeddedGraph, f_edges) -> ThinnessReport:
     absent = f_set.difference(g.edges())
     if absent:
         raise EdgeAbsentError(f"edge ids not in the graph: {sorted(absent, key=repr)}")
-    # independent adjacency recomputation: plain endpoint arrays
-    pairs = []
+    # independent adjacency recomputation from plain endpoints: parallel
+    # copies grouped by endpoint pair into (copies, copies in F); loops never
+    # cross a cut
+    groups = {}
     for e in g.edges():
         u, v = g.endpoints(e)
-        pairs.append((e, u, v))
+        if u != v:
+            key = (u, v) if u < v else (v, u)
+            copies, in_f = groups.get(key, (0, 0))
+            groups[key] = (copies + 1, in_f + (e in f_set))
+    pairs = [(u, v, copies, in_f) for (u, v), (copies, in_f) in groups.items()]
 
     best = Fraction(0)
     best_mask = 1
@@ -63,11 +71,10 @@ def brute_force_thinness(g: EmbeddedGraph, f_edges) -> ThinnessReport:
         side = mask << 1 | 1  # vertex 0 always on this side
         cnt_e = 0
         cnt_f = 0
-        for e, u, v in pairs:
+        for u, v, copies, in_f in pairs:
             if (side >> u & 1) != (side >> v & 1):
-                cnt_e += 1
-                if e in f_set:
-                    cnt_f += 1
+                cnt_e += copies
+                cnt_f += in_f
         checked += 1
         if cnt_e == 0:
             continue  # disconnected inputs: skip crossing-free splits

@@ -6,9 +6,13 @@ by bond-cycle duality, Whitney 1932), positive genus first raises the dual
 girth by surgery, finds a tree per component, and reconnects the pieces
 with a few cheap edges.
 
-``weighted_thin_tree`` repeatedly extracts edge-disjoint thin trees from the
-residual graph and keeps the cheapest, trading a factor 2 in thinness for
-the same factor as a cost ratio.
+``weighted_thin_tree`` extracts edge-disjoint thin trees from the residual
+graph, trading a factor 2 in thinness for a cost ratio of 1/t over t
+planned trees.  The paper keeps the cheapest of the t trees; this build
+keeps the first one with c(T)*t <= c(G).  Every extracted tree is already
+2f(g)/k-thin, and averaging over t edge-disjoint trees guarantees that one
+meets the cost bound, so the first such tree carries the same two bounds
+and the remaining rounds are skipped.
 """
 
 from __future__ import annotations
@@ -113,12 +117,16 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
 
 @dataclass
 class WeightedThinTree:
-    """Cheapest of several edge-disjoint thin trees.
+    """A thin tree that meets the averaging bound c(T)*rounds <= c(G).
 
     ``thinness`` is the claimed bound 2*genus_bound(genus)/k; ``cost_ratio``
-    is the measured c(T)/c(G).  ``connectivity_trace`` holds the measured edge
-    connectivity of each residual round, and ``truncated`` flags an early
-    stop because a residual graph disconnected.
+    is the measured c(T)/c(G).  ``rounds`` is the planned number of
+    edge-disjoint trees t = floor(k / 2*genus_bound(genus)), the divisor of
+    the averaging bound, unless a truncated run fell back to the cheapest
+    of the trees it extracted; then it is their number.
+    ``connectivity_trace`` holds the measured edge connectivity of each
+    residual round that ran, and ``truncated`` flags an early stop because a
+    residual graph disconnected.
     """
 
     tree_edges: tuple[int, ...]
@@ -132,12 +140,17 @@ class WeightedThinTree:
 
 
 def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
-    """Extract floor(k / 2g) edge-disjoint thin trees; keep the cheapest.
+    """First of up to t = floor(k / 2g) edge-disjoint thin trees with
+    c(T)*t <= c(G).
 
     The thinness numerator g is genus_bound(genus).  Each residual round
-    must keep connectivity at least k - i*g; a connected violation raises
-    ExtractionFailureError, while a disconnected residual truncates the
-    round count (reported via ``truncated``).
+    must keep connectivity at least k - i*g >= k/2, so every extracted tree
+    is 2g/k-thin in g, and by averaging one of t edge-disjoint trees meets
+    the cost bound (the module docstring says why the first one suffices).
+    A connected schedule violation raises ExtractionFailureError; a
+    disconnected residual truncates the rounds (reported via ``truncated``),
+    and if no extracted tree met the bound, the cheapest of them is kept,
+    averaged over their number.
     """
     if g.edge_cost is None:
         raise ValueError("weighted_thin_tree needs edge costs")
@@ -146,10 +159,13 @@ def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
     k = edge_connectivity(g)
     g_val = genus_bound(g.genus())
     rounds = max(1, int(Fraction(k) / (2 * g_val)))
+    c_graph = g.total_cost()
 
     trees = []
+    costs = []
     trace = []
     truncated = False
+    chosen = None
     residual = g
     for i in range(rounds):
         k_i = edge_connectivity(residual)
@@ -161,24 +177,28 @@ def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
                 f"round {i}: residual connectivity {k_i} below schedule "
                 f"{Fraction(k) - i * g_val}")
         trace.append(k_i)
-        result = bounded_genus_thin_tree(residual)
-        trees.append(result.tree_edges)
-        residual = residual.delete_edges(result.tree_edges)
+        tree = bounded_genus_thin_tree(residual).tree_edges
+        trees.append(tree)
+        costs.append(sum((g.edge_cost[e] for e in tree), Fraction(0)))
+        if costs[i] * rounds <= c_graph:
+            chosen = i
+            break
+        residual = residual.delete_edges(tree)
     if not trees:
         raise ExtractionFailureError("no extraction round succeeded")
-
-    c_graph = g.total_cost()
-    costs = [sum((g.edge_cost[e] for e in t), Fraction(0)) for t in trees]
-    best = min(range(len(trees)), key=lambda i: (costs[i], i))
+    if chosen is None:
+        # only after truncation: t full rounds always meet the bound
+        chosen = min(range(len(trees)), key=lambda i: (costs[i], i))
+        rounds = len(trees)
     # averaging: the cheapest of t edge-disjoint trees costs <= c(G)/t
-    assert costs[best] * len(trees) <= c_graph
+    assert costs[chosen] * rounds <= c_graph
     return WeightedThinTree(
-        tree_edges=tuple(sorted(trees[best])),
+        tree_edges=tuple(sorted(trees[chosen])),
         thinness=2 * g_val / k,
-        cost_ratio=costs[best] / c_graph if c_graph else Fraction(0),
-        c_tree=costs[best],
+        cost_ratio=costs[chosen] / c_graph if c_graph else Fraction(0),
+        c_tree=costs[chosen],
         c_graph=c_graph,
-        rounds=len(trees),
+        rounds=rounds,
         connectivity_trace=trace,
         truncated=truncated,
     )

@@ -72,7 +72,8 @@ def test_pipeline_cli_weighted(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["rounds"] == 3
     assert payload["thinness"] == "1/3"
-    assert len(payload["connectivity_trace"]) == 3
+    # extraction stops at the first tree that meets the averaging bound
+    assert 1 <= len(payload["connectivity_trace"]) <= payload["rounds"]
 
 
 def test_pipeline_cli_unweighted(tmp_path):
@@ -156,7 +157,7 @@ def test_atsp_default_denominator(tmp_path):
     assert sorted(payload["order"]) == list(range(8))
     run_cli(["verify", "tour", "--in", str(inst), "--tour", str(tour)])
     assert hashlib.sha256(tour.read_bytes()).hexdigest() == (
-        "4beebf1a485fc740ddfddd22ee05e014a66702868ab6eeedf16fabfa4d2db9f6")
+        "071c53d1d44a1be9bdfbe0a8e4cacdb1f19e6ed2293b55de91e6cfc47f9bd98a")
 
 
 @pytest.mark.parametrize("argv", [
@@ -248,7 +249,7 @@ CLI_GOLDEN_DIGESTS = {
     "handle-weighted.json":
         "41680404dc4436d8f1c80d0824e7d05bc38404113b6e0588d9b01ae2e63bd8f8",
     "lp8-tour.json":
-        "a3f695ae33186882be0334893c6cdc8ccf172dfaa5fc4b0151320fcac25ce6e2",
+        "223480e7fc5cdb28a87782712e49b3c3b05e8145da94d16ac2420f7ba95f2e96",
     "lp8.atsp":
         "5d8522d58ce50c01c30a15df311227a750f1ee654a80f5b06a81ccadf3cbd13e",
     "lp8.emb":

@@ -198,6 +198,15 @@ def test_restrict_rejects_partial_component(cube):
         cube.restrict_to_component([0, 1])
 
 
+def test_restrict_whole_graph_is_the_graph(cube):
+    g = amplify(cube, 2, costs=lambda new, old: new % 5 + 1)
+    (component,) = g.components()
+    assert g.restrict_to_component(component) is g
+    assert g.restrict_to_component(reversed(component)) is g
+    with pytest.raises(DisconnectedError):
+        g.restrict_to_component(component[:-1])
+
+
 def test_expand_parallel_bigons():
     cube = prism_graph(4)
     doubled, origin = expand_parallel(cube, {e: 2 for e in cube.edges()})

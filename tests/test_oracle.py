@@ -1,7 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from thintree.dual import Cut
+from thintree.embedding import expand_parallel
 from thintree.errors import EdgeAbsentError, NotHamiltonianError, TooLargeError
 from thintree.genlab import amplify, cycle_graph
 from thintree.heldkarp import ATSPInstance
@@ -10,6 +14,8 @@ from thintree.oracle import (
     brute_force_thinness,
     verify_tour,
 )
+
+from .test_embedding import rotation_systems
 
 
 def test_full_edge_set_ratio_one(cube):
@@ -45,6 +51,36 @@ def test_witness_achieves_ratio(cube):
                 != (doubled.endpoints(e)[1] in side)]
     in_f = [e for e in crossing if e in set(tree)]
     assert Fraction(len(in_f), len(crossing)) == report.max_ratio
+
+
+def per_copy_thinness(g, f_edges):
+    """Thinness by visiting every parallel copy for every cut, with the
+    oracle's cut order and witness rule."""
+    n = g.vertex_count
+    f_set = set(f_edges)
+    best, best_mask, checked = Fraction(0), 1, 0
+    for mask in range((1 << (n - 1)) - 1):
+        side = mask << 1 | 1
+        crossing = [e for e in g.edges()
+                    if (side >> g.endpoints(e)[0] & 1) != (side >> g.endpoints(e)[1] & 1)]
+        checked += 1
+        if crossing:
+            ratio = Fraction(sum(e in f_set for e in crossing), len(crossing))
+            if ratio > best:
+                best, best_mask = ratio, side
+    return best, Cut(frozenset(v for v in range(n) if best_mask >> v & 1)), checked
+
+
+@given(rotation_systems(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_grouped_thinness_matches_per_copy_enumeration(base, data):
+    assume(base.vertex_count >= 2)
+    multiplicity = {e: data.draw(st.integers(0, 4)) for e in base.edges()}
+    g, _ = expand_parallel(base, multiplicity)
+    f_edges = data.draw(st.sets(st.sampled_from(g.edges()))) if g.edges() else set()
+    report = brute_force_thinness(g, f_edges)
+    assert (report.max_ratio, report.witness_cut, report.cuts_checked) == (
+        per_copy_thinness(g, f_edges))
 
 
 def test_thinness_too_large():

@@ -21,6 +21,7 @@ from thintree.pipeline import (
 from thintree.prng import PCG32
 
 from .conftest import add_edge
+from .test_acceptance import _weighted_battery
 from .test_embedding import rotation_systems
 
 
@@ -216,3 +217,51 @@ def test_weighted_trees_are_edge_disjoint(cube):
         assert not (set(result.tree_edges) & seen)
         seen |= set(result.tree_edges)
         residual = residual.delete_edges(result.tree_edges)
+
+
+def expensive_first_tree():
+    """Cube x20 whose round-0 tree costs 1000 per edge, so that it misses
+    the averaging bound; returns the graph and that tree."""
+    g = amplify(prism_graph(4), 20, costs=seeded_costs(7))
+    first = bounded_genus_thin_tree(g).tree_edges
+    for e in first:
+        g.edge_cost[e] = Fraction(1000)
+    return g, first
+
+
+def test_weighted_early_stop_runs_past_an_expensive_first_tree():
+    g, first = expensive_first_tree()
+    w = weighted_thin_tree(g)
+    assert w.rounds == 3  # the planned t, still the divisor of the bound
+    assert len(w.connectivity_trace) == 2  # round 1 met it, round 2 never ran
+    assert not set(w.tree_edges) & set(first)
+    assert w.c_tree * w.rounds <= w.c_graph
+    assert brute_force_thinness(g, w.tree_edges).max_ratio <= w.thinness
+
+
+def _all_trees(g):
+    """Every one of the t planned edge-disjoint trees, until a residual
+    disconnects: the paper's extraction without an early stop."""
+    t = max(1, int(Fraction(edge_connectivity(g)) / (2 * genus_bound(g.genus()))))
+    trees = []
+    residual = g
+    for _ in range(t):
+        if not residual.is_connected():
+            break
+        trees.append(bounded_genus_thin_tree(residual).tree_edges)
+        residual = residual.delete_edges(trees[-1])
+    return t, trees
+
+
+def test_weighted_keeps_first_tree_that_meets_the_averaging_bound():
+    battery = [(name, g) for name, g, _ in _weighted_battery()]
+    battery.append(("cube x20, expensive first tree", expensive_first_tree()[0]))
+    for name, g in battery:
+        t, trees = _all_trees(g)
+        c_graph = g.total_cost()
+        costs = [sum(g.edge_cost[e] for e in tree) for tree in trees]
+        first = next(i for i, c in enumerate(costs) if c * t <= c_graph)
+        w = weighted_thin_tree(g)
+        assert w.tree_edges == tuple(sorted(trees[first])), name
+        assert (w.rounds, w.c_tree) == (t, costs[first]), name
+        assert len(w.connectivity_trace) == first + 1, name
