@@ -165,7 +165,6 @@ def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
     costs = []
     trace = []
     truncated = False
-    chosen = None
     residual = g
     for i in range(rounds):
         k_i = edge_connectivity(residual)
@@ -180,23 +179,25 @@ def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
         tree = bounded_genus_thin_tree(residual).tree_edges
         trees.append(tree)
         costs.append(sum((g.edge_cost[e] for e in tree), Fraction(0)))
-        if costs[i] * rounds <= c_graph:
-            chosen = i
+        if costs[-1] * rounds <= c_graph:
             break
         residual = residual.delete_edges(tree)
     if not trees:
         raise ExtractionFailureError("no extraction round succeeded")
-    if chosen is None:
-        # only after truncation: t full rounds always meet the bound
-        chosen = min(range(len(trees)), key=lambda i: (costs[i], i))
+
+    # Every tree before a qualifying one costs more than c(G)/t, so the
+    # cheapest extracted tree is the first that meets the bound.  A
+    # truncated run met none; its cheapest tree is averaged over the
+    # trees extracted, which are edge-disjoint.
+    best = min(range(len(trees)), key=lambda i: (costs[i], i))
+    if truncated:
         rounds = len(trees)
-    # averaging: the cheapest of t edge-disjoint trees costs <= c(G)/t
-    assert costs[chosen] * rounds <= c_graph
+    assert costs[best] * rounds <= c_graph
     return WeightedThinTree(
-        tree_edges=tuple(sorted(trees[chosen])),
+        tree_edges=tuple(sorted(trees[best])),
         thinness=2 * g_val / k,
-        cost_ratio=costs[chosen] / c_graph if c_graph else Fraction(0),
-        c_tree=costs[chosen],
+        cost_ratio=costs[best] / c_graph if c_graph else Fraction(0),
+        c_tree=costs[best],
         c_graph=c_graph,
         rounds=rounds,
         connectivity_trace=trace,
