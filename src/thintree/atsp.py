@@ -103,15 +103,11 @@ def expand_support_embedding(emb: EmbeddedGraph, mult: dict, c_prime: dict):
         raise EmbeddingMismatchError(
             f"support pairs {missing} not covered by the embedding")
 
-    def pair_of(e):
-        u, v = emb.endpoints(e)
-        return (min(u, v), max(u, v))
-
-    chosen = {pair_to_edge[key] for key in mult}
-    per_edge = {e: (mult[pair_of(e)] if e in chosen else 0) for e in emb.edges()}
+    chosen = {pair_to_edge[key]: key for key in mult}
     expanded, origin = expand_parallel(
-        emb, per_edge, cost_of=lambda e: c_prime[pair_of(e)])
-    copy_pair = {i: pair_of(e) for i, e in origin.items()}
+        emb, {e: mult[key] for e, key in chosen.items()},
+        {e: c_prime[key] for e, key in chosen.items()})
+    copy_pair = {i: chosen[e] for i, e in origin.items()}
     return expanded, copy_pair
 
 

@@ -118,7 +118,6 @@ def cmd_pipeline(args) -> int:
             "c_graph": _frac(result.c_graph),
             "rounds": result.rounds,
             "connectivity_trace": result.connectivity_trace,
-            "truncated": result.truncated,
         }
     else:
         payload = _tree_payload(g, bounded_genus_thin_tree(g))

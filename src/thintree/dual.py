@@ -406,14 +406,15 @@ def min_pairwise_distance(d: DualGraph, edge_ids) -> int | None:
 
 
 def cut_edges(g: EmbeddedGraph, cut: Cut) -> list[int]:
-    """Edge ids crossing the cut (loops never cross)."""
+    """Sorted ids of the edges crossing the cut (loops never cross).
+
+    Walks only the darts at the cut side: an edge crosses when exactly
+    one of its darts sits there, so each crossing edge is seen once.
+    """
     side = cut.side
-    out = []
-    for e in g.edges():
-        u, v = g.endpoints(e)
-        if (u in side) != (v in side):
-            out.append(e)
-    return out
+    owner = g.dart_owner
+    return sorted(d >> 1 for v in side for d in g.darts_at(v)
+                  if owner[d ^ 1] not in side)
 
 
 def cut_to_dual_cycles(g: EmbeddedGraph, d: DualGraph, cut: Cut) -> list[list[int]]:

@@ -207,7 +207,7 @@ class EmbeddedGraph:
         return EmbeddedGraph(len(vmap), owner, rot, cost)
 
 
-def expand_parallel(g: EmbeddedGraph, multiplicity, cost_of=None):
+def expand_parallel(g: EmbeddedGraph, multiplicity, cost=None):
     """Replace each edge e by ``multiplicity[e]`` adjacent parallel copies.
 
     Copies are inserted in one order at the side of dart 2e and in reverse
@@ -216,8 +216,8 @@ def expand_parallel(g: EmbeddedGraph, multiplicity, cost_of=None):
     first.  Returns (expanded graph, map new edge id -> old edge id); new
     ids are contiguous, assigned in old-id order.
 
-    ``cost_of`` optionally maps an old edge id to the cost carried by each
-    of its copies.
+    ``cost`` optionally maps an old edge id to the Fraction that each of
+    its copies carries.
     """
     zero = [e for e in g.edges() if multiplicity.get(e, 0) == 0]
     base = g.delete_edges(zero) if zero else g
@@ -245,8 +245,8 @@ def expand_parallel(g: EmbeddedGraph, multiplicity, cost_of=None):
             rot[d] = cycle[(i + 1) % len(cycle)]
 
     costs = None
-    if cost_of is not None:
-        costs = {i: Fraction(cost_of(origin[i])) for i in origin}
+    if cost is not None:
+        costs = {i: cost[e] for i, e in origin.items()}
     expanded = EmbeddedGraph(base.vertex_count, owner, rot, costs)
     if expanded.genus() != base.genus():
         raise OddEulerDefectError("parallel expansion changed the genus")

@@ -9,10 +9,8 @@ with a few cheap edges.
 ``weighted_thin_tree`` extracts edge-disjoint thin trees from the residual
 graph, trading a factor 2 in thinness for a cost ratio of 1/t over t
 planned trees.  The paper keeps the cheapest of the t trees; this build
-keeps the first one with c(T)*t <= c(G).  Every extracted tree is already
-2f(g)/k-thin, and averaging over t edge-disjoint trees guarantees that one
-meets the cost bound, so the first such tree carries the same two bounds
-and the remaining rounds are skipped.
+keeps the first one with c(T)*t <= c(G), which averaging over t
+edge-disjoint trees guarantees, and skips the remaining rounds.
 """
 
 from __future__ import annotations
@@ -53,11 +51,11 @@ def _connector_edges(g: EmbeddedGraph, h: EmbeddedGraph, candidates) -> list[int
     members = list(h.components())
     label = {v: i for i, component in enumerate(members) for v in component}
 
-    def cost_of(e):
-        return g.edge_cost[e] if g.edge_cost is not None else Fraction(0)
+    def kruskal_key(e):
+        return (g.edge_cost[e] if g.edge_cost is not None else 0, e)
 
     out = []
-    for e in sorted(candidates, key=lambda e: (cost_of(e), e)):
+    for e in sorted(candidates, key=kruskal_key):
         u, v = g.endpoints(e)
         a, b = label[u], label[v]
         if a != b:
@@ -122,11 +120,8 @@ class WeightedThinTree:
     ``thinness`` is the claimed bound 2*genus_bound(genus)/k; ``cost_ratio``
     is the measured c(T)/c(G).  ``rounds`` is the planned number of
     edge-disjoint trees t = floor(k / 2*genus_bound(genus)), the divisor of
-    the averaging bound, unless a truncated run fell back to the cheapest
-    of the trees it extracted; then it is their number.
-    ``connectivity_trace`` holds the measured edge connectivity of each
-    residual round that ran, and ``truncated`` flags an early stop because a
-    residual graph disconnected.
+    the averaging bound.  ``connectivity_trace`` holds the measured edge
+    connectivity of each residual round that ran.
     """
 
     tree_edges: tuple[int, ...]
@@ -136,7 +131,6 @@ class WeightedThinTree:
     c_graph: Fraction
     rounds: int
     connectivity_trace: list = field(default_factory=list)
-    truncated: bool = False
 
 
 def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
@@ -146,11 +140,8 @@ def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
     The thinness numerator g is genus_bound(genus).  Each residual round
     must keep connectivity at least k - i*g >= k/2, so every extracted tree
     is 2g/k-thin in g, and by averaging one of t edge-disjoint trees meets
-    the cost bound (the module docstring says why the first one suffices).
-    A connected schedule violation raises ExtractionFailureError; a
-    disconnected residual truncates the rounds (reported via ``truncated``),
-    and if no extracted tree met the bound, the cheapest of them is kept,
-    averaged over their number.
+    the cost bound.  A round below the schedule, a disconnected residual
+    among them, raises ExtractionFailureError.
     """
     if g.edge_cost is None:
         raise ValueError("weighted_thin_tree needs edge costs")
@@ -161,45 +152,30 @@ def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
     rounds = max(1, int(Fraction(k) / (2 * g_val)))
     c_graph = g.total_cost()
 
-    trees = []
-    costs = []
     trace = []
-    truncated = False
     residual = g
     for i in range(rounds):
         k_i = edge_connectivity(residual)
-        if k_i == 0:
-            truncated = True
-            break
         if Fraction(k_i) < Fraction(k) - i * g_val:
             raise ExtractionFailureError(
                 f"round {i}: residual connectivity {k_i} below schedule "
                 f"{Fraction(k) - i * g_val}")
         trace.append(k_i)
         tree = bounded_genus_thin_tree(residual).tree_edges
-        trees.append(tree)
-        costs.append(sum((g.edge_cost[e] for e in tree), Fraction(0)))
-        if costs[-1] * rounds <= c_graph:
+        c_tree = sum((g.edge_cost[e] for e in tree), Fraction(0))
+        if c_tree * rounds <= c_graph:
             break
         residual = residual.delete_edges(tree)
-    if not trees:
-        raise ExtractionFailureError("no extraction round succeeded")
-
-    # Every tree before a qualifying one costs more than c(G)/t, so the
-    # cheapest extracted tree is the first that meets the bound.  A
-    # truncated run met none; its cheapest tree is averaged over the
-    # trees extracted, which are edge-disjoint.
-    best = min(range(len(trees)), key=lambda i: (costs[i], i))
-    if truncated:
-        rounds = len(trees)
-    assert costs[best] * rounds <= c_graph
+    else:
+        raise ExtractionFailureError(
+            f"none of {rounds} extracted trees costs at most c(G)/{rounds}: "
+            "the trees were not edge-disjoint")
     return WeightedThinTree(
-        tree_edges=tuple(sorted(trees[best])),
+        tree_edges=tuple(sorted(tree)),
         thinness=2 * g_val / k,
-        cost_ratio=costs[best] / c_graph if c_graph else Fraction(0),
-        c_tree=costs[best],
+        cost_ratio=c_tree / c_graph if c_graph else Fraction(0),
+        c_tree=c_tree,
         c_graph=c_graph,
         rounds=rounds,
         connectivity_trace=trace,
-        truncated=truncated,
     )

@@ -165,6 +165,21 @@ def test_expand_support_embedding_mismatch():
         expand_support_embedding(emb, {(0, 2): 3}, {(0, 2): Fraction(1)})
 
 
+def test_expand_support_embedding_copies_and_costs():
+    matrix, emb = lp_support_instance(8, PCG32(2))
+    inst = ATSPInstance.from_matrix(matrix)
+    y, c_prime = symmetrize(solve_held_karp(inst), inst)
+    mult, _, _ = discretize(y, 60, inst.n)
+    expanded, copy_pair = expand_support_embedding(emb, mult, c_prime)
+    assert sorted(copy_pair) == expanded.edges()
+    copies = {}
+    for i, pair in copy_pair.items():
+        copies[pair] = copies.get(pair, 0) + 1
+        assert expanded.edge_cost[i] == c_prime[pair]
+        assert set(expanded.endpoints(i)) == set(pair)
+    assert copies == mult
+
+
 def test_atsp_approx_planar_instances():
     for n, seed in [(6, 1), (8, 2)]:
         matrix, emb = lp_support_instance(n, PCG32(seed))

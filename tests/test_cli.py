@@ -247,7 +247,7 @@ CLI_GOLDEN_DIGESTS = {
     "handle-surgery.log":
         "1b1de519905ebb81703e6ab889998825bd19fa43c9b410c805069ed8134dddb1",
     "handle-weighted.json":
-        "41680404dc4436d8f1c80d0824e7d05bc38404113b6e0588d9b01ae2e63bd8f8",
+        "bed0a80e85bcb16265599d9c3769d6dd2e2710bb6929cce3f43670487c260949",
     "lp8-tour.json":
         "223480e7fc5cdb28a87782712e49b3c3b05e8145da94d16ac2420f7ba95f2e96",
     "lp8.atsp":
@@ -263,7 +263,7 @@ CLI_GOLDEN_DIGESTS = {
     "torus-surgery.log":
         "36bbe9c7ab03937a139ee73e521e276f3203dd7a2900c140f7230cde66e3f98b",
     "torus-weighted.json":
-        "1f65f8d108fe5e06499369476c4bbcc8e0f3f3a81baf9d9333272e563cc32e60",
+        "636eb8d33da2bcc9238ca212d3d01a8f63d08e5f576aaf3916d5f126a7e5f392",
     "torus.emb":
         "4a6c22180bb831bde7c307bc53ebe2cada81e91b6dbcbdcd418afd369a2cf6eb",
 }

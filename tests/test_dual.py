@@ -195,6 +195,15 @@ def test_all_cuts_decompose_exactly(cube):
                 assert_closed_walk(d, cycle)
 
 
+@given(rotation_systems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_cut_edges_match_an_endpoint_scan(g, data):
+    side = frozenset(data.draw(st.sets(st.integers(0, g.vertex_count - 1))))
+    scan = [e for e in g.edges()
+            if (g.endpoints(e)[0] in side) != (g.endpoints(e)[1] in side)]
+    assert cut_edges(g, Cut(side)) == scan
+
+
 # Exact output (cycle order and walk order) of cut_to_dual_cycles, recorded
 # from the original rescanning implementation, for cuts with several cycles.
 GOLDEN_CUTS = [

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,6 +216,16 @@ def test_expand_parallel_bigons():
     assert doubled.genus() == 0
     assert sorted(len(f) for f in doubled.faces()) == [2] * 12 + [4] * 6
     assert all(origin[i] == i // 2 for i in range(24))
+
+
+def test_expand_parallel_copies_share_their_edge_cost():
+    cube = prism_graph(4)
+    mult = {e: 1 + e % 3 for e in cube.edges()}
+    cost = {e: Fraction(e + 1, 3) for e in cube.edges()}
+    g, origin = expand_parallel(cube, mult, cost)
+    assert g.edge_count == sum(mult.values())
+    assert g.edge_cost == {i: cost[origin[i]] for i in origin}
+    assert expand_parallel(cube, mult)[0].edge_cost is None
 
 
 def test_expand_parallel_zero_deletes():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thintree.embedding import build_embedding
-from thintree.errors import DisconnectedError
+from thintree import pipeline
+from thintree.embedding import EmbeddedGraph, build_embedding
+from thintree.errors import DisconnectedError, ExtractionFailureError
 from thintree.flows import edge_connectivity
 from thintree.genlab import amplify, cycle_graph, prism_graph, torus_grid
 from thintree.oracle import (
@@ -189,7 +190,6 @@ def test_weighted_single_round_degenerate():
     w = weighted_thin_tree(g)
     assert w.rounds == 1  # k = 10 < 4 g(k)
     assert w.cost_ratio <= 1
-    assert not w.truncated
 
 
 def test_weighted_torus_instance():
@@ -237,6 +237,25 @@ def test_weighted_early_stop_runs_past_an_expensive_first_tree():
     assert not set(w.tree_edges) & set(first)
     assert w.c_tree * w.rounds <= w.c_graph
     assert brute_force_thinness(g, w.tree_edges).max_ratio <= w.thinness
+
+
+def test_weighted_disconnected_residual_breaks_the_schedule(monkeypatch):
+    """A residual measured at connectivity 0 fails the schedule check like
+    any other shortfall: there is no truncated run to fall back on."""
+    g, _ = expensive_first_tree()
+    monkeypatch.setattr(pipeline, "edge_connectivity",
+                        lambda h: edge_connectivity(h) if h is g else 0)
+    with pytest.raises(ExtractionFailureError, match="round 1"):
+        weighted_thin_tree(g)
+
+
+def test_weighted_repeated_trees_fail_typed(monkeypatch):
+    """Residuals that kept the extracted edges would let the trees repeat,
+    and then none need meet the averaging bound."""
+    g, _ = expensive_first_tree()
+    monkeypatch.setattr(EmbeddedGraph, "delete_edges", lambda self, edges: self)
+    with pytest.raises(ExtractionFailureError, match="not edge-disjoint"):
+        weighted_thin_tree(g)
 
 
 def _all_trees(g):
