@@ -82,6 +82,10 @@ class IterationLimitError(ThinTreeError):
     """Cutting-plane loop exceeded its iteration budget."""
 
 
+class DualCertificateError(ThinTreeError):
+    """The Held-Karp duals do not prove the LP value optimal."""
+
+
 class ConnectivityShortfallError(ThinTreeError):
     """Discretized multigraph is less connected than the rounding guarantee."""
 

@@ -3,9 +3,11 @@
 The restricted LP keeps the degree equalities and the subtour constraints
 found so far; separation is a global directed min cut on the current support
 (n-1 max-flow pairs with the fractional values as capacities).  The most
-violated cut is added and the LP re-solved until no directed cut falls below
-one.  The simplex is exact, so the final solution is exactly feasible and
-exactly optimal over the generated constraint set at every n.
+violated cut is added and the LP re-solved by dual simplex on the kept
+tableau (Lemke 1954) until no directed cut falls below one.  The simplex is
+exact, so the final solution is exactly feasible and exactly optimal over
+the generated constraint set at every n, and every solve re-asserts that
+optimality with the exact duals of its final tableau.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IterationLimitError
+from .errors import DualCertificateError, IterationLimitError
 from .flows import directed_global_min_cut
 from .simplex import solve_lp
 
@@ -56,17 +58,73 @@ class ATSPInstance:
 
 
 @dataclass
+class HKDuals:
+    """Optimal duals of the final restricted LP, as integer numerators over
+    one positive ``denominator``.
+
+    ``u_out[v]`` and ``u_in[v]`` price the degree rows of vertex v, and
+    ``z[r]`` the subtour row x(delta+(S)) >= 1 of ``sides[r]`` (a sorted
+    tuple S), in the order the cuts were found.
+    """
+
+    u_out: list
+    u_in: list
+    z: list
+    sides: list
+    denominator: int
+
+
+@dataclass
 class HKSolution:
     """Optimal fractional solution of the Held-Karp relaxation.
 
     ``x`` maps arcs (i, j) to positive Fractions (zero arcs are omitted),
-    ``objective`` is the LP optimum and ``cuts_added`` counts subtour
-    constraints generated.
+    ``objective`` is the LP optimum, ``cuts_added`` counts subtour
+    constraints generated and ``duals`` certifies the optimum.
     """
 
     x: dict
     objective: Fraction
     cuts_added: int
+    duals: HKDuals | None = None
+
+
+def check_dual_certificate(cost, duals: HKDuals, objective: Fraction) -> None:
+    """Raise DualCertificateError unless ``duals`` is a feasible dual of the
+    restricted LP whose value is ``objective``.
+
+    Checks, exactly: every z_S >= 0; every arc (i, j) has reduced cost
+    c_ij - u_out[i] - u_in[j] - sum(z_S : i in S, j not in S) >= 0; and
+    sum(u) + sum(z) equals ``objective``.  By weak duality the primal
+    value is then optimal over the degree rows and these cuts.
+    """
+    n = len(cost)
+    den = duals.denominator
+    if den <= 0:
+        raise DualCertificateError(f"denominator {den} is not positive")
+    crossing = [[0] * n for _ in range(n)]
+    for z, side in zip(duals.z, duals.sides, strict=True):
+        if z < 0:
+            raise DualCertificateError(f"cut {side} has dual {Fraction(z, den)} < 0")
+        if z:
+            inside = set(side)
+            outside = [j for j in range(n) if j not in inside]
+            for i in side:
+                row = crossing[i]
+                for j in outside:
+                    row[j] += z
+    for i in range(n):
+        u_i, row, cost_i = duals.u_out[i], crossing[i], cost[i]
+        for j in range(n):
+            if i == j:
+                continue
+            c = cost_i[j]
+            if c.numerator * den < c.denominator * (u_i + duals.u_in[j] + row[j]):
+                raise DualCertificateError(f"arc ({i}, {j}) has a negative reduced cost")
+    total = sum(duals.u_out) + sum(duals.u_in) + sum(duals.z)
+    if total * objective.denominator != objective.numerator * den:
+        raise DualCertificateError(
+            f"dual value {Fraction(total, den)} != objective {objective}")
 
 
 def solve_held_karp(inst: ATSPInstance) -> HKSolution:
@@ -74,9 +132,9 @@ def solve_held_karp(inst: ATSPInstance) -> HKSolution:
 
     The 0 <= x <= 1 bounds are implied by the degree equalities, so only
     those equalities plus the generated cut constraints reach the simplex.
-    Each row is built once: the 2n degree rows before the first round, a
-    cut row when separation finds its side.  With k cuts every row is
-    padded by k slack columns, and cut r reads x(delta+(S_r)) - s_r = 1.
+    One cold solve takes the 2n degree rows; each cut found afterwards is
+    appended to its optimal tableau as x(delta+(S)) - s = 1 with a new
+    slack s, and dual simplex pivots restore the optimum.
     """
     n = inst.n
     if n < 3:
@@ -87,24 +145,28 @@ def solve_held_karp(inst: ATSPInstance) -> HKSolution:
     for col, (i, j) in enumerate(arcs):
         degree_rows[i][col] = 1
         degree_rows[n + j][col] = 1
-    cut_rows = []
+    result = solve_lp(costs, degree_rows, [1] * (2 * n))
+    sides = []
     seen_sides = set()
 
     while True:
-        k = len(cut_rows)
-        if k >= MAX_CUT_ROUNDS:
-            raise IterationLimitError(f"{k + 1} cutting-plane rounds")
-        rows = [row + [0] * k for row in degree_rows]
-        rows += [row + [0] * r + [-1] + [0] * (k - 1 - r)
-                 for r, row in enumerate(cut_rows)]
-        result = solve_lp(costs + [0] * k, rows, [1] * len(rows))
-
         x = {a: val for a, val in zip(arcs, result.values) if val > 0}
         value, side = directed_global_min_cut(n, x)
         if value is None or value >= 1:
-            return HKSolution(x=x, objective=result.objective, cuts_added=k)
+            break
         key = tuple(sorted(side))
         if key in seen_sides:
             raise IterationLimitError(f"separation repeated the cut {key}")
         seen_sides.add(key)
-        cut_rows.append([int(i in side and j not in side) for i, j in arcs])
+        sides.append(key)
+        if len(sides) >= MAX_CUT_ROUNDS:
+            raise IterationLimitError(f"{len(sides) + 1} cutting-plane rounds")
+        result = result.tableau.add_row(
+            [int(i in side and j not in side) for i, j in arcs], 1)
+
+    rows, z, den = result.tableau.duals()
+    duals = HKDuals(u_out=rows[:n], u_in=rows[n:], z=z, sides=sides,
+                    denominator=den)
+    check_dual_certificate(inst.cost, duals, result.objective)
+    return HKSolution(x=x, objective=result.objective, cuts_added=len(sides),
+                      duals=duals)

@@ -6,6 +6,12 @@ T/d); pivots are integer-preserving, exact by Sylvester's identity (Bareiss,
 Math. Comp. 1968).  Pivoting is Dantzig's rule with smallest-index tie
 breaks, switching to Bland's rule after a burn-in so degenerate instances
 cannot cycle.  Everything is deterministic.
+
+An optimal tableau takes further rows a.x - s = b, each with a new slack
+s >= 0, and the LP is re-solved by dual simplex on the kept tableau (Lemke
+1954): the new row starts with s basic, every reduced cost stays
+non-negative, and pivots remove the rows with a negative right-hand side.
+The objective row also carries the exact row duals (``Tableau.duals``).
 """
 
 from __future__ import annotations
@@ -17,48 +23,34 @@ from .errors import InfeasibleError
 
 
 class LPResult:
-    def __init__(self, objective, values):
+    def __init__(self, objective, values, tableau):
         self.objective = objective
         self.values = values
+        self.tableau = tableau  # the optimal tableau, for add_row
 
 
-def solve_lp(costs, rows, rhs):
-    """Minimize costs.x over A x = b, x >= 0.
+class Tableau:
+    """Integer simplex tableau over one denominator ``d``.
 
-    Parameters:
-        costs: per-variable objective coefficients (ints or Fractions).
-        rows: list of integer constraint coefficient lists (dense, len == #vars).
-        rhs: integer right-hand sides, all >= 0.
-
-    Objective and values are Fractions.  Raises InfeasibleError when the
-    feasible region is empty and ValueError on malformed input.
-    Unboundedness raises AssertionError (our LPs are bounded by construction).
+    Columns: ``num_vars`` real variables, one artificial per original row
+    (kept through phase 2, so the objective row prices them), then the rhs.
+    The last row is the objective, scaled by ``d * scale`` where ``scale``
+    clears the cost denominators.  Row i has basic variable ``basis[i]``.
     """
-    num_vars = len(costs)
-    m = len(rows)
-    costs = [Fraction(c) for c in costs]
-    scale = math.lcm(*(c.denominator for c in costs))
-    int_costs = [int(c * scale) for c in costs]
 
-    # tableau columns: real vars, artificials, rhs; real tableau is T / d
-    width = num_vars + m + 1
-    tableau = []
-    for i, row in enumerate(rows):
-        if len(row) != num_vars:
-            raise ValueError("ragged constraint row")
-        t_row = [int(v) for v in row] + [0] * m + [int(rhs[i])]
-        if t_row[:num_vars] != list(row) or t_row[-1] != rhs[i]:
-            raise ValueError("constraint rows and rhs must be integers")
-        if rhs[i] < 0:
-            raise ValueError("rhs must be non-negative")
-        t_row[num_vars + i] = 1
-        tableau.append(t_row)
-    basis = [num_vars + i for i in range(m)]
-    d = 1
+    def __init__(self, rows, num_vars, scale):
+        self.tableau = rows
+        self.basis = [num_vars + i for i in range(len(rows))]
+        self.d = 1
+        self.num_vars = num_vars
+        self.num_rows = len(rows)  # original rows, one artificial each
+        self.num_added = 0         # rows appended by add_row
+        self.scale = scale
 
-    def pivot(row_i, col_j):
+    def pivot(self, row_i, col_j):
         # every other row becomes (p*T[i] - T[i][s]*T[r]) / d, exactly
-        nonlocal d
+        tableau = self.tableau
+        d = self.d
         p = tableau[row_i][col_j]
         prow = tableau[row_i]
         nonzero = [j for j, w in enumerate(prow) if w]
@@ -75,14 +67,17 @@ def solve_lp(costs, rows, rhs):
             else:
                 tableau[i] = [(p * v - factor * w) // d
                               for v, w in zip(target, prow)]
-        d = p
-        if d < 0:  # only a drive-out pivot can be negative
-            d = -d
+        self.d = p
+        if p < 0:  # a drive-out or dual simplex pivot
+            self.d = -p
             tableau[:] = [[-v for v in target] for target in tableau]
-        basis[row_i] = col_j
+        self.basis[row_i] = col_j
 
-    def run_phase():
-        # only real variables enter; artificials never return to the basis
+    def run_phase(self):
+        """Primal simplex; only real variables enter, artificials never
+        return to the basis."""
+        tableau, basis, num_vars = self.tableau, self.basis, self.num_vars
+        m = len(basis)
         iterations = 0
         bland_after = 20 * (m + num_vars) + 200
         while True:
@@ -109,27 +104,159 @@ def solve_lp(costs, rows, rhs):
                 a = tableau[i][enter]
                 if a <= 0:
                     continue
-                b = tableau[i][width - 1]
+                b = tableau[i][-1]
                 if leave >= 0:
                     new, old = b * best_a, best_b * a
                     if new > old or (new == old and basis[i] > basis[leave]):
                         continue
                 leave, best_a, best_b = i, a, b
             assert leave >= 0, "LP unbounded: invalid model"
-            pivot(leave, enter)
+            self.pivot(leave, enter)
             assert iterations < 200000, "simplex failed to terminate"
+
+    def run_dual(self):
+        """Dual simplex from a dual feasible tableau: the row with the most
+        negative rhs leaves (after the burn-in, the one with the smallest
+        basic index), and the real column j with T[r][j] < 0 that minimises
+        obj[j] / -T[r][j] enters, ties to the smallest j."""
+        tableau, basis, num_vars = self.tableau, self.basis, self.num_vars
+        m = len(basis)
+        iterations = 0
+        bland_after = 20 * (m + num_vars) + 200
+        while True:
+            iterations += 1
+            leave = -1
+            if iterations <= bland_after:
+                best = 0
+                for i in range(m):
+                    if tableau[i][-1] < best:
+                        best = tableau[i][-1]
+                        leave = i
+            else:  # Bland: infeasible row with the smallest basic index
+                for i in range(m):
+                    if tableau[i][-1] < 0 and (
+                            leave < 0 or basis[i] < basis[leave]):
+                        leave = i
+            if leave < 0:
+                return
+            row, obj_row = tableau[leave], tableau[m]
+            enter = -1
+            for j in range(num_vars):
+                a = row[j]
+                if a >= 0:
+                    continue
+                c = obj_row[j]
+                # c / -a < best_c / -best_a, by cross-multiplying
+                if enter < 0 or c * best_a > best_c * a:
+                    enter, best_a, best_c = j, a, c
+            if enter < 0:
+                raise InfeasibleError(f"row {leave} cannot reach rhs >= 0")
+            self.pivot(leave, enter)
+            assert iterations < 200000, "dual simplex failed to terminate"
+
+    def add_row(self, coeffs, rhs):
+        """Append ``coeffs . x - s = rhs`` with a new slack s >= 0 and
+        re-optimise by dual simplex.
+
+        ``coeffs`` are integers for the first ``len(coeffs)`` real
+        variables; the others have coefficient 0.  The slack becomes real
+        variable ``num_vars`` (before the artificials, which shift right),
+        basic in the new row; it costs 0, so the objective row is unchanged
+        and stays dual feasible.  Raises InfeasibleError when no x >= 0
+        satisfies the enlarged system.
+        """
+        tableau, basis, col = self.tableau, self.basis, self.num_vars
+        coeffs = list(coeffs) + [0] * (col - len(coeffs))
+        if len(coeffs) != col or any(int(a) != a for a in coeffs + [rhs]):
+            raise ValueError("row must be integers over the real variables")
+        for target in tableau:
+            target.insert(col, 0)
+        d = self.d
+        # d * (a, -1, b) minus each basic column's multiple of its row,
+        # negated so that s is basic with entry +d; every basic variable is
+        # real, as solve_lp drives the artificials out
+        new = [-d * int(a) for a in coeffs] + [d] + [0] * (
+            len(tableau[0]) - col - 2) + [-d * int(rhs)]
+        for i, b in enumerate(basis):
+            factor = coeffs[b]
+            if factor:
+                new = [v + factor * w for v, w in zip(new, tableau[i])]
+        tableau.insert(len(basis), new)
+        basis.append(col)
+        self.num_vars += 1
+        self.num_added += 1
+        self.run_dual()
+        return self.result()
+
+    def result(self):
+        d, m, num_vars = self.d, len(self.basis), self.num_vars
+        values = [Fraction(0)] * num_vars
+        for i in range(m):
+            if self.basis[i] < num_vars:
+                values[self.basis[i]] = Fraction(self.tableau[i][-1], d)
+        objective = Fraction(-self.tableau[m][-1], d * self.scale)
+        return LPResult(objective, values, self)
+
+    def duals(self):
+        """Optimal row duals as integer numerators over ``d * scale``.
+
+        Returns (original-row duals, added-row duals, denominator).  The
+        dual of original row i is minus the reduced cost of its
+        artificial; that of the r-th added row is the reduced cost of its
+        slack, the column -e_r.  A row dropped as redundant has dual 0.
+        """
+        obj_row = self.tableau[len(self.basis)]
+        first_slack = self.num_vars - self.num_added
+        rows = [-v for v in obj_row[self.num_vars:self.num_vars + self.num_rows]]
+        added = obj_row[first_slack:self.num_vars]
+        return rows, added, self.d * self.scale
+
+
+def solve_lp(costs, rows, rhs):
+    """Minimize costs.x over A x = b, x >= 0.
+
+    Parameters:
+        costs: per-variable objective coefficients (ints or Fractions).
+        rows: list of integer constraint coefficient lists (dense, len == #vars).
+        rhs: integer right-hand sides, all >= 0.
+
+    Objective and values are Fractions; ``tableau`` is the optimal
+    tableau, which takes further rows.  Raises InfeasibleError when the
+    feasible region is empty and ValueError on malformed input.
+    Unboundedness raises AssertionError (our LPs are bounded by construction).
+    """
+    num_vars = len(costs)
+    m = len(rows)
+    costs = [Fraction(c) for c in costs]
+    scale = math.lcm(*(c.denominator for c in costs))
+    int_costs = [int(c * scale) for c in costs]
+
+    # tableau columns: real vars, artificials, rhs; real tableau is T / d
+    width = num_vars + m + 1
+    tableau = []
+    for i, row in enumerate(rows):
+        if len(row) != num_vars:
+            raise ValueError("ragged constraint row")
+        t_row = [int(v) for v in row] + [0] * m + [int(rhs[i])]
+        if t_row[:num_vars] != list(row) or t_row[-1] != rhs[i]:
+            raise ValueError("constraint rows and rhs must be integers")
+        if rhs[i] < 0:
+            raise ValueError("rhs must be non-negative")
+        t_row[num_vars + i] = 1
+        tableau.append(t_row)
+    t = Tableau(tableau, num_vars, scale)
 
     # phase 1: minimize sum of artificials
     obj = [0] * num_vars + [1] * m + [0]
     for row in tableau:  # price out the artificial basis
         obj = [o - v for o, v in zip(obj, row)]
     tableau.append(obj)
-    run_phase()
-    if tableau[m][width - 1] != 0:
-        infeas = Fraction(-tableau[m][width - 1], d)
-        raise InfeasibleError(f"phase-1 objective {infeas}")
+    t.run_phase()
+    if tableau[m][-1] != 0:
+        raise InfeasibleError(f"phase-1 objective {Fraction(-tableau[m][-1], t.d)}")
 
     # drive leftover artificials out of the basis, dropping redundant rows
+    basis = t.basis
     drop = []
     for i in range(m):
         if basis[i] < num_vars:
@@ -138,25 +265,18 @@ def solve_lp(costs, rows, rhs):
         if enter == -1:
             drop.append(i)
         else:
-            pivot(i, enter)
-    if drop:
-        for i in reversed(drop):
-            del tableau[i]
-            del basis[i]
-        m = len(basis)
+            t.pivot(i, enter)
+    for i in reversed(drop):
+        del tableau[i]
+        del basis[i]
+    m = len(basis)
 
     # phase 2: original objective over real variables, scaled to integers
-    obj = [d * c for c in int_costs] + [0] * (width - num_vars)
+    obj = [t.d * c for c in int_costs] + [0] * (width - num_vars)
     for i in range(m):
         factor = int_costs[basis[i]]
         if factor != 0:
             obj = [o - factor * v for o, v in zip(obj, tableau[i])]
     tableau[m] = obj
-    run_phase()
-
-    values = [Fraction(0)] * num_vars
-    for i in range(m):
-        if basis[i] < num_vars:
-            values[basis[i]] = Fraction(tableau[i][width - 1], d)
-    objective = Fraction(-tableau[m][width - 1], d * scale)
-    return LPResult(objective, values)
+    t.run_phase()
+    return t.result()

@@ -2,10 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from thintree.errors import InfeasibleError
+from thintree.errors import DualCertificateError, InfeasibleError
 from thintree.flows import directed_global_min_cut
-from thintree.heldkarp import ATSPInstance, solve_held_karp
-from thintree.genlab import random_metric
+from thintree.heldkarp import (
+    ATSPInstance,
+    HKDuals,
+    check_dual_certificate,
+    solve_held_karp,
+)
+from thintree.genlab import lp_support_instance, random_metric
 from thintree.oracle import brute_force_atsp
 from thintree.prng import PCG32
 from thintree.simplex import solve_lp
@@ -111,3 +116,92 @@ def test_simplex_redundant_rows():
     result = solve_lp([1, 2], [[1, 1], [2, 2]], [1, 2])
     assert result.objective == 1
     assert result.values == [1, 0]
+
+
+# lp-support (even n >= 6) and random-metric instances for n = 3-14
+CERTIFIED = ([("lp-support", n, seed) for n in range(6, 15, 2) for seed in (1, 2)]
+             + [("random-metric", n, seed) for n in range(3, 15) for seed in (0, 1)])
+
+
+def _instance(family, n, seed):
+    if family == "lp-support":
+        matrix, _ = lp_support_instance(n, PCG32(seed))
+    else:
+        matrix = random_metric(n, PCG32(seed))
+    return ATSPInstance.from_matrix(matrix)
+
+
+def _cold_objective(inst, sides):
+    """A cold solve_lp over the degree rows and the cut rows of ``sides``."""
+    n = inst.n
+    arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    k = len(sides)
+    rows = []
+    for v in range(n):
+        rows.append([int(i == v) for i, _ in arcs] + [0] * k)
+    for v in range(n):
+        rows.append([int(j == v) for _, j in arcs] + [0] * k)
+    for r, side in enumerate(sides):
+        rows.append([int(i in side and j not in side) for i, j in arcs]
+                    + [-int(r == q) for q in range(k)])
+    costs = [inst.cost[i][j] for i, j in arcs] + [0] * k
+    return solve_lp(costs, rows, [1] * len(rows)).objective
+
+
+@pytest.mark.parametrize("family,n,seed", CERTIFIED)
+def test_dual_certificate_and_cold_objective(family, n, seed):
+    inst = _instance(family, n, seed)
+    sol = solve_held_karp(inst)
+    duals = sol.duals
+    assert len(duals.z) == len(duals.sides) == sol.cuts_added
+    assert len(duals.u_out) == len(duals.u_in) == n
+    check_dual_certificate(inst.cost, duals, sol.objective)
+    # a wrong warm pivot that still ends would leave a different value
+    assert sol.objective == _cold_objective(inst, duals.sides)
+
+
+def _perturbed(duals, **fields):
+    values = {"u_out": list(duals.u_out), "u_in": list(duals.u_in),
+              "z": list(duals.z), "sides": duals.sides,
+              "denominator": duals.denominator}
+    values.update(fields)
+    return HKDuals(**values)
+
+
+def test_perturbed_duals_are_rejected():
+    inst = _instance("lp-support", 14, 1)
+    sol = solve_held_karp(inst)
+    duals = sol.duals
+    assert duals.z, "the instance needs subtour cuts"
+    check_dual_certificate(inst.cost, duals, sol.objective)
+    for r in range(len(duals.z)):  # one z_S up by 1 / (d * scale)
+        z = list(duals.z)
+        z[r] += 1
+        with pytest.raises(DualCertificateError):
+            check_dual_certificate(inst.cost, _perturbed(duals, z=z), sol.objective)
+    for v in range(inst.n):  # one u down by 1 / (d * scale)
+        for name in ("u_out", "u_in"):
+            u = list(getattr(duals, name))
+            u[v] -= 1
+            with pytest.raises(DualCertificateError):
+                check_dual_certificate(inst.cost, _perturbed(duals, **{name: u}),
+                                       sol.objective)
+    # the same dual value, but an arc of the optimum x priced below zero
+    i, j = min(sol.x)
+    v = next(v for v in range(inst.n) if v not in (i, j))
+    u_out, u_in = list(duals.u_out), list(duals.u_in)
+    u_out[i] += 1
+    u_in[v] -= 1
+    with pytest.raises(DualCertificateError, match="reduced cost"):
+        check_dual_certificate(inst.cost, _perturbed(duals, u_out=u_out, u_in=u_in),
+                               sol.objective)
+    # a negative cut dual is rejected even when the sum still matches
+    z, u_out = list(duals.z), list(duals.u_out)
+    shift = duals.z[0] + duals.denominator
+    z[0] -= shift
+    u_out[0] += shift
+    with pytest.raises(DualCertificateError, match="< 0"):
+        check_dual_certificate(inst.cost, _perturbed(duals, z=z, u_out=u_out),
+                               sol.objective)
+    with pytest.raises(DualCertificateError):
+        check_dual_certificate(inst.cost, duals, sol.objective + Fraction(1, 7))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thintree.errors import InfeasibleError
 from thintree.simplex import solve_lp
 
 
@@ -112,3 +113,87 @@ def test_solve_lp_rejects_non_integer_constraints():
         solve_lp([1, 1], [[1, 1]], [Fraction(3, 2)])
     with pytest.raises(ValueError):
         solve_lp([1, 1], [[1, 1]], [-1])
+
+
+@st.composite
+def lps_with_rows(draw):
+    """A feasible LP and 1-3 integer rows a.x - s = b to append to it."""
+    costs, rows, rhs = draw(feasible_lps())
+    entry = st.integers(min_value=-3, max_value=3)
+    added = [([draw(entry) for _ in costs], draw(entry))
+             for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    return costs, rows, rhs, added
+
+
+def _whole_system(costs, rows, rhs, added):
+    """The appended LP as one cold system: slack s_r in column n + r, and
+    rows negated where needed so that every rhs is non-negative."""
+    k = len(added)
+    all_rows = [row + [0] * k for row in rows]
+    all_rhs = list(rhs)
+    for r, (a, b) in enumerate(added):
+        row = a + [0] * r + [-1] + [0] * (k - 1 - r)
+        if b < 0:
+            row, b = [-v for v in row], -b
+        all_rows.append(row)
+        all_rhs.append(b)
+    return list(costs) + [0] * k, all_rows, all_rhs
+
+
+@given(lps_with_rows())
+@settings(max_examples=150, deadline=None)
+def test_add_row_matches_a_cold_solve_and_the_oracle(lp):
+    costs, rows, rhs, added = lp
+    all_costs, all_rows, all_rhs = _whole_system(costs, rows, rhs, added)
+    best = _basis_oracle(all_costs, all_rows, all_rhs)
+    result = solve_lp(costs, rows, rhs)
+    if best is None:  # some appended row makes the LP infeasible
+        with pytest.raises(InfeasibleError):
+            for a, b in added:
+                result = result.tableau.add_row(a, b)
+        with pytest.raises(InfeasibleError):
+            solve_lp(all_costs, all_rows, all_rhs)
+        return
+    for a, b in added:
+        result = result.tableau.add_row(a, b)
+    assert result.objective == best
+    assert result.objective == solve_lp(all_costs, all_rows, all_rhs).objective
+    x = result.values
+    assert all(v >= 0 for v in x)
+    for row, b in zip(all_rows, all_rhs):
+        assert sum(a * v for a, v in zip(row, x)) == b
+    # the duals price every column non-negatively and match the optimum
+    row_duals, added_duals, den = result.tableau.duals()
+    y = [Fraction(v, den) for v in row_duals]
+    y += [Fraction(v, den) for v in added_duals]
+    assert all(v >= 0 for v in added_duals)
+    for j, c in enumerate(costs):
+        assert c - sum(yi * row[j] for yi, row in zip(y, rows + [a for a, _ in added])) >= 0
+    assert sum(yi * b for yi, b in zip(y, list(rhs) + [b for _, b in added])) == best
+
+
+def test_add_row_restores_the_optimum_by_dual_simplex():
+    # min x1 + 2 x2 + 3 x3 over x1 + x2 + x3 = 2 puts x1 = 2; the row
+    # x2 + x3 - s = 1 makes the cheapest feasible point x1 = x2 = 1
+    result = solve_lp([1, 2, 3], [[1, 1, 1]], [2])
+    assert result.values == [2, 0, 0]
+    result = result.tableau.add_row([0, 1, 1], 1)
+    assert result.objective == 3
+    assert result.values == [1, 1, 0, 0]
+    row_duals, added_duals, den = result.tableau.duals()
+    assert (Fraction(row_duals[0], den), Fraction(added_duals[0], den)) == (1, 1)
+
+
+def test_add_row_infeasible():
+    # x1 + x2 = 1 leaves no room for x1 + x2 - s = 2 with s >= 0
+    result = solve_lp([1, 1], [[1, 1]], [1])
+    with pytest.raises(InfeasibleError):
+        result.tableau.add_row([1, 1], 2)
+
+
+def test_add_row_rejects_non_integer_rows():
+    result = solve_lp([1, 1], [[1, 1]], [1])
+    with pytest.raises(ValueError):
+        result.tableau.add_row([Fraction(1, 2), 1], 1)
+    with pytest.raises(ValueError):
+        result.tableau.add_row([1, 1, 1], 1)
