@@ -8,11 +8,14 @@ edge, under the same edge id.  ``left_face`` is the face containing dart
 
 A thread is a maximal chain of degree-2 faces (each parallel bundle of an
 amplified graph is one).  ``find_threads`` is the one chain decomposition:
-the threads of a dual's 2-core are found once per ``DualGraph`` and serve
-both the girth search, which contracts each thread into one edge weighted
-by its length and runs one Dijkstra search per thread, and the far-set
-selection in ``spanning``, which starts from them.  One breadth-first search
-over the dual reads back the cycle the girth search picked.
+the threads of a dual's 2-core are found once per ``DualGraph``
+(``core_threads``), and everything after works on whole threads.  The girth
+search contracts each thread into one edge weighted by its length and runs
+one Dijkstra search per thread; one breadth-first search over the dual reads
+back the cycle it picked.  The far-set selection in ``spanning`` keeps the
+threads as a graph on their branch faces.  ``min_pairwise_distance`` runs
+one Dijkstra search over the same contracted threads, cut only at the ends
+of the queried edges and where a pruned edge hangs.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ class DualGraph:
         self.loops = [(e, l) for e, l, r in self.dual_edges if l == r]
         self._neighbors = None
         self._threads = None
+        self._pendant = None  # the edges pruned off the 2-core
+        self._places = None
 
     def faces_of(self, e: int) -> tuple[int, int]:
         try:
@@ -85,9 +90,30 @@ class DualGraph:
         away, repeatedly), found once."""
         if self._threads is None:
             view = DualView(self)
-            view.prune_degree_one()
+            self._pendant = view.prune_degree_one()
             self._threads = tuple(find_threads(view))
         return self._threads
+
+    def _thread_places(self):
+        """Where the 2-core's edges sit on ``core_threads()``, found once.
+
+        Returns (edge id -> (thread index, offset), thread index -> offsets
+        of the thread's faces that a pruned edge hangs from).  Edge
+        ``t.edges[o]`` joins ``t.vertices[o]`` and ``t.vertices[o + 1]``.
+        """
+        if self._places is None:
+            threads = self.core_threads()
+            places = {e: (i, o) for i, t in enumerate(threads)
+                      for o, e in enumerate(t.edges)}
+            hangs = {}
+            if self._pendant:
+                feet = {f for e in self._pendant for f in self._by_id[e]}
+                for i, t in enumerate(threads):
+                    offsets = [o for o, f in enumerate(t.vertices) if f in feet]
+                    if offsets:
+                        hangs[i] = offsets
+            self._places = places, hangs
+        return self._places
 
 
 def geometric_dual(g: EmbeddedGraph) -> DualGraph:
@@ -178,17 +204,11 @@ class DualView:
             self.degree[l] -= 1
             self.degree[r] -= 1
 
-    def prune_degree_one(self, faces=None) -> list[int]:
+    def prune_degree_one(self) -> list[int]:
         """Iteratively delete degree-1 vertices with their incident edge;
-        return the deleted edges.
-
-        The search starts from ``faces`` (default: every face).  The 2-core
-        is unique, so after one edge removal from a pruned view its two
-        faces are enough to start from.
-        """
+        return the deleted edges."""
         degree = self.degree
-        stack = [f for f in (range(len(degree)) if faces is None else faces)
-                 if degree[f] == 1]
+        stack = [f for f, deg in enumerate(degree) if deg == 1]
         pruned = []
         while stack:
             f = stack.pop()
@@ -382,26 +402,75 @@ def min_pairwise_distance(d: DualGraph, edge_ids) -> int | None:
     The distance of two dual edges is the closest distance between their
     endpoints, so adjacent edges are at distance 0.  None for fewer than
     two edges or when no two lie in one component.
+
+    One Dijkstra search runs from the ends of every edge at once and labels
+    each face with the edge it was reached from.  The answer is the least
+    dist(u) + length + dist(v) over the links whose ends carry different
+    labels: along a shortest path between the closest pair, the labels
+    change on some link, and every such sum is the length of a walk between
+    two edges of the set.  The links are the 2-core's threads, each one
+    link between its ends, cut at the ends of every queried edge on it and
+    at every face a pruned edge hangs from; each pruned edge is a link of
+    length 1.  Faces of degree 2 have no other edge, so these links keep
+    every distance between the faces they join.
     """
     ids = sorted(edge_ids)
     if len(ids) < 2:
         return None
-    adj = d.neighbors()
-    edges_at = {}
+    threads = d.core_threads()
+    places, hangs = d._thread_places()
+    label = {}  # face -> the edge of the set it was reached from
+    cuts = {}   # thread index -> offsets of queried edges on it
     for e in ids:
         for f in d.faces_of(e):
-            edges_at.setdefault(f, []).append(e)
+            if label.setdefault(f, e) != e:
+                return 0
+        place = places.get(e)
+        if place is not None:
+            cuts.setdefault(place[0], []).append(place[1])
+
+    links = {}  # face -> (length, other end) of each link at it
+
+    def link(u, v, length):
+        links.setdefault(u, []).append((length, v))
+        links.setdefault(v, []).append((length, u))
+
+    for i, t in enumerate(threads):
+        verts = t.vertices
+        if i not in cuts and i not in hangs:
+            if verts[0] != verts[-1]:
+                link(verts[0], verts[-1], t.length)
+            continue
+        points = {0, t.length, *hangs.get(i, ())}
+        for o in cuts.get(i, ()):
+            points.update((o, o + 1))
+        points = sorted(points)
+        for p, q in zip(points, points[1:]):
+            link(verts[p], verts[q], q - p)
+    for e in d._pendant:
+        link(*d.faces_of(e), 1)
+
+    heap = [(0, f, e) for f, e in label.items()]
+    heapq.heapify(heap)
+    dist = {}
     best = None
-    # each pair is found from its smaller edge
-    for e in ids:
-        for dist, faces in _bfs_levels(adj, d.faces_of(e), {}):
-            if best is not None and dist >= best:
-                break
-            if any(other > e for f in faces for other in edges_at.get(f, ())):
-                best = dist
-                break
-        if best == 0:
+    while heap:
+        du, u, eu = heapq.heappop(heap)
+        if u in dist:
+            continue
+        # a link met later joins u's successors to faces settled before
+        # them, no nearer than their distance minus its length, so every
+        # sum still to come is at least 2 * du
+        if best is not None and 2 * du >= best:
             break
+        dist[u] = du
+        label[u] = eu
+        for length, v in links.get(u, ()):
+            dv = dist.get(v)
+            if dv is None:
+                heapq.heappush(heap, (du + length, v, eu))
+            elif label[v] != eu and (best is None or du + length + dv < best):
+                best = du + length + dv
     return best
 
 

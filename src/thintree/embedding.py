@@ -52,7 +52,7 @@ class EmbeddedGraph:
         self._faces = None
         self._components = None
         self._edges = None
-        self._first_dart = None
+        self._rotations = None  # vertex -> its darts in rotation order
         self._connectivity = None  # memo of flows.edge_connectivity
 
     # -- basic queries ------------------------------------------------
@@ -75,19 +75,24 @@ class EmbeddedGraph:
         return self.dart_owner[2 * e], self.dart_owner[2 * e + 1]
 
     def darts_at(self, v: int) -> list[int]:
-        """Darts at v in rotation order, starting from the smallest dart."""
-        if self._first_dart is None:
-            self._first_dart = {
-                owner: d for d, owner in sorted(self.dart_owner.items(), reverse=True)}
-        start = self._first_dart.get(v)
-        if start is None:
-            return []
-        out = [start]
-        d = self.rotation_next[start]
-        while d != start:
-            out.append(d)
-            d = self.rotation_next[d]
-        return out
+        """Darts at v in rotation order, starting from the smallest dart.
+
+        Every rotation is walked once, on the first call, and kept as a
+        tuple; each call returns a fresh list.
+        """
+        if self._rotations is None:
+            owner, nxt = self.dart_owner, self.rotation_next
+            rotations = {}
+            for start in sorted(owner):
+                if owner[start] not in rotations:
+                    darts = [start]
+                    d = nxt[start]
+                    while d != start:
+                        darts.append(d)
+                        d = nxt[d]
+                    rotations[owner[start]] = tuple(darts)
+            self._rotations = rotations
+        return list(self._rotations.get(v, ()))
 
     def total_cost(self) -> Fraction:
         # numerators summed per denominator, so that only the few group

@@ -150,9 +150,12 @@ def solve_held_karp(inst: ATSPInstance) -> HKSolution:
     seen_sides = set()
 
     while True:
-        x = {a: val for a, val in zip(arcs, result.values) if val > 0}
-        value, side = directed_global_min_cut(n, x)
-        if value is None or value >= 1:
+        # separated on the tableau's integer numerators over d: scaling
+        # every capacity by d > 0 keeps the same cuts
+        tableau = result.tableau
+        flow = {a: v for a, v in zip(arcs, tableau.numerators()) if v > 0}
+        value, side = directed_global_min_cut(n, flow)
+        if value is None or value >= tableau.d:
             break
         key = tuple(sorted(side))
         if key in seen_sides:
@@ -161,9 +164,10 @@ def solve_held_karp(inst: ATSPInstance) -> HKSolution:
         sides.append(key)
         if len(sides) >= MAX_CUT_ROUNDS:
             raise IterationLimitError(f"{len(sides) + 1} cutting-plane rounds")
-        result = result.tableau.add_row(
+        result = tableau.add_row(
             [int(i in side and j not in side) for i, j in arcs], 1)
 
+    x = {a: val for a, val in zip(arcs, result.values) if val > 0}
     rows, z, den = result.tableau.duals()
     duals = HKDuals(u_out=rows[:n], u_in=rows[n:], z=z, sides=sides,
                     denominator=den)

@@ -188,12 +188,18 @@ class Tableau:
         self.run_dual()
         return self.result()
 
+    def numerators(self):
+        """The basic solution's real variables as integer numerators over
+        ``d`` (which is positive)."""
+        values = [0] * self.num_vars
+        for row, b in zip(self.tableau, self.basis):
+            if b < self.num_vars:
+                values[b] = row[-1]
+        return values
+
     def result(self):
-        d, m, num_vars = self.d, len(self.basis), self.num_vars
-        values = [Fraction(0)] * num_vars
-        for i in range(m):
-            if self.basis[i] < num_vars:
-                values[self.basis[i]] = Fraction(self.tableau[i][-1], d)
+        d, m, zero = self.d, len(self.basis), Fraction(0)
+        values = [Fraction(v, d) if v else zero for v in self.numerators()]
         objective = Fraction(-self.tableau[m][-1], d * self.scale)
         return LPResult(objective, values, self)
 

@@ -2,13 +2,15 @@
 
 The driver picks one "middle" edge out of a long thread of the dual graph,
 deletes it, prunes dangling vertices, and repeats until the dual is empty.
-It starts from ``DualGraph.core_threads()``, which the girth search has
-already found, and keeps the threads up to date.  The primal edges of the
-selected set hit every dual cycle, hence cross every cut, hence span; and
-because the selected dual edges end up far apart, the set crosses no cut
-too often.  The emitted certificate is the measured minimum pairwise dual
-distance m (capped at the dual girth), which makes the selected set
-1/m-thin.
+Deleting one edge of a thread prunes the whole thread, so the selection
+works on whole threads: ``ThreadGraph`` keeps the threads of
+``DualGraph.core_threads()``, which the girth search has already found, as
+a graph on their branch faces, and each step touches only thread ends.  The
+primal edges of the selected set hit every dual cycle, hence cross every
+cut, hence span; and because the selected dual edges end up far apart, the
+set crosses no cut too often.  The emitted certificate is the measured
+minimum pairwise dual distance m (capped at the dual girth), which makes the
+selected set 1/m-thin.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from itertools import count
 
 from .dual import (
     DualGraph,
-    DualView,
     Thread,
     dual_girth,
     find_threads,  # noqa: F401  (the benchmark traces it under this name)
@@ -50,79 +51,157 @@ def middle_edge(thread: Thread) -> int:
     return thread.edges[(thread.length + 1) // 2 - 1]
 
 
-class LiveThreads:
-    """The threads of a pruned dual, kept up to date as edges are deleted.
+def _reversed(chain):
+    return [(i, not forward) for i, forward in reversed(chain)]
 
-    They start as ``d.core_threads()``, which the girth search has usually
-    found already, on ``self.view``, a pruned copy of ``d``.  After that a
-    deletion prunes from the deleted edge's two faces only, drops every
-    thread that lost an edge (the pruning takes all of its edges), and walks
-    the thread again through each touched vertex whose degree is now 2,
-    merging its neighbouring threads.  The live threads then equal
-    ``find_threads(self.view)``, walk direction included.  Threads share no
-    edge, so the heap key ``(-length, min edge id)`` of a live thread is
+
+class ThreadGraph:
+    """The threads of a pruned dual as a multigraph on its branch faces.
+
+    It starts as ``d.core_threads()``, which the girth search has usually
+    found already.  A live thread t is a chain of whole core threads:
+    ``chain[t]`` lists (core index, forward) from end ``ends[t][0]`` to end
+    ``ends[t][1]``, and ``at[f]`` holds one entry per thread end at face f.
+    Deleting a thread prunes all of it, as deleting any one of its edges
+    would.  A face left with one thread end then loses that thread too, and
+    a face left with the ends of two threads joins them into one.  So each
+    step touches only thread ends, and the live threads always equal
+    ``find_threads`` of the pruned rest of the dual.
+
+    Their walk direction is fixed only when one is read (``walk``), by the
+    rules of ``find_threads``: a path runs from its end face with the
+    smaller id; a cycle at a branch face leaves it along the smaller of its
+    two end edges; a cycle that is a whole component starts at its
+    smallest face and leaves along that face's smaller edge.  Threads share
+    no edge, so the heap key (-length, smallest edge id) of a live thread is
     unique; stale heap entries are skipped when they reach the top.
     """
 
     def __init__(self, d: DualGraph):
-        self.faces_of = d.faces_of
-        self.view = DualView(d)
-        self.view.prune_degree_one()
-        self.thread_of = {}  # live edge -> its live thread
+        self.core = d.core_threads()
+        self.ends = {}
+        self.chain = {}
+        self.size = {}  # live thread -> (length, smallest edge id)
+        self.at = {}
         self.heap = []
-        self.pushed = count()  # heap tie-break between stale and live copies
-        for t in d.core_threads():
-            self._add(t)
+        self.ids = count()
+        for i, t in enumerate(self.core):
+            self._add(t.vertices[0], t.vertices[-1], [(i, True)], t.length, min(t.edges))
 
-    def _add(self, t: Thread) -> None:
-        for e in t.edges:
-            self.thread_of[e] = t
-        heappush(self.heap, (-t.length, min(t.edges), next(self.pushed), t))
+    def _add(self, a, b, chain, length, low) -> None:
+        t = next(self.ids)
+        self.ends[t] = a, b
+        self.chain[t] = chain
+        self.size[t] = length, low
+        self.at.setdefault(a, []).append(t)
+        self.at.setdefault(b, []).append(t)
+        heappush(self.heap, (-length, low, t))
 
-    def longest(self) -> Thread | None:
+    def _drop(self, t):
+        a, b = self.ends.pop(t)
+        del self.chain[t], self.size[t]
+        self.at[a].remove(t)
+        self.at[b].remove(t)
+        return a, b
+
+    def longest(self) -> int | None:
         """Live thread of greatest length, ties by smallest minimum edge id;
-        None once the view is empty."""
+        None once no thread is left."""
         heap = self.heap
         while heap:
-            t = heap[0][-1]
-            if self.thread_of.get(t.edges[0]) is t:
+            t = heap[0][2]
+            if t in self.ends:
                 return t
             heappop(heap)
         return None
 
-    def delete_edge(self, e: int) -> None:
-        view = self.view
-        l, r = self.faces_of(e)
-        view.remove_edge(e, l, r)
-        touched = set()
-        for gone in [e, *view.prune_degree_one((l, r))]:
-            del self.thread_of[gone]
-            touched.update(self.faces_of(gone))
-        walked = set()
-        for f in touched:
-            if view.degree[f] == 2 and f not in walked:
-                t = view.thread_through(f)
-                walked.update(t.vertices)
-                self._add(t)
+    def delete(self, t: int) -> None:
+        """Delete live thread t, prune, and join the threads that meet at a
+        face left with two ends."""
+        at = self.at
+        touched = list(self._drop(t))
+        while touched:
+            f = touched.pop()
+            ends = at.get(f)
+            if ends is None:
+                continue
+            if not ends:
+                del at[f]
+            elif len(ends) == 1:
+                touched += self._drop(ends[0])
+            elif len(ends) == 2 and ends[0] != ends[1]:
+                self._join(f, *ends)
+
+    def _join(self, f, p, q) -> None:
+        """Replace the threads p and q, which meet at f, by one thread."""
+        (a, b), (c, e) = self.ends[p], self.ends[q]
+        head = self.chain[p] if b == f else _reversed(self.chain[p])
+        tail = self.chain[q] if c == f else _reversed(self.chain[q])
+        (lp, mp), (lq, mq) = self.size[p], self.size[q]
+        self._drop(p)
+        self._drop(q)
+        del self.at[f]
+        self._add(a if b == f else b, e if c == f else c, head + tail,
+                  lp + lq, min(mp, mq))
+
+    def _edge(self, chain, i: int) -> int:
+        """The i-th edge along ``chain`` (0-based)."""
+        for c, forward in chain:
+            edges = self.core[c].edges
+            if i < len(edges):
+                return edges[i] if forward else edges[-1 - i]
+            i -= len(edges)
+        raise IndexError(i)
+
+    def walk(self, t: int):
+        """Live thread t in its walk direction, as (chain, start): the walk
+        starts ``start`` edges into the chain, and wraps round for a
+        cycle."""
+        (a, b), chain = self.ends[t], self.chain[t]
+        length = self.size[t][0]
+        if a != b:
+            return (chain, 0) if a < b else (_reversed(chain), 0)
+        if len(self.at[a]) > 2:  # a cycle at a branch face
+            forward = self._edge(chain, 0) < self._edge(chain, length - 1)
+            return (chain, 0) if forward else (_reversed(chain), 0)
+        # a whole component: start at its smallest face, at offset j
+        pos, low, j = 0, None, 0
+        for c, forward in chain:
+            verts = self.core[c].vertices
+            verts = verts[:-1] if forward else verts[:0:-1]
+            m = min(verts)
+            if low is None or m < low:
+                low, j = m, pos + verts.index(m)
+            pos += len(verts)
+        if self._edge(chain, j) < self._edge(chain, j - 1 if j else length - 1):
+            return chain, j
+        return _reversed(chain), (length - j) % length
+
+    def middle(self, t: int) -> int:
+        """``middle_edge`` of live thread t, found on its chain."""
+        chain, start = self.walk(t)
+        length = self.size[t][0]
+        return self._edge(chain, (start + (length + 1) // 2 - 1) % length)
 
 
 def select_far_edge_set(d: DualGraph, g_star: int, alpha_value: int) -> list[int]:
     """Run the middle-edge selection loop on the dual; return sorted F*.
 
     Each iteration picks the longest thread (ties: smallest minimum edge id),
-    takes its middle edge, removes it, and prunes dangling vertices.  A
-    thread of length L qualifies when L * alpha >= g_star; by the long-thread
-    guarantee one always exists, so a shortfall raises NoLongThreadError.
+    takes its middle edge, removes it, and prunes dangling vertices, which
+    takes the rest of the thread.  A thread of length L qualifies when
+    L * alpha >= g_star; by the long-thread guarantee one always exists, so a
+    shortfall raises NoLongThreadError.
     """
-    live = LiveThreads(d)
+    live = ThreadGraph(d)
     selected = []
     while (best := live.longest()) is not None:
-        if best.length * alpha_value < g_star:
+        length = live.size[best][0]
+        if length * alpha_value < g_star:
             raise NoLongThreadError(
-                f"longest thread has length {best.length} < {g_star}/{alpha_value}")
-        mid = middle_edge(best)
-        live.delete_edge(mid)
-        selected.append(mid)
+                f"longest thread has length {length} < {g_star}/{alpha_value}")
+        selected.append(live.middle(best))
+        live.delete(best)
     return sorted(selected)
 
 

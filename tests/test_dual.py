@@ -417,6 +417,52 @@ def test_min_pairwise_matches_brute_force_random(g, data):
     assert min_pairwise_distance(d, ids) == brute_force_min_pairwise(d, ids)
 
 
+@st.composite
+def dual_graphs(draw):
+    """Any dual multigraph: random edges on a few faces (loops and parallel
+    edges included), each one a chain of 1-3 edges, under shuffled face and
+    edge ids.  Pendant trees, whole-cycle components and long threads all
+    occur."""
+    base = draw(st.integers(1, 6))
+    face = st.integers(0, base - 1)
+    faces, edges = base, []
+    for a, b in draw(st.lists(st.tuples(face, face), max_size=12)):
+        steps = draw(st.integers(1, 3))
+        chain = [a, *range(faces, faces + steps - 1), b]
+        faces += steps - 1
+        edges += zip(chain, chain[1:])
+    name = draw(st.permutations(range(faces)))
+    ids = draw(st.permutations(range(len(edges))))
+    return DualGraph(faces, [(i, name[l], name[r]) for i, (l, r) in zip(ids, edges)])
+
+
+@given(dual_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_min_pairwise_matches_brute_force_on_any_dual(d, data):
+    # the edges may lie on threads, on pruned pendant trees or be loops
+    ids = sorted(data.draw(st.sets(st.sampled_from(dual_edge_ids(d))))) if d.dual_edges else []
+    assert min_pairwise_distance(d, ids) == brute_force_min_pairwise(d, ids)
+
+
+def test_min_pairwise_reaches_into_pendant_trees():
+    # cycle 0-1-2-3-0 with the path 1-4-5 hanging from the thread face 1:
+    # edge 5 (4-5) and edge 2 (2-3) are 2 apart, through faces 4, 1, 2
+    d = DualGraph(6, [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0),
+                      (4, 1, 4), (5, 4, 5)])
+    assert min_pairwise_distance(d, [2, 5]) == 2
+    assert min_pairwise_distance(d, [0, 5]) == 1
+    assert min_pairwise_distance(d, [4, 5]) == 0
+
+
+def test_min_pairwise_finds_a_shorter_pair_after_a_longer_one():
+    # edges 10 and 11 hang from faces 1 and 2 of a cycle through face 6;
+    # the link 1-4-5-2 of length 3 is met first, the path 1-6-2 of length
+    # 2 only from face 6, at distance 1
+    d = DualGraph(8, [(10, 0, 1), (11, 2, 3), (12, 1, 4), (13, 4, 5),
+                      (14, 5, 2), (15, 1, 6), (16, 6, 2), (17, 6, 7), (18, 7, 6)])
+    assert min_pairwise_distance(d, [10, 11]) == 2 == brute_force_min_pairwise(d, [10, 11])
+
+
 @given(rotation_systems())
 @settings(max_examples=200, deadline=None)
 def test_dual_edge_bijection_random(g):

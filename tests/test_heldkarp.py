@@ -205,3 +205,35 @@ def test_perturbed_duals_are_rejected():
                                sol.objective)
     with pytest.raises(DualCertificateError):
         check_dual_certificate(inst.cost, duals, sol.objective + Fraction(1, 7))
+
+
+# duals.sides of lp-support seeds 0-8, recorded when separation still ran on
+# Fraction capacities; min cuts do not move under a positive scale
+LP_SUPPORT_SIDES = {
+    (8, 0): [(0, 1), (0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 2, 3, 4, 5)],
+    (8, 1): [(0, 1, 2, 3, 6, 7), (0, 1, 3, 4, 5, 7)],
+    (8, 2): [],
+    (8, 3): [(0, 1, 3, 4, 5, 7), (0, 1, 2, 3, 5, 6)],
+    (8, 4): [(0, 3, 4, 7)],
+    (8, 5): [],
+    (8, 6): [(0, 1), (0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 2, 3, 4, 5), (0, 1, 4, 5, 6, 7)],
+    (8, 7): [],
+    (8, 8): [(0, 1), (0, 1, 4, 5, 6, 7), (0, 1, 2, 3)],
+    (10, 0): [(0, 4), (0, 1, 4, 5, 6, 9)],
+    (10, 1): [(0, 5), (0, 1, 2, 5, 6, 7)],
+    (10, 2): [(0, 1, 2, 3, 5, 6, 7, 8)],
+    (10, 3): [(0, 1, 5, 6), (0, 1, 3, 4, 5, 6, 8, 9), (0, 1, 2, 5, 6, 7, 8, 9)],
+    (10, 4): [(0, 4), (0, 4, 5, 9), (0, 2, 3, 4, 5, 7, 8, 9)],
+    (10, 5): [(0, 4, 5, 9), (0, 1, 4, 5, 6, 7, 8, 9), (0, 5)],
+    (10, 6): [(0, 1)],
+    (10, 7): [(0, 5)],
+    (10, 8): [(0, 4, 5, 9), (0, 3, 4, 5, 8, 9), (0, 1, 2, 5, 6, 7), (0, 1, 2, 4, 5, 6, 7, 9)],
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(LP_SUPPORT_SIDES))
+def test_integer_separation_keeps_the_cuts(n, seed):
+    matrix, _ = lp_support_instance(n, PCG32(seed))
+    sol = solve_held_karp(ATSPInstance.from_matrix(matrix))
+    assert sol.duals.sides == LP_SUPPORT_SIDES[n, seed]
+    assert sol.cuts_added == len(LP_SUPPORT_SIDES[n, seed])

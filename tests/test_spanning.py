@@ -4,19 +4,29 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from thintree.atsp import discretize, expand_support_embedding, symmetrize
 from thintree.dual import (
     DualGraph,
     DualView,
+    Thread,
     dual_girth,
     find_threads,
     geometric_dual,
 )
 from thintree.embedding import build_embedding
 from thintree.errors import DegreeOneVertexError, DisconnectedError, NoLongThreadError
-from thintree.genlab import amplify, cycle_graph, prism_graph, torus_grid
+from thintree.genlab import (
+    amplify,
+    cycle_graph,
+    lp_support_instance,
+    prism_graph,
+    torus_grid,
+)
+from thintree.heldkarp import ATSPInstance, solve_held_karp
 from thintree.oracle import brute_force_thinness
+from thintree.prng import PCG32
 from thintree.spanning import (
-    LiveThreads,
+    ThreadGraph,
     alpha,
     middle_edge,
     select_far_edge_set,
@@ -24,7 +34,7 @@ from thintree.spanning import (
 )
 
 from .conftest import add_edge
-from .test_dual import dual_degrees, dual_edge_ids, oracle_edge_distances
+from .test_dual import dual_degrees, dual_edge_ids, dual_graphs, oracle_edge_distances
 from .test_embedding import rotation_systems
 
 
@@ -307,16 +317,16 @@ def test_distance_preservation_during_loop(cube):
     a = alpha(g.genus())
     close = Fraction(g_star, a)
 
-    live = LiveThreads(d)
+    live, view = ThreadGraph(d), pruned_view(d)
     previous = None
     while (best := live.longest()) is not None:
-        current = oracle_edge_distances(_view_as_dual(live.view, d))
+        current = oracle_edge_distances(_view_as_dual(view, d))
         if previous is not None:
             for pair, dist in previous.items():
                 if dist < close and pair in current:
                     assert current[pair] == dist, (pair, dist, current[pair])
         previous = current
-        live.delete_edge(middle_edge(best))
+        delete_both(live, view, d, best, live.middle(best))
 
 
 # --- threads kept up to date across rounds ---------------------------
@@ -325,13 +335,46 @@ def _selection_key(t):
     return (t.length, -min(t.edges))
 
 
-def assert_threads_current(live):
-    """The maintained threads and the longest one equal a full rebuild."""
-    rebuilt = find_threads(live.view)
-    assert set(live.thread_of.values()) == set(rebuilt)
+def as_thread(live, t):
+    """Live thread t of the thread graph, edge by edge, in its walk
+    direction."""
+    chain, start = live.walk(t)
+    edges, verts = [], []
+    for c, forward in chain:
+        core = live.core[c]
+        edges += core.edges if forward else core.edges[::-1]
+        verts += core.vertices[:-1] if forward else core.vertices[:0:-1]
+        end = core.vertices[-1] if forward else core.vertices[0]
+    edges = edges[start:] + edges[:start]
+    verts = verts[start:] + verts[:start] + [verts[start] if start else end]
+    return Thread(tuple(edges), tuple(verts))
+
+
+def pruned_view(d):
+    """The oracle: a DualView of d, pruned after every deletion."""
+    view = DualView(d)
+    view.prune_degree_one()
+    return view
+
+
+def delete_both(live, view, d, t, e):
+    """Delete live thread t from the thread graph and its edge e from the
+    oracle view, which pruning then strips of the rest of t."""
+    assert e in as_thread(live, t).edges
+    live.delete(t)
+    view.remove_edge(e, *d.faces_of(e))
+    view.prune_degree_one()
+
+
+def assert_threads_current(live, view):
+    """The thread graph's threads, the longest one and its middle edge equal
+    a full rebuild on the oracle view."""
+    rebuilt = find_threads(view)
+    assert {as_thread(live, t) for t in live.ends} == set(rebuilt)
     best = live.longest()
     if rebuilt:
-        assert best == max(rebuilt, key=_selection_key)
+        assert as_thread(live, best) == max(rebuilt, key=_selection_key)
+        assert live.middle(best) == middle_edge(as_thread(live, best))
     else:
         assert best is None
 
@@ -365,19 +408,33 @@ def selection_graphs(draw):
     return g.delete_edges(draw(st.sets(st.sampled_from(g.edges()))))
 
 
+def replay_against_rebuild(d, data):
+    """Run the thread graph to the end, each round deleting the selection's
+    middle edge or any live edge (the thread graph deletes that edge's whole
+    thread), and check it against the oracle after every round."""
+    live, view = ThreadGraph(d), pruned_view(d)
+    assert_threads_current(live, view)
+    while (best := live.longest()) is not None:
+        if data.draw(st.booleans()):
+            t, e = best, live.middle(best)
+        else:
+            thread_of = {e: t for t in live.ends for e in as_thread(live, t).edges}
+            e = data.draw(st.sampled_from(sorted(thread_of)))
+            t = thread_of[e]
+        delete_both(live, view, d, t, e)
+        assert_threads_current(live, view)
+
+
 @given(selection_graphs(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_live_threads_match_full_rebuild(g, data):
-    # each round deletes the selection's middle edge or any live edge
-    live = LiveThreads(geometric_dual(g))
-    assert_threads_current(live)
-    while (best := live.longest()) is not None:
-        if data.draw(st.booleans()):
-            e = middle_edge(best)
-        else:
-            e = data.draw(st.sampled_from(sorted(live.thread_of)))
-        live.delete_edge(e)
-        assert_threads_current(live)
+    replay_against_rebuild(geometric_dual(g), data)
+
+
+@given(dual_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_live_threads_match_full_rebuild_on_any_dual(d, data):
+    replay_against_rebuild(d, data)
 
 
 def test_cycle_left_at_a_cut_face_is_anchored_at_its_smallest_face():
@@ -385,10 +442,11 @@ def test_cycle_left_at_a_cut_face_is_anchored_at_its_smallest_face():
     # component, which find_threads anchors at its smallest face 2
     d = DualGraph(5, [(0, 3, 0), (1, 0, 1), (2, 1, 3),
                       (3, 3, 2), (4, 2, 4), (5, 4, 3)])
-    live = LiveThreads(d)
-    live.delete_edge(1)
-    assert {t.vertices[0] for t in live.thread_of.values()} == {2}
-    assert_threads_current(live)
+    live, view = ThreadGraph(d), pruned_view(d)
+    (t,) = [t for t in live.ends if 1 in as_thread(live, t).edges]
+    delete_both(live, view, d, t, 1)
+    assert {as_thread(live, t).vertices[0] for t in live.ends} == {2}
+    assert_threads_current(live, view)
 
 
 @given(selection_graphs())
@@ -398,14 +456,56 @@ def test_far_set_matches_rebuild_every_round(g):
     assert select_far_edge_set(d, 1, 1) == rebuild_every_round(d, 1, 1)
 
 
+@given(dual_graphs())
+@settings(max_examples=200, deadline=None)
+def test_far_set_matches_rebuild_every_round_on_any_dual(d):
+    assert select_far_edge_set(d, 1, 1) == rebuild_every_round(d, 1, 1)
+
+
+def lp_support_expanded(n, seed, denominator):
+    """The multigraph that atsp_approx expands from lp-support seed at
+    denominator D: one parallel copy per unit of D·y on the support."""
+    matrix, emb = lp_support_instance(n, PCG32(seed))
+    inst = ATSPInstance.from_matrix(matrix)
+    y, c_prime = symmetrize(solve_held_karp(inst), inst)
+    mult, _, _ = discretize(y, denominator, n)
+    return expand_support_embedding(emb, mult, c_prime)[0]
+
+
+# the lp-support duals join threads of many lengths at their branch faces,
+# so merged paths, cycles at a branch face and whole-cycle components all
+# decide a middle edge there
+LP_SEEDS = range(9)
+
+
 @pytest.mark.parametrize("build", [
     lambda: amplify(prism_graph(4), 12),
     lambda: amplify(prism_graph(5), 8),
     lambda: amplify(torus_grid(3, 3), 6),
     lambda: amplify(HANDLE, 6),
-], ids=["cube x12", "prism5 x8", "torus 3x3 x6", "handle x6"])
+    *(lambda s=s: lp_support_expanded(10, s, 60) for s in LP_SEEDS),
+], ids=["cube x12", "prism5 x8", "torus 3x3 x6", "handle x6",
+        *(f"lp-support n10 seed{s} D60" for s in LP_SEEDS)])
 def test_far_set_matches_rebuild_every_round_at_girth(build):
     g = build()
     d = geometric_dual(g)
     g_star, a = dual_girth(d), alpha(g.genus())
     assert select_far_edge_set(d, g_star, a) == rebuild_every_round(d, g_star, a)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: amplify(HANDLE, 6),
+    lambda: lp_support_expanded(10, 1, 60),
+], ids=["handle x6", "lp-support n10 seed1 D60"])
+def test_selection_leaves_the_dual_as_it_was(build):
+    g = build()
+    d = geometric_dual(g)
+    g_star, a = dual_girth(d), alpha(g.genus())
+    core = d.core_threads()
+    threads = [(t.edges, t.vertices) for t in core]
+    neighbors = [dict(m) for m in d.neighbors()]
+    first = select_far_edge_set(d, g_star, a)
+    assert select_far_edge_set(d, g_star, a) == first
+    assert d.core_threads() is core
+    assert [(t.edges, t.vertices) for t in core] == threads
+    assert d.neighbors() == neighbors
