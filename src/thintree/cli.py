@@ -216,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--emb", required=True)
     p.add_argument("--denominator", type=int)
-    p.add_argument("--exact", action="store_true",
-                   help="accepted for old command lines; does nothing, "
-                        "every Held-Karp solve is exact")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_atsp)
 

@@ -10,9 +10,9 @@ A thread is a maximal chain of degree-2 faces (each parallel bundle of an
 amplified graph is one).  ``find_threads`` is the one chain decomposition:
 the threads of a dual's 2-core are found once per ``DualGraph``
 (``core_threads``), and everything after works on whole threads.  The girth
-search contracts each thread into one edge weighted by its length and runs
-one Dijkstra search per thread; one breadth-first search over the dual reads
-back the cycle it picked.  The far-set selection in ``spanning`` keeps the
+search contracts each thread into one edge weighted by its length, runs
+one Dijkstra search per thread, and reads the cycle it picked back along the
+same contracted threads.  The far-set selection in ``spanning`` keeps the
 threads as a graph on their branch faces.  ``min_pairwise_distance`` runs
 one Dijkstra search over the same contracted threads, cut only at the ends
 of the queried edges and where a pruned edge hangs.
@@ -123,34 +123,6 @@ def geometric_dual(g: EmbeddedGraph) -> DualGraph:
     return DualGraph(len(g.faces()), dual_edges)
 
 
-def _bfs_levels(adj, sources, reached_by, avoid_edge=None):
-    """Breadth-first search over the dual, one level at a time.
-
-    Yields (distance, faces first reached at that distance), starting with
-    the sources at 0, and records in ``reached_by`` the edge that first
-    reached each face (None for a source).  Neighbours are visited in
-    ``adj`` order and ``avoid_edge`` is never crossed.  A level is expanded
-    only when the caller asks for the next one, so stopping after a level
-    costs nothing beyond it.
-    """
-    frontier = []
-    for s in sources:
-        if s not in reached_by:
-            reached_by[s] = None
-            frontier.append(s)
-    dist = 0
-    while frontier:
-        yield dist, frontier
-        dist += 1
-        nxt = []
-        for u in frontier:
-            for e, w in adj[u].items():
-                if e != avoid_edge and w not in reached_by:
-                    reached_by[w] = e
-                    nxt.append(w)
-        frontier = nxt
-
-
 @dataclass(frozen=True)
 class Thread:
     """Maximal chain of degree-2 dual vertices.
@@ -243,26 +215,6 @@ class DualView:
             add_vert(cur)
         return edges, verts
 
-    def thread_through(self, f: int) -> Thread:
-        """The thread through the degree-2 vertex f, in the canonical
-        direction that ``find_threads`` gives every thread."""
-        if self.loops.get(f):
-            (e,) = self.loops[f]
-            return Thread((e,), (f, f))
-        (e1, w1), (e2, w2) = self.neighbors[f].items()
-        edges, verts = self.walk(f, e1, w1)
-        if verts[-1] == f:  # a component that is one cycle
-            m = min(verts)
-            if m != f:
-                edges, verts = self.walk(m, *next(iter(self.neighbors[m].items())))
-            return Thread(tuple(edges), tuple(verts))
-        back_edges, back_verts = self.walk(f, e2, w2)
-        if (verts[-1], edges[-1]) < (back_verts[-1], back_edges[-1]):
-            edges, verts, back_edges, back_verts = back_edges, back_verts, edges, verts
-        edges = back_edges[::-1] + edges
-        verts = back_verts[::-1] + verts[1:]
-        return Thread(tuple(edges), tuple(verts))
-
 
 def find_threads(view) -> list[Thread]:
     """Decompose a min-degree-2 dual view into maximal threads.
@@ -298,43 +250,47 @@ def find_threads(view) -> list[Thread]:
             threads.append(Thread(tuple(edges), tuple(verts)))
 
     # the edges left over form components where every vertex has degree 2,
-    # single cycles; the first vertex met of each is its smallest
+    # single cycles; the first vertex met of each is its smallest, and the
+    # cycle leaves it along its first (smaller) edge, or is its loop
     if len(used) < sum(degree) // 2:
         for f, deg in enumerate(degree):
             if deg == 2 and min(view.neighbors[f] or view.loops[f]) not in used:
-                t = view.thread_through(f)
-                used.update(t.edges)
-                threads.append(t)
+                edges, verts = (view.walk(f, *next(iter(view.neighbors[f].items())))
+                                if view.neighbors[f] else (view.loops[f], (f, f)))
+                used.update(edges)
+                threads.append(Thread(tuple(edges), tuple(verts)))
     return threads
 
 
 def _chain_distance(links, source, target, skip, bound):
-    """Dijkstra distance from source to target over the contracted path
-    threads in ``links``, never using thread ``skip``; None when target is
-    unreachable or only at ``bound`` or more."""
+    """Dijkstra distances from source over the contracted path threads in
+    ``links``, never using thread ``skip`` and recording only distances
+    below ``bound``; the search stops once target is settled.  Returns the
+    distance map, which holds target (at its distance) only when reached."""
     dist = {source: 0}
     heap = [(0, source)]
     while heap:
         du, u = heapq.heappop(heap)
         if u == target:
-            return du
+            break
         if du > dist[u]:
             continue
-        for length, key, v in links[u]:
+        for length, key, v, _ in links[u]:
             dv = du + length
             if key != skip and dv < dist.get(v, bound):
                 dist[v] = dv
                 heapq.heappush(heap, (dv, v))
-    return None
+    return dist
 
 
 def shortest_dual_cycle(d: DualGraph):
     """Shortest simple cycle as (length, edge id list), or None if acyclic.
 
-    The shortest cycle through edge e = (a, b) is e plus a shortest a-b path
+    The shortest cycle through edge e = (l, r) is e plus a shortest l-r path
     avoiding e; minimizing over all edges is exact on multigraphs (loops give
     length 1, parallel pairs length 2).  Deterministic: the anchor is the
-    smallest edge id on some shortest cycle.
+    smallest edge id on some shortest cycle, and the cycle is the least
+    shortest l-r path, compared as edge-id sequences from l, then the anchor.
 
     Pendant trees carry no cycle, so the search runs on the 2-core, whose
     threads ``core_threads`` gives.  Every cycle through one edge of a
@@ -343,45 +299,53 @@ def shortest_dual_cycle(d: DualGraph):
     length, and the shortest cycle through it is the thread plus a Dijkstra
     path between its two ends that avoids it.  Threads are taken in order of
     their smallest edge, and only a strictly shorter cycle replaces the
-    best, so the anchor is that of searching from every edge.  One
-    breadth-first search from the anchor then reads the cycle back.
+    best, so the anchor is that of searching from every edge.
+
+    The least path runs along the anchor's thread from l to its end x, from
+    x to the other end y, and along the thread to r.  Only the middle has a
+    choice: one Dijkstra search from y, stopped at x, gives the distances,
+    and at each branch face the path takes the link with the smallest first
+    edge among those on a shortest path to y.  On a cycle thread x is y.
     """
     if d.loops:
         return 1, [d.loops[0][0]]
-    chains = sorted((min(t.edges), t.length, t.vertices[0], t.vertices[-1])
+    chains = sorted((min(t.edges), t.vertices[0], t.vertices[-1], t)
                     for t in d.core_threads())
-    links = {}  # branch face -> (length, key, other end) of its path threads
-    for key, length, a, b in chains:
+    links = {}  # branch face -> (length, key, other end, thread) of its path threads
+    for key, a, b, t in chains:
         if a != b:
-            links.setdefault(a, []).append((length, key, b))
-            links.setdefault(b, []).append((length, key, a))
-    best_len, best_key = len(d.dual_edges) + 1, None  # longer than any cycle
-    for key, length, a, b in chains:
+            links.setdefault(a, []).append((t.length, key, b, t))
+            links.setdefault(b, []).append((t.length, key, a, t))
+    best_len, best = len(d.dual_edges) + 1, None  # longer than any cycle
+    for key, a, b, t in chains:
         if a == b:
-            found = length
+            found = t.length
         else:
-            rest = _chain_distance(links, a, b, key, best_len - length)
+            rest = _chain_distance(links, a, b, key, best_len - t.length).get(b)
             if rest is None:
                 continue
-            found = length + rest
+            found = t.length + rest
         if found < best_len:
-            best_len, best_key = found, key
-    if best_key is None:
+            best_len, best = found, (key, t)
+    if best is None:
         return None
-    l, r = d.faces_of(best_key)
-    reached_by = {}
-    for _ in _bfs_levels(d.neighbors(), [l], reached_by, avoid_edge=best_key):
-        if r in reached_by:
-            break
-    path = []
-    at = r
-    while reached_by[at] is not None:
-        step = reached_by[at]
-        path.append(step)
-        a, b = d.faces_of(step)
-        at = a if b == at else b
-    path.reverse()
-    return best_len, path + [best_key]
+
+    key, t = best
+    edges, verts = t.edges, t.vertices
+    o = edges.index(key)
+    if verts[o] == d.faces_of(key)[0]:  # l lies before the anchor: turn round
+        edges, verts, o = edges[::-1], verts[::-1], len(edges) - 1 - o
+    # the anchor now runs from r = verts[o] to l = verts[o + 1]
+    x, y = verts[-1], verts[0]
+    dist = _chain_distance(links, y, x, key, best_len)
+    middle = []
+    while x != y:
+        first, x, run = min(
+            (th.edges[0] if th.vertices[0] == x else th.edges[-1], v, th.edges)
+            for length, k, v, th in links[x]
+            if k != key and dist.get(v, best_len) + length == dist[x])
+        middle += run if run[0] == first else run[::-1]
+    return best_len, [*edges[o + 1:], *middle, *edges[:o], key]
 
 
 def dual_girth(d: DualGraph) -> int:

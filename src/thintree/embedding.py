@@ -285,11 +285,12 @@ def build_embedding(vertex_count, rotations, twin_pairs, costs=None) -> Embedded
             order.  Together they must list every dart exactly once.
         twin_pairs: iterable of (dart, dart) pairs covering all darts.  The
             canonical encoding pairs 2e with 2e+1; anything else is rejected.
-        costs: optional dict edge id -> cost (int, str or Fraction).
+        costs: optional dict edge id -> cost (int, str or Fraction), one
+            for every edge.
 
     Raises:
         MalformedRotationError: a dart is repeated, missing, or rotations
-            do not match vertex_count.
+            do not match vertex_count; or costs cover some edges but not all.
         BadTwinError: pairs are not the canonical involution.
     """
     if vertex_count < 0:
@@ -340,6 +341,9 @@ def build_embedding(vertex_count, rotations, twin_pairs, costs=None) -> Embedded
             if frac < 0:
                 raise MalformedRotationError(f"negative cost on edge {e}")
             cost_map[e] = frac
+        if len(cost_map) != len(dart_owner) // 2:
+            raise MalformedRotationError(
+                f"costs given for {len(cost_map)} of {len(dart_owner) // 2} edges")
 
     g = EmbeddedGraph(vertex_count, dart_owner, rot, cost_map)
     g.genus()  # validates Euler parity

@@ -301,7 +301,7 @@ def test_criterion_10_cli_determinism(tmp_path, cli_env):
                   "--out", str(pipe)], tmp_path, cli_env)
         tour = base / "tour.json"
         _run_cli(["atsp", "--in", str(inst), "--emb", str(support),
-                  "--denominator", "60", "--exact", "--out", str(tour)],
+                  "--denominator", "60", "--out", str(tour)],
                  tmp_path, cli_env)
         v1 = _run_cli(["verify", "thinness", "--in", str(cube),
                        "--edges", str(tree)], tmp_path, cli_env)

@@ -95,7 +95,7 @@ def test_atsp_and_verify_cli(tmp_path):
     run_cli(["gen", "--family", "lp-support-instance", "--n", "6",
              "--seed", "1", "--out", str(inst), "--emb-out", str(emb)])
     run_cli(["atsp", "--in", str(inst), "--emb", str(emb),
-             "--denominator", "60", "--exact", "--out", str(tour)])
+             "--denominator", "60", "--out", str(tour)])
     payload = json.loads(tour.read_text())
     assert payload["beta"] == "10"
     assert len(payload["order"]) == 6
@@ -119,6 +119,18 @@ def test_verify_tour_rejects_malformed_tour(tmp_path, capsys, tour):
     code = main(["verify", "tour", "--in", str(inst), "--tour", str(tmp_path / "tour.json")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["thin-tree"], ["pipeline", "--weighted"]],
+                         ids=["thin-tree", "pipeline"])
+def test_partially_costed_emb_rejected(tmp_path, capsys, command):
+    # two parallel edges, a cost on edge 0 only
+    g = tmp_path / "g.emb"
+    g.write_text("EMB 1 2 2\nrot 0 0 2\nrot 1 1 3\nedge 0 0 1 5\nedge 1 2 3\n")
+    code = main(command + ["--in", str(g), "--out", str(tmp_path / "out.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_thinness_rejects_absent_edge(tmp_path, capsys):

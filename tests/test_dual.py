@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from thintree.dual import (
     Cut,
     DualGraph,
-    _bfs_levels,
     cut_edges,
     cut_to_dual_cycles,
     dual_girth,
@@ -349,30 +348,38 @@ def test_shortest_cycle_matches_brute_force(g):
 
 
 def every_edge_shortest_cycle(d):
-    """shortest_dual_cycle without the chain skip: one search from every
-    edge, in edge order, replacing the best only by a strictly shorter
-    cycle."""
+    """shortest_dual_cycle without the chain skip, sharing no code with it:
+    one breadth-first search from l for every edge e = (l, r), in edge
+    order, that avoids e, visits neighbours in edge-id order and keeps the
+    first edge reaching each face; only a strictly shorter cycle replaces
+    the best."""
     for e, l, r in d.dual_edges:
         if l == r:
             return 1, [e]
-    adj = d.neighbors()
+    adj = [[] for _ in range(d.face_count)]
+    for e, l, r in sorted(d.dual_edges):
+        adj[l].append((e, r))
+        adj[r].append((e, l))
     best = None
-    for e, l, r in d.dual_edges:
-        if best is not None and best[0] <= 2:
-            break
-        reached_by = {}
-        for dist, _ in _bfs_levels(adj, [l], reached_by, avoid_edge=e):
-            if r in reached_by:
-                path = []
-                at = r
-                while reached_by[at] is not None:
-                    path.append(reached_by[at])
-                    a, b = d.faces_of(path[-1])
-                    at = a if b == at else b
-                best = dist + 1, path[::-1] + [e]
-                break
-            if best is not None and dist >= best[0] - 2:
-                break
+    for e, l, r in sorted(d.dual_edges):
+        reached_by = {l: None}
+        frontier = [l]
+        while frontier and r not in reached_by:
+            nxt = []
+            for u in frontier:
+                for f, w in adj[u]:
+                    if f != e and w not in reached_by:
+                        reached_by[w] = f, u
+                        nxt.append(w)
+            frontier = nxt
+        if r not in reached_by:
+            continue
+        path, at = [], r
+        while reached_by[at] is not None:
+            f, at = reached_by[at]
+            path.append(f)
+        if best is None or len(path) + 1 < best[0]:
+            best = len(path) + 1, path[::-1] + [e]
     return best
 
 
@@ -434,6 +441,14 @@ def dual_graphs(draw):
     name = draw(st.permutations(range(faces)))
     ids = draw(st.permutations(range(len(edges))))
     return DualGraph(faces, [(i, name[l], name[r]) for i, (l, r) in zip(ids, edges)])
+
+
+@given(dual_graphs())
+@settings(max_examples=300, deadline=None)
+def test_shortest_cycle_matches_every_edge_search_on_any_dual(d):
+    # cycle threads at branch faces, whole-cycle components and pendant
+    # trees all occur; the walk order must match too
+    assert shortest_dual_cycle(d) == every_edge_shortest_cycle(d)
 
 
 @given(dual_graphs(), st.data())

@@ -88,6 +88,12 @@ def test_negative_cost_rejected():
         build_embedding(1, [[0, 1]], [(0, 1)], costs={0: -1})
 
 
+def test_partial_costs_rejected():
+    # costs on edge 0 of two parallel edges, none on edge 1
+    with pytest.raises(MalformedRotationError, match="1 of 2 edges"):
+        build_embedding(2, [[0, 2], [1, 3]], [(0, 1), (2, 3)], costs={0: 5})
+
+
 def test_corrupted_rotation_raises_odd_defect():
     g = prism_graph(4)
     # cross-wire two darts of different vertices: rotation cycles no longer

@@ -140,16 +140,15 @@ def test_threads_found_once_per_dual(monkeypatch):
 
 def test_middle_edge_deterministic():
     # faces 3 and 7 are joined by edges 0 and 1 and by the path 3-6-5-7;
-    # walked from any of its faces, the path runs from face 3
+    # the thread through either of its inner faces runs from face 3
     d = DualGraph(8, [(0, 3, 7), (1, 3, 7), (2, 3, 6), (9, 6, 5), (4, 5, 7)])
-    view = DualView(d)
     for f in (5, 6):
-        t = view.thread_through(f)
+        (t,) = [t for t in find_threads(d) if f in t.vertices]
         assert (t.edges, t.vertices) == ((2, 9, 4), (3, 6, 5, 7))
         assert middle_edge(t) == 9
     # from face 1: position ceil(2/2) = 1 -> first edge
     d = DualGraph(6, [(0, 1, 3), (1, 1, 3), (4, 1, 5), (9, 5, 3)])
-    even = DualView(d).thread_through(5)
+    (even,) = [t for t in find_threads(d) if 5 in t.vertices]
     assert (even.edges, even.vertices) == ((4, 9), (1, 5, 3))
     assert middle_edge(even) == 4
 
