@@ -20,8 +20,9 @@ from .errors import (
     ConnectivityShortfallError,
     CostBoundViolatedError,
     EmbeddingMismatchError,
+    InvalidInputError,
 )
-from .flows import min_cost_circulation, pair_connectivity
+from .flows import edge_connectivity, min_cost_circulation
 from .heldkarp import ATSPInstance, HKSolution, solve_held_karp
 from .pipeline import genus_bound, weighted_thin_tree
 
@@ -62,29 +63,25 @@ def symmetrize(x: HKSolution, inst: ATSPInstance):
     return y, c_prime
 
 
-def discretize(y: dict, denominator: int, n: int):
+def discretize(y: dict, denominator: int):
     """Integer multigraph multiplicities floor(D * y_e) per support pair.
 
-    Returns (multiplicities, measured_connectivity, guaranteed_connectivity).
-    The guarantee is 2D - |support| (each support edge loses strictly less
-    than one copy to rounding and every cut carries y-value at least 2);
-    falling measurably below it raises ConnectivityShortfallError.  Small
-    denominators are allowed for desk-scale runs; the guarantee then simply
+    Returns (multiplicities, guaranteed_connectivity).  The guarantee is
+    2D - |support|: each support edge loses strictly less than one copy to
+    rounding and every cut carries y-value at least 2.  ``atsp_approx``
+    measures the expanded multigraph against it.  Small denominators work
+    only while the measured connectivity k stays above 2*f(genus), so that
+    the thin tree's thinness 2*f(genus)/k is below 1; the guarantee then
     degenerates to zero and downstream bounds rest on the measured value.
     """
     if denominator < 1:
-        raise ValueError("denominator must be positive")
+        raise InvalidInputError(f"denominator must be positive, got {denominator}")
     mult = {}
     for key in sorted(y):
         copies = (denominator * y[key].numerator) // y[key].denominator
         if copies > 0:
             mult[key] = copies
-    guarantee = max(0, 2 * denominator - len(y))
-    measured = pair_connectivity(n, mult)
-    if measured < guarantee:
-        raise ConnectivityShortfallError(
-            f"measured connectivity {measured} below guarantee {guarantee}")
-    return mult, measured, guarantee
+    return mult, max(0, 2 * denominator - len(y))
 
 
 def expand_support_embedding(emb: EmbeddedGraph, mult: dict, c_prime: dict):
@@ -125,22 +122,23 @@ def orient_tree(tree_pairs, inst: ATSPInstance) -> list:
 
 
 def round_to_tour(inst: ATSPInstance, x: HKSolution, tree_arcs,
-                  alpha: Fraction, denominator: int,
-                  sigma: Fraction | None = None) -> Tour:
+                  alpha: Fraction, denominator: int) -> Tour:
     """Round x to a tour guided by an oriented thin spanning tree.
 
     ``alpha`` is the tree's thinness with respect to the discretized
-    multigraph (must be < 1) and ``denominator`` its scale, so the tree is
-    alpha*denominator-thin with respect to x.  A minimum-cost integral
-    circulation with lower bound 1 on the tree arcs and capacities
-    ceil(2*alpha*D*x_a) + 1 exists whenever the thinness certificate is
-    honest; its Eulerian circuit, shortcut by the triangle inequality, is
-    the tour.  The final cost is asserted against
+    multigraph (below 1, else the denominator is too small) and
+    ``denominator`` its scale, so the tree is alpha*denominator-thin with
+    respect to x.  A minimum-cost integral circulation with lower bound 1 on
+    the tree arcs and capacities ceil(2*alpha*D*x_a) + 1 exists whenever the
+    thinness certificate is honest; its Eulerian circuit, shortcut by the
+    triangle inequality, is the tour.  The final cost is asserted against
     2*alpha*D*c(x) + c(tree arcs).
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
-        raise ValueError(f"thinness {alpha} outside (0, 1)")
+        raise InvalidInputError(
+            f"thinness {alpha} outside (0, 1): denominator {denominator} "
+            "is too small for a thin tree")
     n = inst.n
     tree_arcs = sorted(tree_arcs)
     if len(tree_arcs) != n - 1:
@@ -175,9 +173,6 @@ def round_to_tour(inst: ATSPInstance, x: HKSolution, tree_arcs,
     assert tour.cost <= circuit_cost, "shortcutting increased the cost"
     c_x = sum((inst.cost[i][j] * val for (i, j), val in x.x.items()), Fraction(0))
     c_tree = sum((inst.cost[u][v] for u, v in tree_arcs), Fraction(0))
-    if sigma is not None:
-        # the tree was promised to cost at most sigma * c'(H) <= sigma*D*c(x)
-        assert c_tree <= Fraction(sigma) * denominator * c_x
     bound = scale * c_x + c_tree
     if tour.cost > bound:
         raise CostBoundViolatedError(
@@ -210,34 +205,43 @@ def atsp_approx(inst: ATSPInstance, support_embedding: EmbeddedGraph,
                 denominator: int | None = None, exact=True):
     """Full pipeline: LP, symmetrize, discretize, thin tree, circulation.
 
-    ``support_embedding`` must cover the support of the symmetrized LP
-    solution.  Returns (Tour, report) where the report carries every
-    certificate value; the tour cost is asserted against the end-to-end
-    bound 3*beta*(1 + 1/n)*c(x) with beta = genus_bound(genus).  The LP is
-    always solved exactly; ``exact`` must be true and is kept only for
-    callers that still pass it.
+    ``support_embedding`` must have the instance's n vertices and cover the
+    support of the symmetrized LP solution.  The discretized multigraph H
+    is measured once: its min cut k must reach the rounding guarantee, and
+    the thin-tree extraction reads the same memoised k.  Returns (Tour,
+    report) where the report carries every certificate value; the tour cost
+    is asserted against 3*beta*(1 + 1/n)*c(x), beta = genus_bound(genus).
+    ``exact`` must be true and is kept only for callers that still pass it.
     """
     if not exact:
         raise ValueError("the Held-Karp LP is always solved exactly")
     n = inst.n
+    if support_embedding.vertex_count != n:
+        raise EmbeddingMismatchError(
+            f"support embedding has {support_embedding.vertex_count} vertices, "
+            f"the instance {n}")
     if denominator is None:
         denominator = n ** 3
     x = solve_held_karp(inst)
     y, c_prime = symmetrize(x, inst)
-    mult, k_measured, k_guarantee = discretize(y, denominator, n)
+    mult, k_guarantee = discretize(y, denominator)
 
     expanded, copy_pair = expand_support_embedding(support_embedding, mult, c_prime)
+    k = edge_connectivity(expanded)
+    if k < k_guarantee:
+        raise ConnectivityShortfallError(
+            f"measured connectivity {k} below guarantee {k_guarantee}")
     genus = expanded.genus()
     beta = genus_bound(genus)
     weighted = weighted_thin_tree(expanded)
-    k_h = weighted.connectivity_trace[0]
+    c_x = x.objective
+    # sigma = c'(T)/c'(H) bounds the tree by sigma*D*c(x) because c'(H) <= D*c(x)
+    assert weighted.c_graph <= denominator * c_x
     tree_pairs = sorted({copy_pair[e] for e in weighted.tree_edges})
     assert len(tree_pairs) == n - 1, "thin tree reused a parallel pair"
     tree_arcs = orient_tree(tree_pairs, inst)
 
-    tour = round_to_tour(inst, x, tree_arcs, weighted.thinness, denominator,
-                         sigma=weighted.cost_ratio)
-    c_x = x.objective
+    tour = round_to_tour(inst, x, tree_arcs, weighted.thinness, denominator)
     bound = 3 * beta * (1 + Fraction(1, n)) * c_x
     if tour.cost > bound:
         raise CostBoundViolatedError(
@@ -251,9 +255,9 @@ def atsp_approx(inst: ATSPInstance, support_embedding: EmbeddedGraph,
         "genus": genus,
         "denominator": denominator,
         "support_size": len(y),
-        "connectivity_measured": k_measured,
+        "connectivity_measured": k,
         "connectivity_guarantee": k_guarantee,
-        "connectivity_used": k_h,
+        "connectivity_used": k,
         "alpha": weighted.thinness,
         "sigma": weighted.cost_ratio,
         "rounds": weighted.rounds,

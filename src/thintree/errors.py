@@ -10,6 +10,11 @@ class ThinTreeError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidInputError(ThinTreeError, ValueError):
+    """An argument is outside what the operation accepts: too few vertices,
+    a non-positive or too small denominator, a graph without costs."""
+
+
 # --- embedding construction / queries ---
 
 class MalformedRotationError(ThinTreeError):

@@ -14,7 +14,7 @@ from collections import deque
 from fractions import Fraction
 
 from .embedding import EmbeddedGraph
-from .errors import CirculationInfeasibleError
+from .errors import CirculationInfeasibleError, InvalidInputError
 
 
 class FlowNetwork:
@@ -141,13 +141,16 @@ def _min_cut_sweep(n: int, arcs, pairs):
 
 
 def edge_connectivity(g: EmbeddedGraph) -> int:
-    """Exact global min cut size of an undirected multigraph.
+    """Exact global min cut size of an undirected multigraph, as n-1
+    max-flows against the fixed source 0 with each vertex pair's parallel
+    copies as its capacity.
 
     Returns 0 when g is disconnected; loops never contribute.  Measured
     once per graph object and memoised on it, like faces() and components().
     """
-    if g.vertex_count < 2:
-        raise ValueError("edge connectivity needs at least 2 vertices")
+    n = g.vertex_count
+    if n < 2:
+        raise InvalidInputError("edge connectivity needs at least 2 vertices")
     if g._connectivity is None:
         weight = {}
         for e in g.edges():
@@ -156,20 +159,11 @@ def edge_connectivity(g: EmbeddedGraph) -> int:
                 continue
             key = (min(u, v), max(u, v))
             weight[key] = weight.get(key, 0) + 1
-        g._connectivity = pair_connectivity(g.vertex_count, weight)
+        arcs = []
+        for (u, v), w in sorted(weight.items()):
+            arcs += ((u, v, w), (v, u, w))
+        g._connectivity = _min_cut_sweep(n, arcs, ((0, t) for t in range(1, n)))[0]
     return g._connectivity
-
-
-def pair_connectivity(n: int, weight: dict):
-    """Global min cut of the undirected graph with ``weight[(u, v)]`` on
-    each vertex pair, as n-1 max-flows against the fixed source 0.
-
-    Stops early at 0 (disconnected); returns None when n < 2.
-    """
-    arcs = []
-    for (u, v), w in sorted(weight.items()):
-        arcs += ((u, v, w), (v, u, w))
-    return _min_cut_sweep(n, arcs, ((0, t) for t in range(1, n)))[0]
 
 
 def directed_global_min_cut(n: int, arcs: dict):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DualCertificateError, IterationLimitError
+from .errors import DualCertificateError, InvalidInputError, IterationLimitError
 from .flows import directed_global_min_cut
 from .simplex import solve_lp
 
@@ -138,7 +138,7 @@ def solve_held_karp(inst: ATSPInstance) -> HKSolution:
     """
     n = inst.n
     if n < 3:
-        raise ValueError("need at least 3 vertices")
+        raise InvalidInputError(f"Held-Karp needs at least 3 vertices, got {n}")
     arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
     costs = [inst.cost[i][j] for i, j in arcs]
     degree_rows = [[0] * len(arcs) for _ in range(2 * n)]  # out(v), then in(v)

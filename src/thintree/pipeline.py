@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .embedding import EmbeddedGraph
-from .errors import DisconnectedError, ExtractionFailureError
+from .errors import DisconnectedError, ExtractionFailureError, InvalidInputError
 from .flows import edge_connectivity
 from .spanning import ThinTreeResult, alpha, thin_spanning_tree
 from .surgery import increase_dual_girth
@@ -144,7 +144,7 @@ def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
     among them, raises ExtractionFailureError.
     """
     if g.edge_cost is None:
-        raise ValueError("weighted_thin_tree needs edge costs")
+        raise InvalidInputError("weighted_thin_tree needs edge costs")
     if not g.is_connected():
         raise DisconnectedError("weighted_thin_tree needs a connected graph")
     k = edge_connectivity(g)

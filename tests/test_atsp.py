@@ -11,12 +11,14 @@ from thintree.atsp import (
     round_to_tour,
     symmetrize,
 )
+from thintree.embedding import EmbeddedGraph
 from thintree.errors import (
     CirculationInfeasibleError,
+    ConnectivityShortfallError,
     EmbeddingMismatchError,
 )
-from thintree.flows import min_cost_circulation
-from thintree.genlab import cycle_graph, lp_support_instance
+from thintree.flows import edge_connectivity, min_cost_circulation
+from thintree.genlab import cycle_graph, lp_support_instance, wheel_graph
 from thintree.heldkarp import ATSPInstance, HKSolution, solve_held_karp
 from thintree.oracle import brute_force_atsp, verify_tour
 from thintree.prng import PCG32
@@ -59,26 +61,32 @@ def test_symmetrized_cost_picks_min_direction():
     assert cp[(0, 1)] == 1 and cp[(1, 2)] == 1 and cp[(0, 2)] == 1
 
 
+def expanded_connectivity(emb, mult):
+    """Min cut of the multigraph that atsp_approx expands from ``mult``."""
+    unit = {key: Fraction(1) for key in mult}
+    return edge_connectivity(expand_support_embedding(emb, mult, unit)[0])
+
+
 def test_discretize_unit_tour():
     inst = ATSPInstance.from_matrix(
         [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
     x = integral_tour_solution(inst, [0, 1, 2, 3])
     y, _ = symmetrize(x, inst)
-    mult, measured, guarantee = discretize(y, 8, 4)
+    mult, guarantee = discretize(y, 8)
     assert all(m == 8 for m in mult.values())
-    assert measured == 16
+    assert expanded_connectivity(cycle_graph(4), mult) == 16
     assert guarantee == 2 * 8 - 4
 
 
 def test_discretize_split_paths():
     y = {(0, 1): Fraction(1), (1, 2): Fraction(1, 2), (1, 3): Fraction(1, 2),
          (2, 3): Fraction(1), (0, 2): Fraction(1, 2), (0, 3): Fraction(1, 2)}
-    mult, measured, _ = discretize(y, 10, 4)
+    mult, _ = discretize(y, 10)
     assert mult[(0, 1)] == 10 and mult[(1, 2)] == 5
     degrees = {v: sum(m for (a, b), m in mult.items() if v in (a, b))
                for v in range(4)}
     assert all(d == 20 for d in degrees.values())
-    assert measured == 20
+    assert expanded_connectivity(wheel_graph(3), mult) == 20  # the wheel is K4
 
 
 def test_discretize_paper_scale_guarantee():
@@ -87,7 +95,8 @@ def test_discretize_paper_scale_guarantee():
     x = integral_tour_solution(inst, [0, 1, 2, 3])
     y, _ = symmetrize(x, inst)
     d = 4 ** 3
-    mult, measured, guarantee = discretize(y, d, 4)
+    mult, guarantee = discretize(y, d)
+    measured = expanded_connectivity(cycle_graph(4), mult)
     assert measured >= d * 2 - 16  # n^3 (2 - 1/n) = 112 at n = 4
     assert measured >= 112
 
@@ -138,12 +147,19 @@ def test_circulation_infeasible_when_capacity_missing():
         min_cost_circulation(2, [(0, 1, 1, 1, Fraction(1))])
 
 
-def test_discretize_shortfall_on_bogus_y():
-    from thintree.errors import ConnectivityShortfallError
-    # not a Held-Karp shadow: disconnected support violates y(delta) >= 2
-    y = {(0, 1): Fraction(2), (2, 3): Fraction(2)}
+def test_atsp_approx_shortfall_on_bogus_y(monkeypatch):
+    from thintree import atsp
+    # not a Held-Karp solution: two disjoint 2-cycles give the shadow
+    # y = 2 on (0, 1) and (2, 3), whose disconnected support violates
+    # y(delta) >= 2
+    inst = ATSPInstance.from_matrix(
+        [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+    x = {(0, 1): Fraction(1), (1, 0): Fraction(1),
+         (2, 3): Fraction(1), (3, 2): Fraction(1)}
+    monkeypatch.setattr(atsp, "solve_held_karp",
+                        lambda _: HKSolution(x=x, objective=Fraction(4), cuts_added=0))
     with pytest.raises(ConnectivityShortfallError):
-        discretize(y, 30, 4)
+        atsp_approx(inst, cycle_graph(4), denominator=30)
 
 
 def test_cutting_plane_iteration_limit(monkeypatch):
@@ -169,7 +185,7 @@ def test_expand_support_embedding_copies_and_costs():
     matrix, emb = lp_support_instance(8, PCG32(2))
     inst = ATSPInstance.from_matrix(matrix)
     y, c_prime = symmetrize(solve_held_karp(inst), inst)
-    mult, _, _ = discretize(y, 60, inst.n)
+    mult, _ = discretize(y, 60)
     expanded, copy_pair = expand_support_embedding(emb, mult, c_prime)
     assert sorted(copy_pair) == expanded.edges()
     copies = {}
@@ -192,6 +208,9 @@ def test_atsp_approx_planar_instances():
         bound = 3 * 10 * (1 + Fraction(1, n)) * report["opt_hk"]
         assert tour.cost <= bound
         assert report["alpha"] < 1
+        # H is measured once, and the extraction's first round reads it
+        assert (report["connectivity_measured"] == report["connectivity_used"]
+                == report["connectivity_trace"][0])
 
 
 def test_atsp_approx_unit_c4():
@@ -218,6 +237,14 @@ def test_atsp_approx_rejects_uncovered_support():
     small = emb.delete_edges([0])  # remove one prism edge from the cover
     with pytest.raises(EmbeddingMismatchError):
         atsp_approx(inst, small, denominator=60)
+
+
+def test_atsp_approx_rejects_extra_vertex():
+    matrix, emb = lp_support_instance(6, PCG32(1))
+    inst = ATSPInstance.from_matrix(matrix)
+    padded = EmbeddedGraph(7, emb.dart_owner, emb.rotation_next, emb.edge_cost)
+    with pytest.raises(EmbeddingMismatchError):
+        atsp_approx(inst, padded, denominator=60)
 
 
 def test_tour_canonical_rotation():

@@ -133,6 +133,70 @@ def test_partially_costed_emb_rejected(tmp_path, capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("command,emb", [
+    (["pipeline", "--weighted"], "EMB 1 2 2\nrot 0 0 2\nrot 1 1 3\nedge 0 0 1\nedge 1 2 3\n"),
+    (["pipeline", "--weighted"], "EMB 1 1 2\nrot 0 0 1 2 3\nedge 0 0 1 1\nedge 1 2 3 1\n"),
+    (["pipeline"], "EMB 1 1 2\nrot 0 0 1 2 3\nedge 0 0 1 1\nedge 1 2 3 1\n"),
+], ids=["weighted without costs", "weighted one vertex", "unweighted one vertex"])
+def test_pipeline_rejects_unusable_graph(tmp_path, capsys, command, emb):
+    g = tmp_path / "g.emb"
+    g.write_text(emb)
+    code = main(command + ["--in", str(g), "--out", str(tmp_path / "out.json")])
+    assert code == 2
+    assert_one_error_line(capsys)
+
+
+def test_atsp_rejects_two_vertices(tmp_path, capsys):
+    inst = tmp_path / "inst.atsp"
+    inst.write_text("ATSP 1 2\n0 1\n1 0\n")
+    g = tmp_path / "g.emb"
+    g.write_text("EMB 1 2 2\nrot 0 0 2\nrot 1 1 3\nedge 0 0 1\nedge 1 2 3\n")
+    code = main(["atsp", "--in", str(inst), "--emb", str(g),
+                 "--out", str(tmp_path / "tour.json")])
+    assert code == 2
+    assert "at least 3 vertices" in assert_one_error_line(capsys)
+
+
+def lp_support_6(tmp_path):
+    inst = tmp_path / "inst.atsp"
+    emb = tmp_path / "support.emb"
+    run_cli(["gen", "--family", "lp-support-instance", "--n", "6",
+             "--seed", "1", "--out", str(inst), "--emb-out", str(emb)])
+    return inst, emb
+
+
+# lp-support n = 6 has thinness 20/k with k = 2D, so D <= 10 is too small
+@pytest.mark.parametrize("denominator,message", [
+    ("0", "must be positive"), ("-3", "must be positive"),
+    ("1", "too small"), ("2", "too small"), ("5", "too small"), ("10", "too small"),
+])
+def test_atsp_rejects_bad_denominator(tmp_path, capsys, denominator, message):
+    inst, emb = lp_support_6(tmp_path)
+    code = main(["atsp", "--in", str(inst), "--emb", str(emb),
+                 "--denominator", denominator, "--out", str(tmp_path / "tour.json")])
+    assert code == 2
+    assert message in assert_one_error_line(capsys)
+
+
+def test_atsp_rejects_support_embedding_with_extra_vertex(tmp_path, capsys):
+    inst, emb = lp_support_6(tmp_path)
+    lines = emb.read_text().splitlines(keepends=True)
+    assert lines[0].startswith("EMB 1 6 ") and lines[6].startswith("rot 5 ")
+    lines[0] = lines[0].replace("EMB 1 6 ", "EMB 1 7 ")
+    lines.insert(7, "rot 6\n")  # an isolated vertex
+    emb.write_text("".join(lines))
+    code = main(["atsp", "--in", str(inst), "--emb", str(emb),
+                 "--denominator", "60", "--out", str(tmp_path / "tour.json")])
+    assert code == 2
+    assert "7 vertices" in assert_one_error_line(capsys)
+
+
 def test_verify_thinness_rejects_absent_edge(tmp_path, capsys):
     g = tmp_path / "g.emb"
     edges = tmp_path / "edges.json"

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thintree.embedding import build_embedding
 from thintree.errors import CirculationInfeasibleError
 from thintree.flows import (
     FlowNetwork,
     directed_global_min_cut,
+    edge_connectivity,
     min_cost_circulation,
-    pair_connectivity,
 )
 
 WEIGHTS = st.fractions(min_value=0, max_value=4, max_denominator=6)
@@ -38,12 +39,25 @@ def crossing(weight: dict, side) -> Fraction:
                Fraction(0))
 
 
+def multigraph(n: int, weight: dict):
+    """``weight[(u, v)]`` parallel copies of each pair, darts in id order
+    around each vertex."""
+    rotations = [[] for _ in range(n)]
+    e = 0
+    for (u, v), w in sorted(weight.items()):
+        for _ in range(w):
+            rotations[u].append(2 * e)
+            rotations[v].append(2 * e + 1)
+            e += 1
+    return build_embedding(n, rotations, [(2 * i, 2 * i + 1) for i in range(e)])
+
+
 @st.composite
-def weighted_pairs(draw, directed: bool):
+def weighted_pairs(draw, directed: bool, weights=WEIGHTS):
     n = draw(st.integers(2, 7))
     pairs = [(u, v) for u in range(n) for v in range(n)
              if u != v and (directed or u < v)]
-    return n, draw(st.dictionaries(st.sampled_from(pairs), WEIGHTS))
+    return n, draw(st.dictionaries(st.sampled_from(pairs), weights))
 
 
 @given(weighted_pairs(directed=True))
@@ -56,11 +70,11 @@ def test_directed_min_cut_matches_enumeration(case):
     assert leaving(arcs, side) == value
 
 
-@given(weighted_pairs(directed=False))
+@given(weighted_pairs(directed=False, weights=st.integers(0, 4)))
 @settings(max_examples=200, deadline=None)
-def test_pair_connectivity_matches_enumeration(case):
+def test_edge_connectivity_matches_enumeration(case):
     n, weight = case
-    assert pair_connectivity(n, weight) == min(
+    assert edge_connectivity(multigraph(n, weight)) == min(
         crossing(weight, s) for s in proper_sides(n))
 
 
@@ -120,11 +134,9 @@ def test_golden_values():
     """Values, sides and flow vectors, pinned so that a change of arc order
     or tie-breaking shows."""
     F = Fraction
-    weight = {(0, 1): 3, (0, 2): 1, (1, 2): 2, (1, 3): 1, (2, 3): F(5, 2),
-              (3, 4): F(3, 2), (2, 4): 1}
-    assert pair_connectivity(5, weight) == F(5, 2)
-    assert pair_connectivity(4, {(0, 1): 2, (2, 3): 5}) == 0
-    assert pair_connectivity(1, {}) is None
+    assert edge_connectivity(multigraph(4, {(0, 1): 2, (2, 3): 5})) == 0
+    with pytest.raises(ValueError):
+        edge_connectivity(multigraph(1, {}))
 
     arcs = {(0, 1): F(1, 2), (1, 2): F(1, 2), (2, 0): F(1, 2), (1, 0): F(1, 2),
             (2, 1): F(1, 2), (0, 2): F(1, 2), (2, 3): 1, (3, 4): F(3, 4),

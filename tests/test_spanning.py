@@ -467,7 +467,7 @@ def lp_support_expanded(n, seed, denominator):
     matrix, emb = lp_support_instance(n, PCG32(seed))
     inst = ATSPInstance.from_matrix(matrix)
     y, c_prime = symmetrize(solve_held_karp(inst), inst)
-    mult, _, _ = discretize(y, denominator, n)
+    mult, _ = discretize(y, denominator)
     return expand_support_embedding(emb, mult, c_prime)[0]
 
 
