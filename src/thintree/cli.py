@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from dataclasses import asdict
 
 from . import genlab, oracle
 from .atsp import atsp_approx
@@ -24,12 +24,9 @@ from .spanning import thin_spanning_tree, tree_cost_ratio
 from .surgery import increase_dual_girth
 
 
-def _frac(value) -> str:
-    return format_cost(Fraction(value))
-
-
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Sorted, indented JSON; every Fraction written by ``format_cost``."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=format_cost) + "\n"
 
 
 def _write(path: str, text: str) -> None:
@@ -44,17 +41,10 @@ def _read(path: str) -> str:
 
 def _tree_payload(g, result) -> dict:
     """The fields of a ThinTreeResult, plus cost_ratio when g is weighted."""
-    payload = {
-        "tree_edges": sorted(result.tree_edges),
-        "far_set": sorted(result.far_set),
-        "g_star": result.g_star,
-        "alpha": result.alpha,
-        "thinness_bound": _frac(result.thinness_bound),
-        "certificate_distance": result.certificate_distance,
-    }
+    payload = asdict(result)
     cost_ratio = tree_cost_ratio(g, result.tree_edges)
     if cost_ratio is not None:
-        payload["cost_ratio"] = _frac(cost_ratio)
+        payload["cost_ratio"] = cost_ratio
     return payload
 
 
@@ -88,7 +78,7 @@ def cmd_thin_tree(args) -> int:
                 f"--certify refuses graphs with more than "
                 f"{oracle.MAX_CUT_VERTICES} vertices (got {g.vertex_count})")
         report = oracle.brute_force_thinness(g, result.far_set)
-        payload["certified_max_ratio"] = _frac(report.max_ratio)
+        payload["certified_max_ratio"] = report.max_ratio
         payload["witness_cut"] = sorted(report.witness_cut.side)
         payload["cuts_checked"] = report.cuts_checked
     _write(args.out, _dump(payload))
@@ -109,16 +99,7 @@ def cmd_surgery(args) -> int:
 def cmd_pipeline(args) -> int:
     g = read_emb(_read(args.infile))
     if args.weighted:
-        result = weighted_thin_tree(g)
-        payload = {
-            "tree_edges": sorted(result.tree_edges),
-            "thinness": _frac(result.thinness),
-            "cost_ratio": _frac(result.cost_ratio),
-            "c_tree": _frac(result.c_tree),
-            "c_graph": _frac(result.c_graph),
-            "rounds": result.rounds,
-            "connectivity_trace": result.connectivity_trace,
-        }
+        payload = asdict(weighted_thin_tree(g))
     else:
         payload = _tree_payload(g, bounded_genus_thin_tree(g))
         payload.update(genus=g.genus(), edge_connectivity=edge_connectivity(g))
@@ -130,13 +111,7 @@ def cmd_atsp(args) -> int:
     inst = ATSPInstance.from_matrix(read_atsp(_read(args.infile)))
     emb = read_emb(_read(args.emb))
     tour, report = atsp_approx(inst, emb, denominator=args.denominator)
-    payload = {"order": list(tour.order), "cost": _frac(tour.cost)}
-    for key, value in report.items():
-        if isinstance(value, Fraction):
-            payload[key] = _frac(value)
-        else:
-            payload[key] = value
-    _write(args.out, _dump(payload))
+    _write(args.out, _dump({"order": tour.order, "cost": tour.cost, **report}))
     return 0
 
 
@@ -157,15 +132,11 @@ def cmd_verify(args) -> int:
     if args.what == "thinness":
         g = read_emb(_read(args.infile))
         report = oracle.brute_force_thinness(g, _json_list(args.edges, "tree_edges"))
-        payload = {
-            "max_ratio": _frac(report.max_ratio),
-            "witness_cut": sorted(report.witness_cut.side),
-            "cuts_checked": report.cuts_checked,
-        }
+        payload = {**asdict(report), "witness_cut": sorted(report.witness_cut.side)}
     else:
         inst = ATSPInstance.from_matrix(read_atsp(_read(args.infile)))
         cost = oracle.verify_tour(_json_list(args.tour, "order"), inst.cost)
-        payload = {"cost": _frac(cost), "hamiltonian": True}
+        payload = {"cost": cost, "hamiltonian": True}
     sys.stdout.write(_dump(payload))
     return 0
 

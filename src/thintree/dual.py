@@ -7,15 +7,18 @@ edge, under the same edge id.  ``left_face`` is the face containing dart
 (both sides the same face) is allowed and counts as a cycle of length 1.
 
 A thread is a maximal chain of degree-2 faces (each parallel bundle of an
-amplified graph is one).  ``find_threads`` is the one chain decomposition:
-the threads of a dual's 2-core are found once per ``DualGraph``
-(``core_threads``), and everything after works on whole threads.  The girth
-search contracts each thread into one edge weighted by its length, runs
-one Dijkstra search per thread, and reads the cycle it picked back along the
-same contracted threads.  The far-set selection in ``spanning`` keeps the
-threads as a graph on their branch faces.  ``min_pairwise_distance`` runs
-one Dijkstra search over the same contracted threads, cut only at the ends
-of the queried edges and where a pruned edge hangs.
+amplified graph is one).  ``find_threads`` is the one chain decomposition,
+and ``DualGraph`` the one representation it reads: the threads of a dual's
+2-core are found once per ``DualGraph`` (``core_threads`` peels the pendant
+trees on a count of degrees and decomposes the dual itself, or a
+``DualGraph`` of its 2-core when it peeled something), and everything after
+works on whole threads.  The girth search contracts each thread into one
+edge weighted by its length, runs one Dijkstra search per thread, and reads
+the cycle it picked back along the same contracted threads.  The far-set
+selection in ``spanning`` keeps the threads as a graph on their branch
+faces.  ``min_pairwise_distance`` runs one Dijkstra search over the same
+contracted threads, cut only at the ends of the queried edges and where a
+pruned edge hangs.
 """
 
 from __future__ import annotations
@@ -86,12 +89,34 @@ class DualGraph:
         return self._neighbors
 
     def core_threads(self) -> tuple[Thread, ...]:
-        """The threads of the dual's 2-core (every degree-1 face pruned
+        """The threads of the dual's 2-core (every degree-1 face peeled
         away, repeatedly), found once."""
         if self._threads is None:
-            view = DualView(self)
-            self._pendant = view.prune_degree_one()
-            self._threads = tuple(find_threads(view))
+            neighbors = self.neighbors()
+            degree = [len(m) for m in neighbors]
+            for _, f in self.loops:
+                degree[f] += 2
+            stack = [f for f, deg in enumerate(degree) if deg == 1]
+            pendant = []
+            while stack:
+                f = stack.pop()
+                if degree[f] != 1:
+                    continue
+                # f has no loop, and its edges peeled so far lead to peeled
+                # faces, of degree 0; the one left leads to a face that is not
+                e, other = next((e, o) for e, o in neighbors[f].items() if degree[o])
+                pendant.append(e)
+                degree[f] = 0
+                degree[other] -= 1
+                if degree[other] == 1:
+                    stack.append(other)
+            self._pendant = pendant
+            core = self
+            if pendant:
+                gone = set(pendant)
+                core = DualGraph(self.face_count,
+                                 [x for x in self.dual_edges if x[0] not in gone])
+            self._threads = tuple(find_threads(core))
         return self._threads
 
     def _thread_places(self):
@@ -145,65 +170,28 @@ class Thread:
         return len(self.edges)
 
 
-class DualView:
-    """Mutable working copy of a dual graph.
+def find_threads(d: DualGraph) -> list[Thread]:
+    """Decompose a dual graph of minimum degree 2 into maximal threads.
 
-    ``neighbors[f]`` is ``DualGraph.neighbors()[f]`` until the first
-    deletion copies them all, so a view with nothing to prune costs no copy;
-    deletions keep the edge-id order.  ``loops`` holds the loop edge ids of
-    faces that have loops, and ``degree[f]`` counts a loop twice.
+    Every edge belongs to exactly one returned thread, walked in its
+    canonical direction: a path runs from its end with the smaller id; a
+    cycle starts at its branch vertex, or else at its smallest vertex, and
+    leaves along the smaller of its two end edges.  Faces of degree 0 are
+    skipped.  Raises DegreeOneVertexError when the precondition is violated.
     """
+    neighbors = d.neighbors()
+    degree = [len(m) for m in neighbors]  # a loop counts twice
+    loops = {}
+    for e, f in d.loops:
+        loops.setdefault(f, []).append(e)
+        degree[f] += 2
 
-    def __init__(self, d: DualGraph):
-        self.neighbors = d.neighbors()
-        self._shared = True
-        self.degree = [len(m) for m in self.neighbors]
-        self.loops = {}
-        for e, f in d.loops:
-            self.loops.setdefault(f, set()).add(e)
-            self.degree[f] += 2
-
-    def remove_edge(self, e: int, l: int, r: int) -> None:
-        if self._shared:
-            self.neighbors = [dict(m) for m in self.neighbors]
-            self._shared = False
-        if l == r:
-            self.loops[l].discard(e)
-            self.degree[l] -= 2
-        else:
-            del self.neighbors[l][e]
-            del self.neighbors[r][e]
-            self.degree[l] -= 1
-            self.degree[r] -= 1
-
-    def prune_degree_one(self) -> list[int]:
-        """Iteratively delete degree-1 vertices with their incident edge;
-        return the deleted edges."""
-        degree = self.degree
-        stack = [f for f, deg in enumerate(degree) if deg == 1]
-        pruned = []
-        while stack:
-            f = stack.pop()
-            if degree[f] != 1:
-                continue
-            e, other = next(iter(self.neighbors[f].items()))
-            self.remove_edge(e, f, other)
-            pruned.append(e)
-            if degree[other] == 1:
-                stack.append(other)
-        return pruned
-
-    def walk(self, start: int, edge: int, other: int):
-        """Follow the chain from ``start`` along the non-loop ``edge`` through
-        degree-2 vertices; stop at a vertex of another degree or back at
-        ``start``.  Returns the walked (edges, vertices).
-
-        A vertex entered by a non-loop edge that has degree 2 has no loop,
-        so its two neighbour entries are the way in and the way on.
-        """
-        neighbors, degree = self.neighbors, self.degree
-        edges = [edge]
-        verts = [start, other]
+    def walk(start, edge, other):
+        # Follow the chain from start along the non-loop edge through
+        # degree-2 faces, up to a face of another degree or back at start.
+        # A face entered by a non-loop edge that has degree 2 has no loop,
+        # so its two neighbour entries are the way in and the way on.
+        edges, verts = [edge], [start, other]
         add_edge, add_vert = edges.append, verts.append
         cur = other
         while cur != start and degree[cur] == 2:
@@ -215,19 +203,6 @@ class DualView:
             add_vert(cur)
         return edges, verts
 
-
-def find_threads(view) -> list[Thread]:
-    """Decompose a min-degree-2 dual view into maximal threads.
-
-    Every live edge belongs to exactly one returned thread, walked in its
-    canonical direction: a path runs from its end with the smaller id; a
-    cycle starts at its branch vertex, or else at its smallest vertex, and
-    leaves along the smaller of its two end edges.  Raises
-    DegreeOneVertexError when the precondition is violated.
-    """
-    if isinstance(view, DualGraph):
-        view = DualView(view)
-    degree = view.degree
     threads = []
     used = set()
     for b, deg in enumerate(degree):
@@ -235,9 +210,9 @@ def find_threads(view) -> list[Thread]:
             continue
         if deg == 1:
             raise DegreeOneVertexError(f"vertex {b} has degree 1")
-        incident = view.neighbors[b].items()  # in edge-id order
-        if b in view.loops:
-            incident = sorted([(e, b) for e in view.loops[b]] + list(incident))
+        incident = neighbors[b].items()  # in edge-id order
+        if b in loops:
+            incident = sorted([(e, b) for e in loops[b]] + list(incident))
         for e, other in incident:
             if e in used:
                 continue
@@ -245,7 +220,7 @@ def find_threads(view) -> list[Thread]:
                 used.add(e)
                 threads.append(Thread((e,), (b, b)))
                 continue
-            edges, verts = view.walk(b, e, other)
+            edges, verts = walk(b, e, other)
             used.update(edges)
             threads.append(Thread(tuple(edges), tuple(verts)))
 
@@ -254,9 +229,9 @@ def find_threads(view) -> list[Thread]:
     # cycle leaves it along its first (smaller) edge, or is its loop
     if len(used) < sum(degree) // 2:
         for f, deg in enumerate(degree):
-            if deg == 2 and min(view.neighbors[f] or view.loops[f]) not in used:
-                edges, verts = (view.walk(f, *next(iter(view.neighbors[f].items())))
-                                if view.neighbors[f] else (view.loops[f], (f, f)))
+            if deg == 2 and min(neighbors[f] or loops[f]) not in used:
+                edges, verts = (walk(f, *next(iter(neighbors[f].items())))
+                                if neighbors[f] else (loops[f], (f, f)))
                 used.update(edges)
                 threads.append(Thread(tuple(edges), tuple(verts)))
     return threads

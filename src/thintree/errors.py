@@ -50,7 +50,8 @@ class ParityViolationError(ThinTreeError):
 # --- thread selection ---
 
 class DegreeOneVertexError(ThinTreeError):
-    """find_threads requires every vertex of the view to have degree >= 2."""
+    """find_threads requires every face of the dual graph to have degree 0
+    or at least 2."""
 
 
 class NoLongThreadError(ThinTreeError):

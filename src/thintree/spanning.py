@@ -30,7 +30,7 @@ from .dual import (
     min_pairwise_distance,
 )
 from .embedding import EmbeddedGraph
-from .errors import DisconnectedError, NoLongThreadError
+from .errors import DisconnectedError, InvalidInputError, NoLongThreadError
 
 
 def alpha(genus: int) -> int:
@@ -264,12 +264,13 @@ def thin_spanning_tree(g: EmbeddedGraph) -> ThinTreeResult:
     For g* <= 2*alpha the bound is at least 1, so any spanning tree does and
     the whole edge set is reported as the far set with certificate 1.
     Otherwise the selection loop runs and the certificate is the measured
-    minimum pairwise dual distance of the selected dual edges.
+    minimum pairwise dual distance of the selected dual edges.  Raises
+    InvalidInputError on fewer than 2 vertices: no cut to be thin on.
     """
+    if g.vertex_count < 2:
+        raise InvalidInputError("thin_spanning_tree needs at least 2 vertices")
     if not g.is_connected():
         raise DisconnectedError("thin_spanning_tree needs a connected graph")
-    if g.vertex_count <= 1:
-        return ThinTreeResult((), tuple(g.edges()), Fraction(0), 1, 1, alpha(g.genus()))
     d = geometric_dual(g)
     g_star = dual_girth(d)
     a = alpha(g.genus())

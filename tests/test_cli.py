@@ -152,6 +152,18 @@ def test_pipeline_rejects_unusable_graph(tmp_path, capsys, command, emb):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("emb", [
+    "EMB 1 0 0\n",
+    "EMB 1 1 2\nrot 0 0 1 2 3\nedge 0 0 1 1\nedge 1 2 3 1\n",
+], ids=["no vertex", "one vertex"])
+def test_thin_tree_rejects_fewer_than_two_vertices(tmp_path, capsys, emb):
+    g = tmp_path / "g.emb"
+    g.write_text(emb)
+    code = main(["thin-tree", "--in", str(g), "--out", str(tmp_path / "out.json")])
+    assert code == 2
+    assert "at least 2 vertices" in assert_one_error_line(capsys)
+
+
 def test_atsp_rejects_two_vertices(tmp_path, capsys):
     inst = tmp_path / "inst.atsp"
     inst.write_text("ATSP 1 2\n0 1\n1 0\n")
@@ -345,12 +357,36 @@ CLI_GOLDEN_DIGESTS = {
 }
 
 
-def test_cli_outputs_match_recorded_digests(tmp_path):
+# The sha256 of the stdout of ``verify`` run on the golden files above.
+VERIFY_GOLDEN_COMMANDS = {
+    "thinness cube-tree": ["verify", "thinness", "--in", "cube.emb",
+                           "--edges", "cube-tree.json"],
+    "tour lp8-tour": ["verify", "tour", "--in", "lp8.atsp", "--tour", "lp8-tour.json"],
+}
+VERIFY_GOLDEN_DIGESTS = {
+    "thinness cube-tree":
+        "0a3b0d6008594c3949d615347ce72eb60f0a19020ee783edbeab58284ee41f74",
+    "tour lp8-tour":
+        "8222bbdd06790721c70e209acab420923797479338284952cd65ead9bd8aaa79",
+}
+
+
+def test_cli_outputs_match_recorded_digests(tmp_path, capsys):
     g = amplify(prism_graph(4), 4, costs=lambda new, old: 1 + (7 * new + old) % 50)
     (tmp_path / "handle.emb").write_text(write_emb(add_edge(g, 0, 2, 0, 0)))
+
+    def in_tmp(argv):
+        return [str(tmp_path / a) if a.endswith((".emb", ".atsp", ".json", ".log"))
+                else a for a in argv]
+
     for argv in CLI_GOLDEN_COMMANDS:
-        run_cli([str(tmp_path / a) if a.endswith((".emb", ".atsp", ".json", ".log"))
-                 else a for a in argv])
+        run_cli(in_tmp(argv))
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.iterdir()) if p.name != "handle.emb"}
     assert digests == CLI_GOLDEN_DIGESTS
+    capsys.readouterr()
+    stdout = {}
+    for name, argv in VERIFY_GOLDEN_COMMANDS.items():
+        run_cli(in_tmp(argv))
+        stdout[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert stdout == VERIFY_GOLDEN_DIGESTS

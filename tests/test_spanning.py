@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from thintree.atsp import discretize, expand_support_embedding, symmetrize
 from thintree.dual import (
     DualGraph,
-    DualView,
     Thread,
     dual_girth,
     find_threads,
@@ -114,13 +113,37 @@ def test_degree_one_precondition():
         find_threads(d)
 
 
-def test_unpruned_view_raises_until_pruned():
+def test_core_threads_peel_pendant_faces():
     # a triangle on faces 0, 1, 2 with a pendant face 3 on face 0
-    view = DualView(DualGraph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 3)]))
+    d = DualGraph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 3)])
     with pytest.raises(DegreeOneVertexError):
-        find_threads(view)
-    assert view.prune_degree_one() == [3]
-    assert [(t.kind, t.edges) for t in find_threads(view)] == [("cycle", (0, 1, 2))]
+        find_threads(d)
+    assert [(t.kind, t.edges) for t in d.core_threads()] == [("cycle", (0, 1, 2))]
+    assert d._pendant == [3]
+
+
+def two_core(d):
+    """The edges of d's 2-core: every edge at a face of degree 1 dropped,
+    until none is left."""
+    edges = d.dual_edges
+    while True:
+        degree = dual_degrees(DualGraph(d.face_count, edges))
+        kept = [x for x in edges if degree[x[1]] != 1 and degree[x[2]] != 1]
+        if kept == edges:
+            return {e for e, _, _ in edges}
+        edges = kept
+
+
+@given(dual_graphs())
+@settings(max_examples=200, deadline=None)
+def test_core_threads_are_the_threads_of_the_rebuilt_core(d):
+    threads = d.core_threads()
+    core = [e for t in threads for e in t.edges]
+    assert sorted(d._pendant + core) == dual_edge_ids(d)
+    assert set(core) == two_core(d)
+    pendant = set(d._pendant)
+    rebuilt = DualGraph(d.face_count, [x for x in d.dual_edges if x[0] not in pendant])
+    assert list(threads) == find_threads(rebuilt)
 
 
 def test_threads_found_once_per_dual(monkeypatch):
@@ -132,7 +155,7 @@ def test_threads_found_once_per_dual(monkeypatch):
     monkeypatch.setattr(thintree.spanning, "geometric_dual",
                         lambda g: duals.append(real_dual(g)) or duals[-1])
     monkeypatch.setattr(thintree.dual, "find_threads",
-                        lambda view: calls.append(view) or real_find(view))
+                        lambda d: calls.append(d) or real_find(d))
     r = thin_spanning_tree(amplify(prism_graph(4), 12))
     assert r.g_star > 2 * r.alpha  # the far-set selection ran
     assert len(duals) == len(calls) == 1
@@ -296,16 +319,6 @@ def test_bridge_graph_girth_one_vacuous():
     assert sorted(r.tree_edges) == [0, 1]
 
 
-def _view_as_dual(view, d):
-    edges = []
-    for e, l, r in d.dual_edges:
-        alive = (e in view.loops.get(l, ())) if l == r else (
-            e in view.neighbors[l])
-        if alive:
-            edges.append((e, l, r))
-    return DualGraph(d.face_count, edges)
-
-
 def test_distance_preservation_during_loop(cube):
     """Replay the selection loop and recompute all pairwise distances per
     iteration: pairs closer than g*/alpha must keep their distance until one
@@ -316,16 +329,18 @@ def test_distance_preservation_during_loop(cube):
     a = alpha(g.genus())
     close = Fraction(g_star, a)
 
-    live, view = ThreadGraph(d), pruned_view(d)
+    live, deleted = ThreadGraph(d), set()
     previous = None
     while (best := live.longest()) is not None:
-        current = oracle_edge_distances(_view_as_dual(view, d))
+        core = {e for t in rest_of(d, deleted).core_threads() for e in t.edges}
+        current = oracle_edge_distances(
+            DualGraph(d.face_count, [x for x in d.dual_edges if x[0] in core]))
         if previous is not None:
             for pair, dist in previous.items():
                 if dist < close and pair in current:
                     assert current[pair] == dist, (pair, dist, current[pair])
         previous = current
-        delete_both(live, view, d, best, live.middle(best))
+        delete_both(live, deleted, best, live.middle(best))
 
 
 # --- threads kept up to date across rounds ---------------------------
@@ -349,26 +364,24 @@ def as_thread(live, t):
     return Thread(tuple(edges), tuple(verts))
 
 
-def pruned_view(d):
-    """The oracle: a DualView of d, pruned after every deletion."""
-    view = DualView(d)
-    view.prune_degree_one()
-    return view
+def rest_of(d, deleted):
+    """The oracle: a fresh DualGraph of d without the deleted edges.  Its
+    ``core_threads`` peels the rest of every deleted thread away."""
+    return DualGraph(d.face_count, [x for x in d.dual_edges if x[0] not in deleted])
 
 
-def delete_both(live, view, d, t, e):
-    """Delete live thread t from the thread graph and its edge e from the
-    oracle view, which pruning then strips of the rest of t."""
+def delete_both(live, deleted, t, e):
+    """Delete live thread t from the thread graph and add its edge e to the
+    oracle's deleted edges."""
     assert e in as_thread(live, t).edges
     live.delete(t)
-    view.remove_edge(e, *d.faces_of(e))
-    view.prune_degree_one()
+    deleted.add(e)
 
 
-def assert_threads_current(live, view):
+def assert_threads_current(live, d, deleted):
     """The thread graph's threads, the longest one and its middle edge equal
-    a full rebuild on the oracle view."""
-    rebuilt = find_threads(view)
+    the threads of the oracle's rebuilt 2-core."""
+    rebuilt = rest_of(d, deleted).core_threads()
     assert {as_thread(live, t) for t in live.ends} == set(rebuilt)
     best = live.longest()
     if rebuilt:
@@ -380,19 +393,15 @@ def assert_threads_current(live, view):
 
 def rebuild_every_round(d, g_star, alpha_value):
     """The selection loop with every thread found again after each deletion."""
-    view = DualView(d)
-    selected = []
+    selected = set()
     while True:
-        view.prune_degree_one()
-        threads = find_threads(view)
+        threads = rest_of(d, selected).core_threads()
         if not threads:
             return sorted(selected)
         best = max(threads, key=_selection_key)
         if best.length * alpha_value < g_star:
             raise NoLongThreadError(best.length)
-        mid = middle_edge(best)
-        view.remove_edge(mid, *d.faces_of(mid))
-        selected.append(mid)
+        selected.add(middle_edge(best))
 
 
 HANDLE = add_edge(amplify(prism_graph(4), 2), 0, 2, 0, 0)
@@ -411,8 +420,8 @@ def replay_against_rebuild(d, data):
     """Run the thread graph to the end, each round deleting the selection's
     middle edge or any live edge (the thread graph deletes that edge's whole
     thread), and check it against the oracle after every round."""
-    live, view = ThreadGraph(d), pruned_view(d)
-    assert_threads_current(live, view)
+    live, deleted = ThreadGraph(d), set()
+    assert_threads_current(live, d, deleted)
     while (best := live.longest()) is not None:
         if data.draw(st.booleans()):
             t, e = best, live.middle(best)
@@ -420,8 +429,8 @@ def replay_against_rebuild(d, data):
             thread_of = {e: t for t in live.ends for e in as_thread(live, t).edges}
             e = data.draw(st.sampled_from(sorted(thread_of)))
             t = thread_of[e]
-        delete_both(live, view, d, t, e)
-        assert_threads_current(live, view)
+        delete_both(live, deleted, t, e)
+        assert_threads_current(live, d, deleted)
 
 
 @given(selection_graphs(), st.data())
@@ -441,11 +450,11 @@ def test_cycle_left_at_a_cut_face_is_anchored_at_its_smallest_face():
     # component, which find_threads anchors at its smallest face 2
     d = DualGraph(5, [(0, 3, 0), (1, 0, 1), (2, 1, 3),
                       (3, 3, 2), (4, 2, 4), (5, 4, 3)])
-    live, view = ThreadGraph(d), pruned_view(d)
+    live, deleted = ThreadGraph(d), set()
     (t,) = [t for t in live.ends if 1 in as_thread(live, t).edges]
-    delete_both(live, view, d, t, 1)
+    delete_both(live, deleted, t, 1)
     assert {as_thread(live, t).vertices[0] for t in live.ends} == {2}
-    assert_threads_current(live, view)
+    assert_threads_current(live, d, deleted)
 
 
 @given(selection_graphs())
