@@ -30,6 +30,7 @@ from .oracle import (
     brute_force_atsp,
     brute_force_edge_connectivity,
     brute_force_thinness,
+    verify_hk_certificate,
     verify_tour,
 )
 from .pipeline import (

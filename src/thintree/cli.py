@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 from . import genlab, oracle
 from .atsp import atsp_approx
-from .errors import FormatError, ThinTreeError, TooLargeError
+from .errors import FormatError, InvalidInputError, ThinTreeError, TooLargeError
 from .flows import edge_connectivity
 from .formats import format_cost, read_atsp, read_emb, write_emb
 from .heldkarp import ATSPInstance
@@ -35,8 +35,11 @@ def _write(path: str, text: str) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: {exc.strerror}") from None
 
 
 def _tree_payload(g, result) -> dict:

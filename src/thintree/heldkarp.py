@@ -1,17 +1,22 @@
 """Held-Karp LP relaxation via cutting planes.
 
 The restricted LP keeps the degree equalities and the subtour constraints
-found so far; separation is a global directed min cut on the current support
-(n-1 max-flow pairs with the fractional values as capacities).  The most
-violated cut is added and the LP re-solved by dual simplex on the kept
-tableau (Lemke 1954) until no directed cut falls below one.  The simplex is
-exact, so the final solution is exactly feasible and exactly optimal over
-the generated constraint set at every n, and every solve re-asserts that
-optimality with the exact duals of its final tableau.
+found so far, over a restricted set of arc columns.  Separation is a global
+directed min cut on the current support (n-1 max-flow pairs with the
+fractional values as capacities).  The most violated cut is added and the
+LP re-solved by dual simplex on the kept tableau (Lemke 1954) until no
+directed cut falls below one.  Then every arc is priced with the exact
+duals of the final tableau, and the arcs that price below zero join the
+columns (Dantzig-Fulkerson-Johnson 1954; Applegate-Bixby-Chvatal-Cook
+2006, ch. 12) until none does.  The simplex is exact, so the final solution
+is exactly feasible and exactly optimal over the generated constraint set
+at every n, and that optimality over every arc is the dual certificate
+each solve re-asserts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +25,7 @@ from .flows import directed_global_min_cut
 from .simplex import solve_lp
 
 MAX_CUT_ROUNDS = 300
+START_ARCS = 3  # cheapest out- and in-arcs per vertex in the first LP
 
 
 @dataclass
@@ -80,23 +86,22 @@ class HKSolution:
 
     ``x`` maps arcs (i, j) to positive Fractions (zero arcs are omitted),
     ``objective`` is the LP optimum, ``cuts_added`` counts subtour
-    constraints generated and ``duals`` certifies the optimum.
+    constraints generated, ``columns`` is the number of arcs in the final
+    LP and ``duals`` certifies the optimum over every arc.
     """
 
     x: dict
     objective: Fraction
     cuts_added: int
+    columns: int = 0
     duals: HKDuals | None = None
 
 
-def check_dual_certificate(cost, duals: HKDuals, objective: Fraction) -> None:
-    """Raise DualCertificateError unless ``duals`` is a feasible dual of the
-    restricted LP whose value is ``objective``.
-
-    Checks, exactly: every z_S >= 0; every arc (i, j) has reduced cost
-    c_ij - u_out[i] - u_in[j] - sum(z_S : i in S, j not in S) >= 0; and
-    sum(u) + sum(z) equals ``objective``.  By weak duality the primal
-    value is then optimal over the degree rows and these cuts.
+def negative_arcs(cost, duals: HKDuals) -> list:
+    """Every arc (i, j) that prices below zero under ``duals``, in arc
+    order: the reduced cost c_ij - u_out[i] - u_in[j] - sum(z_S : i in S,
+    j not in S), computed exactly.  Raises DualCertificateError when the
+    denominator is not positive or some z_S < 0.
     """
     n = len(cost)
     den = duals.denominator
@@ -113,6 +118,7 @@ def check_dual_certificate(cost, duals: HKDuals, objective: Fraction) -> None:
                 row = crossing[i]
                 for j in outside:
                     row[j] += z
+    negative = []
     for i in range(n):
         u_i, row, cost_i = duals.u_out[i], crossing[i], cost[i]
         for j in range(n):
@@ -120,11 +126,67 @@ def check_dual_certificate(cost, duals: HKDuals, objective: Fraction) -> None:
                 continue
             c = cost_i[j]
             if c.numerator * den < c.denominator * (u_i + duals.u_in[j] + row[j]):
-                raise DualCertificateError(f"arc ({i}, {j}) has a negative reduced cost")
+                negative.append((i, j))
+    return negative
+
+
+def check_dual_certificate(cost, duals: HKDuals, objective: Fraction) -> None:
+    """Raise DualCertificateError unless ``duals`` is a feasible dual of the
+    Held-Karp LP over all arcs, restricted to the degree rows and the cuts
+    of ``duals.sides``, whose value is ``objective``.
+
+    Checks, exactly: every z_S >= 0; no arc prices below zero
+    (``negative_arcs``); and sum(u) + sum(z) equals ``objective``.  By weak
+    duality the primal value is then optimal over every arc, the degree
+    rows and these cuts.
+    """
+    negative = negative_arcs(cost, duals)
+    if negative:
+        raise DualCertificateError(f"arc {negative[0]} has a negative reduced cost")
+    den = duals.denominator
     total = sum(duals.u_out) + sum(duals.u_in) + sum(duals.z)
     if total * objective.denominator != objective.numerator * den:
         raise DualCertificateError(
             f"dual value {Fraction(total, den)} != objective {objective}")
+
+
+def start_arcs(cost) -> list:
+    """The first LP's arcs, in arc order: each vertex's START_ARCS cheapest
+    out-arcs and in-arcs (ties to the smaller other end) and the tour
+    0 -> 1 -> ... -> n-1 -> 0, which keeps every degree and cut row
+    feasible."""
+    n = len(cost)
+    # integer keys over one common denominator: sorting them is exact and
+    # much cheaper than comparing Fractions
+    scale = math.lcm(*(c.denominator for row in cost for c in row))
+    keys = [[c.numerator * (scale // c.denominator) for c in row] for row in cost]
+    arcs = {(v, (v + 1) % n) for v in range(n)}
+    for v in range(n):
+        others = [w for w in range(n) if w != v]
+        out = sorted(others, key=keys[v].__getitem__)[:START_ARCS]
+        into = sorted(others, key=lambda w: keys[w][v])[:START_ARCS]
+        arcs.update((v, w) for w in out)
+        arcs.update((w, v) for w in into)
+    return sorted(arcs)
+
+
+def _cut_row(arcs, side) -> list:
+    inside = set(side)
+    return [int(i in inside and j not in inside) for i, j in arcs]
+
+
+def _solve_on(cost, arcs, sides):
+    """A cold solve over the columns ``arcs``, then the rows of ``sides``
+    appended in order by dual simplex."""
+    n = len(cost)
+    degree_rows = [[0] * len(arcs) for _ in range(2 * n)]  # out(v), then in(v)
+    for col, (i, j) in enumerate(arcs):
+        degree_rows[i][col] = 1
+        degree_rows[n + j][col] = 1
+    result = solve_lp([cost[i][j] for i, j in arcs], degree_rows, [1] * (2 * n))
+    for side in sides:
+        result = result.tableau.add_row(_cut_row(arcs, side), 1)
+    return result
 
 
 def solve_held_karp(inst: ATSPInstance) -> HKSolution:
@@ -132,45 +194,48 @@ def solve_held_karp(inst: ATSPInstance) -> HKSolution:
 
     The 0 <= x <= 1 bounds are implied by the degree equalities, so only
     those equalities plus the generated cut constraints reach the simplex.
-    One cold solve takes the 2n degree rows; each cut found afterwards is
-    appended to its optimal tableau as x(delta+(S)) - s = 1 with a new
-    slack s, and dual simplex pivots restore the optimum.
+    The LP starts on the columns of ``start_arcs``.  A cold solve takes the
+    2n degree rows; each cut found afterwards is appended to its optimal
+    tableau as x(delta+(S)) - s = 1 with a new slack s, and dual simplex
+    pivots restore the optimum.  Once no cut is violated, every arc is
+    priced with the exact duals (``negative_arcs``); the arcs that price
+    below zero join the columns and the LP is solved cold again, with the
+    cuts so far re-appended in order.  The loop ends exactly when the
+    all-arc ``check_dual_certificate`` passes.
     """
     n = inst.n
     if n < 3:
         raise InvalidInputError(f"Held-Karp needs at least 3 vertices, got {n}")
-    arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    costs = [inst.cost[i][j] for i, j in arcs]
-    degree_rows = [[0] * len(arcs) for _ in range(2 * n)]  # out(v), then in(v)
-    for col, (i, j) in enumerate(arcs):
-        degree_rows[i][col] = 1
-        degree_rows[n + j][col] = 1
-    result = solve_lp(costs, degree_rows, [1] * (2 * n))
+    arcs = start_arcs(inst.cost)
     sides = []
-    seen_sides = set()
-
     while True:
-        # separated on the tableau's integer numerators over d: scaling
-        # every capacity by d > 0 keeps the same cuts
-        tableau = result.tableau
-        flow = {a: v for a, v in zip(arcs, tableau.numerators()) if v > 0}
-        value, side = directed_global_min_cut(n, flow)
-        if value is None or value >= tableau.d:
+        result = _solve_on(inst.cost, arcs, sides)
+        while True:
+            # separated on the tableau's integer numerators over d: scaling
+            # every capacity by d > 0 keeps the same cuts
+            tableau = result.tableau
+            flow = {a: v for a, v in zip(arcs, tableau.numerators()) if v > 0}
+            value, side = directed_global_min_cut(n, flow)
+            if value is None or value >= tableau.d:
+                break
+            key = tuple(sorted(side))
+            if key in sides:
+                raise IterationLimitError(f"separation repeated the cut {key}")
+            sides.append(key)
+            if len(sides) >= MAX_CUT_ROUNDS:
+                raise IterationLimitError(f"{len(sides) + 1} cutting-plane rounds")
+            result = tableau.add_row(_cut_row(arcs, side), 1)
+        rows, z, den = result.tableau.duals()
+        duals = HKDuals(u_out=rows[:n], u_in=rows[n:], z=z, sides=sides,
+                        denominator=den)
+        entering = negative_arcs(inst.cost, duals)
+        if not entering:
             break
-        key = tuple(sorted(side))
-        if key in seen_sides:
-            raise IterationLimitError(f"separation repeated the cut {key}")
-        seen_sides.add(key)
-        sides.append(key)
-        if len(sides) >= MAX_CUT_ROUNDS:
-            raise IterationLimitError(f"{len(sides) + 1} cutting-plane rounds")
-        result = tableau.add_row(
-            [int(i in side and j not in side) for i, j in arcs], 1)
+        if not set(entering).isdisjoint(arcs):
+            raise DualCertificateError("an arc of the LP prices below zero")
+        arcs = sorted(arcs + entering)
 
     x = {a: val for a, val in zip(arcs, result.values) if val > 0}
-    rows, z, den = result.tableau.duals()
-    duals = HKDuals(u_out=rows[:n], u_in=rows[n:], z=z, sides=sides,
-                    denominator=den)
     check_dual_certificate(inst.cost, duals, result.objective)
     return HKSolution(x=x, objective=result.objective, cuts_added=len(sides),
-                      duals=duals)
+                      columns=len(arcs), duals=duals)

@@ -7,15 +7,23 @@ rest of the package is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dual import Cut
 from .embedding import EmbeddedGraph
-from .errors import EdgeAbsentError, NotHamiltonianError, TooLargeError
+from .errors import (
+    DualCertificateError,
+    EdgeAbsentError,
+    InvalidInputError,
+    NotHamiltonianError,
+    TooLargeError,
+)
 
 MAX_CUT_VERTICES = 24
 MAX_DP_VERTICES = 12
+MAX_SUBTOUR_VERTICES = 10
 
 
 @dataclass
@@ -41,7 +49,7 @@ def brute_force_thinness(g: EmbeddedGraph, f_edges) -> ThinnessReport:
     if n > MAX_CUT_VERTICES:
         raise TooLargeError(f"{n} vertices exceeds the {MAX_CUT_VERTICES} cut budget")
     if n < 2:
-        raise ValueError("need at least 2 vertices to have a cut")
+        raise InvalidInputError(f"need at least 2 vertices to have a cut, got {n}")
     f_edges = list(f_edges)
     bad = [e for e in f_edges if type(e) is not int]
     if bad:
@@ -92,7 +100,7 @@ def brute_force_edge_connectivity(g: EmbeddedGraph) -> int:
     if n > MAX_CUT_VERTICES:
         raise TooLargeError(f"{n} vertices exceeds the {MAX_CUT_VERTICES} cut budget")
     if n < 2:
-        raise ValueError("need at least 2 vertices")
+        raise InvalidInputError(f"need at least 2 vertices to have a cut, got {n}")
     pairs = [g.endpoints(e) for e in g.edges()]
     best = None
     for mask in range((1 << (n - 1)) - 1):
@@ -154,6 +162,81 @@ def brute_force_atsp(cost: list[list[Fraction]]) -> tuple[Fraction, list[int]]:
         order.append(parent)
     order.reverse()
     return best, order
+
+
+def verify_hk_certificate(cost: list[list[Fraction]], x: dict, duals,
+                          objective: Fraction) -> None:
+    """Check a claimed Held-Karp optimum from raw data.
+
+    ``x`` maps arcs (i, j) to values, ``duals`` carries integer numerators
+    ``u_out``, ``u_in`` (one per vertex) and ``z`` (one per cut side in
+    ``sides``) over ``denominator``.  Checks that x >= 0 with every out- and
+    in-degree 1 and x(delta+(S)) >= 1 for every listed side S; that every
+    z_S >= 0 and every arc's reduced cost c_ij - u_out[i] - u_in[j] -
+    sum(z_S : i in S, j not in S), summed here arc by arc, is >= 0; and
+    that sum(c x) = sum(u) + sum(z) = ``objective``.  By weak duality x is
+    then optimal over every arc, the degree rows and the listed cuts.  For
+    n <= MAX_SUBTOUR_VERTICES it also checks x(delta+(S)) >= 1 for every
+    proper subset S, so x is optimal for the whole relaxation.  Raises
+    DualCertificateError on the first check that fails.
+    """
+    n = len(cost)
+    den = duals.denominator
+    if type(den) is not int or den <= 0:
+        raise DualCertificateError(f"denominator {den!r} is not a positive int")
+    out_deg = [Fraction(0)] * n
+    in_deg = [Fraction(0)] * n
+    for (i, j), value in x.items():
+        if not (0 <= i < n and 0 <= j < n and i != j):
+            raise DualCertificateError(f"({i}, {j}) is not an arc")
+        if value < 0:
+            raise DualCertificateError(f"x{(i, j)} = {value} < 0")
+        out_deg[i] += value
+        in_deg[j] += value
+    for v in range(n):
+        if out_deg[v] != 1 or in_deg[v] != 1:
+            raise DualCertificateError(
+                f"vertex {v} has out-degree {out_deg[v]} and in-degree {in_deg[v]}")
+    sides = [frozenset(side) for side in duals.sides]
+    for side in sides:
+        crossing = sum((value for (i, j), value in x.items()
+                        if i in side and j not in side), Fraction(0))
+        if crossing < 1:
+            raise DualCertificateError(f"x crosses the cut {sorted(side)} {crossing} < 1 times")
+
+    u_out = [Fraction(u, den) for u in duals.u_out]
+    u_in = [Fraction(u, den) for u in duals.u_in]
+    z = [Fraction(zs, den) for zs in duals.z]
+    if len(u_out) != n or len(u_in) != n or len(z) != len(sides):
+        raise DualCertificateError("the duals do not match the rows")
+    if any(zs < 0 for zs in z):
+        raise DualCertificateError("a cut dual is negative")
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            reduced = cost[i][j] - u_out[i] - u_in[j]
+            for zs, side in zip(z, sides):
+                if i in side and j not in side:
+                    reduced -= zs
+            if reduced < 0:
+                raise DualCertificateError(f"arc ({i}, {j}) has reduced cost {reduced}")
+    primal = sum((cost[i][j] * value for (i, j), value in x.items()), Fraction(0))
+    dual = sum(u_out) + sum(u_in) + sum(z)
+    if not primal == dual == objective:
+        raise DualCertificateError(
+            f"primal {primal}, dual {dual} and objective {objective} differ")
+
+    if n > MAX_SUBTOUR_VERTICES:
+        return
+    # every subtour row by enumeration, in integers over a common denominator
+    scale = math.lcm(*(value.denominator for value in x.values()))
+    support = [(i, j, int(value * scale)) for (i, j), value in x.items() if value]
+    for mask in range(1, (1 << n) - 1):
+        crossing = sum(w for i, j, w in support if mask >> i & 1 and not mask >> j & 1)
+        if crossing < scale:
+            side = [v for v in range(n) if mask >> v & 1]
+            raise DualCertificateError(f"x crosses the cut {side} below 1")
 
 
 def verify_tour(order, cost: list[list[Fraction]]) -> Fraction:

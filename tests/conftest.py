@@ -50,3 +50,21 @@ def cli_env():
     inherited = os.environ.get("PYTHONPATH")
     path = root + os.pathsep + inherited if inherited else root
     return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.fixture
+def oracle_checked_held_karp(monkeypatch, request):
+    """Check every Held-Karp solve of the test with the independent
+    ``oracle.verify_hk_certificate``: the one ``atsp_approx`` calls, and the
+    requesting module's ``solve_held_karp`` where it imports one, are
+    wrapped.  Tier-1 modules that solve Held-Karp in-process use it."""
+    from thintree import atsp, heldkarp, oracle
+
+    def checked(inst):
+        sol = heldkarp.solve_held_karp(inst)
+        oracle.verify_hk_certificate(inst.cost, sol.x, sol.duals, sol.objective)
+        return sol
+
+    monkeypatch.setattr(atsp, "solve_held_karp", checked)
+    if hasattr(request.module, "solve_held_karp"):
+        monkeypatch.setattr(request.module, "solve_held_karp", checked)

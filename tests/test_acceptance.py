@@ -34,6 +34,8 @@ from thintree.prng import PCG32
 from thintree.spanning import thin_spanning_tree
 from thintree.surgery import below_threshold, increase_dual_girth
 
+pytestmark = pytest.mark.usefixtures("oracle_checked_held_karp")
+
 
 def _sweep_500():
     """Deterministic battery of 500 embeddings, planar + torus, n <= 50."""

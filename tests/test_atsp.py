@@ -23,6 +23,8 @@ from thintree.heldkarp import ATSPInstance, HKSolution, solve_held_karp
 from thintree.oracle import brute_force_atsp, verify_tour
 from thintree.prng import PCG32
 
+pytestmark = pytest.mark.usefixtures("oracle_checked_held_karp")
+
 
 def integral_tour_solution(inst, order):
     n = inst.n

@@ -11,6 +11,8 @@ from thintree.genlab import amplify, prism_graph
 
 from .conftest import add_edge
 
+pytestmark = pytest.mark.usefixtures("oracle_checked_held_karp")
+
 
 def run_cli(args):
     code = main(args)
@@ -162,6 +164,30 @@ def test_thin_tree_rejects_fewer_than_two_vertices(tmp_path, capsys, emb):
     code = main(["thin-tree", "--in", str(g), "--out", str(tmp_path / "out.json")])
     assert code == 2
     assert "at least 2 vertices" in assert_one_error_line(capsys)
+
+
+def test_verify_thinness_rejects_fewer_than_two_vertices(tmp_path, capsys):
+    g = tmp_path / "g.emb"
+    g.write_text("EMB 1 1 2\nrot 0 0 1 2 3\nedge 0 0 1 1\nedge 1 2 3 1\n")
+    edges = tmp_path / "edges.json"
+    edges.write_text("[]")
+    code = main(["verify", "thinness", "--in", str(g), "--edges", str(edges)])
+    assert code == 2
+    assert "at least 2 vertices" in assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["thin-tree", "--in", "{missing}", "--out", "{tmp}/out.json"],
+    ["atsp", "--in", "{missing}", "--emb", "{emb}", "--out", "{tmp}/tour.json"],
+    ["verify", "tour", "--in", "{inst}", "--tour", "{missing}"],
+], ids=["thin-tree input", "atsp input", "verify tour"])
+def test_missing_input_file_is_a_typed_error(tmp_path, capsys, argv):
+    inst, emb = lp_support_6(tmp_path)
+    missing = tmp_path / "nope"
+    names = {"missing": missing, "tmp": tmp_path, "inst": inst, "emb": emb}
+    code = main([arg.format(**names) for arg in argv])
+    assert code == 2
+    assert f"{missing}: No such file or directory" in assert_one_error_line(capsys)
 
 
 def test_atsp_rejects_two_vertices(tmp_path, capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from thintree import heldkarp
 from thintree.errors import DualCertificateError, InfeasibleError
 from thintree.flows import directed_global_min_cut
 from thintree.heldkarp import (
@@ -9,11 +10,14 @@ from thintree.heldkarp import (
     HKDuals,
     check_dual_certificate,
     solve_held_karp,
+    start_arcs,
 )
 from thintree.genlab import lp_support_instance, random_metric
-from thintree.oracle import brute_force_atsp
+from thintree.oracle import brute_force_atsp, verify_hk_certificate
 from thintree.prng import PCG32
 from thintree.simplex import solve_lp
+
+pytestmark = pytest.mark.usefixtures("oracle_checked_held_karp")
 
 
 def test_metric_completion():
@@ -208,7 +212,9 @@ def test_perturbed_duals_are_rejected():
 
 
 # duals.sides of lp-support seeds 0-8, recorded when separation still ran on
-# Fraction capacities; min cuts do not move under a positive scale
+# Fraction capacities; min cuts do not move under a positive scale.  The
+# sides follow the pivot path: (8, 8) was re-recorded when the LP started on
+# a restricted arc set, which ends at the same value through a fourth cut.
 LP_SUPPORT_SIDES = {
     (8, 0): [(0, 1), (0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 2, 3, 4, 5)],
     (8, 1): [(0, 1, 2, 3, 6, 7), (0, 1, 3, 4, 5, 7)],
@@ -218,7 +224,7 @@ LP_SUPPORT_SIDES = {
     (8, 5): [],
     (8, 6): [(0, 1), (0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 2, 3, 4, 5), (0, 1, 4, 5, 6, 7)],
     (8, 7): [],
-    (8, 8): [(0, 1), (0, 1, 4, 5, 6, 7), (0, 1, 2, 3)],
+    (8, 8): [(0, 1), (0, 1, 4, 5, 6, 7), (0, 1, 2, 3), (0, 1, 2, 3, 5, 6)],
     (10, 0): [(0, 4), (0, 1, 4, 5, 6, 9)],
     (10, 1): [(0, 5), (0, 1, 2, 5, 6, 7)],
     (10, 2): [(0, 1, 2, 3, 5, 6, 7, 8)],
@@ -237,3 +243,92 @@ def test_integer_separation_keeps_the_cuts(n, seed):
     sol = solve_held_karp(ATSPInstance.from_matrix(matrix))
     assert sol.duals.sides == LP_SUPPORT_SIDES[n, seed]
     assert sol.cuts_added == len(LP_SUPPORT_SIDES[n, seed])
+
+
+# the LP value of each LP_SUPPORT_SIDES instance, recorded while every solve
+# still carried all n(n - 1) arc columns; unlike the sides it does not
+# depend on the pivot path
+LP_SUPPORT_OBJECTIVES = {
+    (8, 0): 105, (8, 1): 111, (8, 2): 110, (8, 3): 102, (8, 4): 103,
+    (8, 5): 103, (8, 6): Fraction(207, 2), (8, 7): 100, (8, 8): 112,
+    (10, 0): 135, (10, 1): 132, (10, 2): 139, (10, 3): 132, (10, 4): 131,
+    (10, 5): 137, (10, 6): 119, (10, 7): Fraction(269, 2), (10, 8): Fraction(271, 2),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(LP_SUPPORT_OBJECTIVES))
+def test_lp_value_is_path_independent(n, seed):
+    matrix, _ = lp_support_instance(n, PCG32(seed))
+    sol = solve_held_karp(ATSPInstance.from_matrix(matrix))
+    assert sol.objective == LP_SUPPORT_OBJECTIVES[n, seed]
+
+
+def test_start_arcs():
+    cost = ATSPInstance.from_matrix(random_metric(9, PCG32(3))).cost
+    arcs = start_arcs(cost)
+    assert arcs == sorted(set(arcs))
+    n = len(cost)
+    for v in range(n):
+        assert (v, (v + 1) % n) in arcs
+        for w in sorted((w for w in range(n) if w != v),
+                        key=lambda w: (cost[v][w], w))[:heldkarp.START_ARCS]:
+            assert (v, w) in arcs
+        for w in sorted((w for w in range(n) if w != v),
+                        key=lambda w: (cost[w][v], w))[:heldkarp.START_ARCS]:
+            assert (w, v) in arcs
+    # n = 3 and 4 have at most 3 out-arcs per vertex: every arc is in
+    for n in (3, 4):
+        cost = ATSPInstance.from_matrix(random_metric(n, PCG32(1))).cost
+        assert len(start_arcs(cost)) == n * (n - 1)
+
+
+def test_pricing_restricts_the_columns():
+    matrix, _ = lp_support_instance(30, PCG32(1))
+    sol = solve_held_karp(ATSPInstance.from_matrix(matrix))
+    assert len(sol.x) <= sol.columns < 30 * 29 / 4
+
+
+def test_oracle_rejects_a_solve_whose_pricing_skips_a_needed_arc(monkeypatch):
+    # random-metric n = 6, seed 7: the optimum uses the arc (3, 1), which
+    # is not a start arc, so only pricing brings it in
+    inst = ATSPInstance.from_matrix(random_metric(6, PCG32(7)))
+    arc = (3, 1)
+    assert arc not in start_arcs(inst.cost)
+    sol = heldkarp.solve_held_karp(inst)
+    assert sol.x[arc] == 1 and sol.columns > len(start_arcs(inst.cost))
+    verify_hk_certificate(inst.cost, sol.x, sol.duals, sol.objective)
+
+    pricing = heldkarp.negative_arcs
+    monkeypatch.setattr(heldkarp, "negative_arcs",
+                        lambda cost, duals: [a for a in pricing(cost, duals) if a != arc])
+    # the solver's own certificate prices with the same function, so it
+    # passes; the independent oracle does not
+    mutant = heldkarp.solve_held_karp(inst)
+    assert mutant.objective > sol.objective and arc not in mutant.x
+    with pytest.raises(DualCertificateError, match=r"arc \(3, 1\) has reduced cost"):
+        verify_hk_certificate(inst.cost, mutant.x, mutant.duals, mutant.objective)
+
+
+def test_oracle_rejects_broken_primal_or_dual():
+    inst = _instance("random-metric", 8, 1)
+    sol = heldkarp.solve_held_karp(inst)
+    cost, duals = inst.cost, sol.duals
+    verify_hk_certificate(cost, sol.x, duals, sol.objective)
+    with pytest.raises(DualCertificateError, match="objective"):
+        verify_hk_certificate(cost, sol.x, duals, sol.objective + 1)
+    (i, j), value = min(sol.x.items())
+    moved = dict(sol.x)
+    moved[i, j] = value / 2
+    with pytest.raises(DualCertificateError, match="degree"):
+        verify_hk_certificate(cost, moved, duals, sol.objective)
+    with pytest.raises(DualCertificateError, match="reduced cost"):
+        verify_hk_certificate(cost, sol.x, _perturbed(duals, u_out=[
+            u + (v == i) * duals.denominator for v, u in enumerate(duals.u_out)]),
+            sol.objective)
+    # two 3-cycles meet every degree row but cross {0, 1, 2} zero times
+    two_cycles = {(0, 1): 1, (1, 2): 1, (2, 0): 1, (3, 4): 1, (4, 5): 1, (5, 3): 1}
+    mat = [[0 if i == j else 1 if (i < 3) == (j < 3) else 50 for j in range(6)]
+           for i in range(6)]
+    zero = HKDuals(u_out=[0] * 6, u_in=[1] * 6, z=[], sides=[], denominator=1)
+    with pytest.raises(DualCertificateError, match="crosses the cut"):
+        verify_hk_certificate(ATSPInstance.from_matrix(mat).cost, two_cycles, zero, 6)

@@ -486,6 +486,7 @@ def lp_support_expanded(n, seed, denominator):
 LP_SEEDS = range(9)
 
 
+@pytest.mark.usefixtures("oracle_checked_held_karp")
 @pytest.mark.parametrize("build", [
     lambda: amplify(prism_graph(4), 12),
     lambda: amplify(prism_graph(5), 8),
@@ -501,6 +502,7 @@ def test_far_set_matches_rebuild_every_round_at_girth(build):
     assert select_far_edge_set(d, g_star, a) == rebuild_every_round(d, g_star, a)
 
 
+@pytest.mark.usefixtures("oracle_checked_held_karp")
 @pytest.mark.parametrize("build", [
     lambda: amplify(HANDLE, 6),
     lambda: lp_support_expanded(10, 1, 60),
