@@ -30,8 +30,11 @@ def _dump(obj) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: {exc.strerror}") from None
 
 
 def _read(path: str) -> str:

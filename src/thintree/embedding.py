@@ -20,6 +20,19 @@ from the Euler formula
 
 where an isolated vertex counts one (empty) face.  Graphs are immutable after
 construction; edge deletion returns a new graph.
+
+Global measurements are memoised per graph: faces, components, genus, the
+parallel copies of each vertex pair (``pair_counts``), the total cost (for
+the cost map it was taken on) and the edge connectivity (``flows``).
+``expand_parallel`` seeds the edge ids, components, pair counts and total
+cost of the multigraph it builds from the support and the multiplicities,
+without walking the copies.  That is exact: a bundle of q copies joins the
+ends of its edge and adds q - 1 bigon faces, so it changes neither the
+components nor, by the Euler formula, the genus; a pair's copies are the
+sum of its edges' multiplicities, and the total cost is
+sum(mult(e) * cost(e)).  The expanded genus is still measured on the
+traced faces, which the dual reuses, with only kappa taken from the
+support.
 """
 
 from __future__ import annotations
@@ -53,6 +66,9 @@ class EmbeddedGraph:
         self._components = None
         self._edges = None
         self._rotations = None  # vertex -> its darts in rotation order
+        self._genus = None
+        self._pairs = None  # (u, v) -> parallel copies, u < v
+        self._total_cost = None  # (the cost map it was taken on, the total)
         self._connectivity = None  # memo of flows.edge_connectivity
 
     # -- basic queries ------------------------------------------------
@@ -95,13 +111,21 @@ class EmbeddedGraph:
         return list(self._rotations.get(v, ()))
 
     def total_cost(self) -> Fraction:
-        # numerators summed per denominator, so that only the few group
-        # totals are added as Fractions
-        groups = {}
-        for e in self.edges():
-            c = self.edge_cost[e]
-            groups[c.denominator] = groups.get(c.denominator, 0) + c.numerator
-        return sum((Fraction(n, d) for d, n in groups.items()), Fraction(0))
+        """Sum of the edge costs, memoised for the current ``edge_cost``
+        map: assigning a new map measures again."""
+        memo = self._total_cost
+        if memo is None or memo[0] is not self.edge_cost:
+            cost = self.edge_cost
+            memo = (cost, _cost_sum((1, cost[e]) for e in self.edges()))
+            self._total_cost = memo
+        return memo[1]
+
+    def pair_counts(self) -> dict:
+        """Parallel copies of each vertex pair, keyed (u, v) with u < v, as
+        a fresh dict.  Loops cross no cut and are left out."""
+        if self._pairs is None:
+            self._pairs = _pair_counts(self)
+        return dict(self._pairs)
 
     # -- faces, genus, components --------------------------------------
 
@@ -148,6 +172,8 @@ class EmbeddedGraph:
 
     def genus(self) -> int:
         """Total genus over components, via V - E + F = 2*kappa - 2*genus."""
+        if self._genus is not None:
+            return self._genus
         touched = set(self.dart_owner.values())
         isolated = self.vertex_count - len(touched)
         f = len(self.faces()) + isolated
@@ -159,6 +185,7 @@ class EmbeddedGraph:
         g = defect // 2
         if g < 0:
             raise OddEulerDefectError(f"negative genus {g}: corrupted rotation system")
+        self._genus = g
         return g
 
     # -- derived graphs -------------------------------------------------
@@ -222,20 +249,25 @@ def expand_parallel(g: EmbeddedGraph, multiplicity, cost=None):
     ids are contiguous, assigned in old-id order.
 
     ``cost`` optionally maps an old edge id to the Fraction that each of
-    its copies carries.
+    its copies carries.  The edge ids, components, pair counts and total
+    cost of the result are seeded from the support (see the module
+    docstring); its genus is measured and must equal the support's.
     """
     zero = [e for e in g.edges() if multiplicity.get(e, 0) == 0]
     base = g.delete_edges(zero) if zero else g
 
     new_ids = {}
     origin = {}
+    costs = None if cost is None else {}
     counter = 0
     for e in base.edges():
-        count = multiplicity[e]
-        new_ids[e] = list(range(counter, counter + count))
-        for i in new_ids[e]:
-            origin[i] = e
-        counter += count
+        ids = range(counter, counter + multiplicity[e])
+        new_ids[e] = ids
+        block = dict.fromkeys(ids, e)
+        origin.update(block)
+        if costs is not None:  # keyed by the same id objects as origin
+            costs.update(dict.fromkeys(block, cost[e]))
+        counter = ids.stop
 
     owner = {}
     rot = {}
@@ -243,19 +275,44 @@ def expand_parallel(g: EmbeddedGraph, multiplicity, cost=None):
         cycle = []
         for d in base.darts_at(v):
             ids = new_ids[d >> 1]
-            ordered = ids if d % 2 == 0 else list(reversed(ids))
-            cycle.extend(2 * i + (d & 1) for i in ordered)
-        for i, d in enumerate(cycle):
-            owner[d] = v
-            rot[d] = cycle[(i + 1) % len(cycle)]
+            darts = range(2 * ids.start + (d & 1), 2 * ids.stop, 2)
+            cycle.extend(reversed(darts) if d & 1 else darts)
+        owner.update(dict.fromkeys(cycle, v))
+        rot.update(zip(cycle, cycle[1:] + cycle[:1]))
 
-    costs = None
-    if cost is not None:
-        costs = {i: cost[e] for i, e in origin.items()}
     expanded = EmbeddedGraph(base.vertex_count, owner, rot, costs)
+    expanded._edges = list(origin)
+    expanded._components = base.components()
+    expanded._pairs = _pair_counts(base, multiplicity)
+    if costs is not None:
+        expanded._total_cost = (costs, _cost_sum(
+            (multiplicity[e], cost[e]) for e in base.edges()))
     if expanded.genus() != base.genus():
         raise OddEulerDefectError("parallel expansion changed the genus")
     return expanded, origin
+
+
+def _pair_counts(g: EmbeddedGraph, copies=None) -> dict:
+    """Copies of each non-loop vertex pair (u, v), u < v, of g, where edge
+    e stands for ``copies[e]`` parallel copies (one when ``copies`` is
+    None)."""
+    counts = {}
+    for e in g.edges():
+        u, v = g.endpoints(e)
+        if u != v:
+            key = (u, v) if u < v else (v, u)
+            counts[key] = counts.get(key, 0) + (1 if copies is None else copies[e])
+    return counts
+
+
+def _cost_sum(terms) -> Fraction:
+    """Exact sum of count * cost over (count, Fraction) terms.  Numerators
+    are summed per denominator, so that only the few group totals are
+    added as Fractions."""
+    groups = {}
+    for count, c in terms:
+        groups[c.denominator] = groups.get(c.denominator, 0) + count * c.numerator
+    return sum((Fraction(n, d) for d, n in groups.items()), Fraction(0))
 
 
 def _trace(dart_owner, rotation_next):

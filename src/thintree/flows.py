@@ -143,7 +143,7 @@ def _min_cut_sweep(n: int, arcs, pairs):
 def edge_connectivity(g: EmbeddedGraph) -> int:
     """Exact global min cut size of an undirected multigraph, as n-1
     max-flows against the fixed source 0 with each vertex pair's parallel
-    copies as its capacity.
+    copies (``g.pair_counts()``) as its capacity.
 
     Returns 0 when g is disconnected; loops never contribute.  Measured
     once per graph object and memoised on it, like faces() and components().
@@ -152,15 +152,8 @@ def edge_connectivity(g: EmbeddedGraph) -> int:
     if n < 2:
         raise InvalidInputError("edge connectivity needs at least 2 vertices")
     if g._connectivity is None:
-        weight = {}
-        for e in g.edges():
-            u, v = g.endpoints(e)
-            if u == v:
-                continue
-            key = (min(u, v), max(u, v))
-            weight[key] = weight.get(key, 0) + 1
         arcs = []
-        for (u, v), w in sorted(weight.items()):
+        for (u, v), w in sorted(g.pair_counts().items()):
             arcs += ((u, v, w), (v, u, w))
         g._connectivity = _min_cut_sweep(n, arcs, ((0, t) for t in range(1, n)))[0]
     return g._connectivity

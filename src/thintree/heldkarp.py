@@ -176,17 +176,18 @@ def _cut_row(arcs, side) -> list:
 
 
 def _solve_on(cost, arcs, sides):
-    """A cold solve over the columns ``arcs``, then the rows of ``sides``
-    appended in order by dual simplex."""
+    """The optimal tableau of a cold solve over the columns ``arcs``, with
+    the rows of ``sides`` appended in order by dual simplex."""
     n = len(cost)
     degree_rows = [[0] * len(arcs) for _ in range(2 * n)]  # out(v), then in(v)
     for col, (i, j) in enumerate(arcs):
         degree_rows[i][col] = 1
         degree_rows[n + j][col] = 1
-    result = solve_lp([cost[i][j] for i, j in arcs], degree_rows, [1] * (2 * n))
+    costs = [cost[i][j] for i, j in arcs]
+    tableau = solve_lp(costs, degree_rows, [1] * (2 * n)).tableau
     for side in sides:
-        result = result.tableau.add_row(_cut_row(arcs, side), 1)
-    return result
+        tableau.add_row(_cut_row(arcs, side), 1)
+    return tableau
 
 
 def solve_held_karp(inst: ATSPInstance) -> HKSolution:
@@ -209,11 +210,10 @@ def solve_held_karp(inst: ATSPInstance) -> HKSolution:
     arcs = start_arcs(inst.cost)
     sides = []
     while True:
-        result = _solve_on(inst.cost, arcs, sides)
+        tableau = _solve_on(inst.cost, arcs, sides)
         while True:
             # separated on the tableau's integer numerators over d: scaling
             # every capacity by d > 0 keeps the same cuts
-            tableau = result.tableau
             flow = {a: v for a, v in zip(arcs, tableau.numerators()) if v > 0}
             value, side = directed_global_min_cut(n, flow)
             if value is None or value >= tableau.d:
@@ -224,8 +224,8 @@ def solve_held_karp(inst: ATSPInstance) -> HKSolution:
             sides.append(key)
             if len(sides) >= MAX_CUT_ROUNDS:
                 raise IterationLimitError(f"{len(sides) + 1} cutting-plane rounds")
-            result = tableau.add_row(_cut_row(arcs, side), 1)
-        rows, z, den = result.tableau.duals()
+            tableau.add_row(_cut_row(arcs, side), 1)
+        rows, z, den = tableau.duals()
         duals = HKDuals(u_out=rows[:n], u_in=rows[n:], z=z, sides=sides,
                         denominator=den)
         entering = negative_arcs(inst.cost, duals)
@@ -235,6 +235,7 @@ def solve_held_karp(inst: ATSPInstance) -> HKSolution:
             raise DualCertificateError("an arc of the LP prices below zero")
         arcs = sorted(arcs + entering)
 
+    result = tableau.result()  # Fractions for the final optimum only
     x = {a: val for a, val in zip(arcs, result.values) if val > 0}
     check_dual_certificate(inst.cost, duals, result.objective)
     return HKSolution(x=x, objective=result.objective, cuts_added=len(sides),

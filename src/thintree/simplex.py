@@ -163,7 +163,8 @@ class Tableau:
         variable ``num_vars`` (before the artificials, which shift right),
         basic in the new row; it costs 0, so the objective row is unchanged
         and stays dual feasible.  Raises InfeasibleError when no x >= 0
-        satisfies the enlarged system.
+        satisfies the enlarged system.  Read the new optimum with
+        ``numerators``, ``duals`` or ``result``.
         """
         tableau, basis, col = self.tableau, self.basis, self.num_vars
         coeffs = list(coeffs) + [0] * (col - len(coeffs))
@@ -186,7 +187,6 @@ class Tableau:
         self.num_vars += 1
         self.num_added += 1
         self.run_dual()
-        return self.result()
 
     def numerators(self):
         """The basic solution's real variables as integer numerators over

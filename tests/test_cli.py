@@ -190,6 +190,16 @@ def test_missing_input_file_is_a_typed_error(tmp_path, capsys, argv):
     assert f"{missing}: No such file or directory" in assert_one_error_line(capsys)
 
 
+def test_missing_output_directory_is_a_typed_error(tmp_path, capsys):
+    inst, emb = lp_support_6(tmp_path)
+    out = tmp_path / "nodir" / "tour.json"
+    code = main(["atsp", "--in", str(inst), "--emb", str(emb),
+                 "--denominator", "60", "--out", str(out)])
+    assert code == 2
+    assert f"{out}: No such file or directory" in assert_one_error_line(capsys)
+    assert not out.parent.exists()
+
+
 def test_atsp_rejects_two_vertices(tmp_path, capsys):
     inst = tmp_path / "inst.atsp"
     inst.write_text("ATSP 1 2\n0 1\n1 0\n")

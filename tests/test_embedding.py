@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thintree.atsp import discretize, expand_support_embedding, symmetrize
 from thintree.embedding import EmbeddedGraph, build_embedding, expand_parallel
 from thintree.errors import (
     BadTwinError,
@@ -12,8 +13,18 @@ from thintree.errors import (
     OddEulerDefectError,
 )
 from thintree.flows import edge_connectivity
-from thintree.genlab import amplify, cycle_graph, prism_graph, torus_grid, wheel_graph
+from thintree.genlab import (
+    BASES,
+    amplify,
+    cycle_graph,
+    lp_support_instance,
+    prism_graph,
+    torus_grid,
+    wheel_graph,
+)
+from thintree.heldkarp import ATSPInstance, solve_held_karp
 from thintree.oracle import brute_force_edge_connectivity
+from thintree.prng import PCG32
 from thintree.spanning import thin_spanning_tree
 
 
@@ -240,6 +251,53 @@ def test_expand_parallel_zero_deletes():
     g, origin = expand_parallel(cube, mult)
     assert g.edge_count == 11
     assert 0 not in set(origin.values())
+
+
+def assert_seeded_memos_match_a_cold_walk(g):
+    """The memos expand_parallel seeds from the support equal what a fresh
+    graph with the same rotation system and costs measures on its copies."""
+    cold = EmbeddedGraph(g.vertex_count, dict(g.dart_owner), dict(g.rotation_next),
+                         None if g.edge_cost is None else dict(g.edge_cost))
+    assert g.edges() == cold.edges()
+    assert g.components() == cold.components()
+    assert g.genus() == cold.genus()
+    assert g.pair_counts() == cold.pair_counts()
+    assert g.total_cost() == cold.total_cost()
+    assert edge_connectivity(g) == edge_connectivity(cold)
+
+
+@st.composite
+def multiplied_bases(draw):
+    """A genlab base (or the 3x3 torus grid) with a multiplicity 0-6 and a
+    cost per edge."""
+    name = draw(st.sampled_from(sorted(BASES) + ["torus"]))
+    if name == "torus":
+        base = torus_grid(3, 3)
+    else:
+        base = BASES[name](draw(st.integers(min_value=3, max_value=6)))
+    mult = {e: draw(st.integers(min_value=0, max_value=6)) for e in base.edges()}
+    cost = {e: Fraction(draw(st.integers(0, 20)), draw(st.integers(1, 4)))
+            for e in base.edges()}
+    return base, mult, cost
+
+
+@given(multiplied_bases())
+@settings(max_examples=60, deadline=None)
+def test_expansion_memos_match_the_copies(case):
+    base, mult, cost = case
+    g, _ = expand_parallel(base, mult, cost)
+    assert_seeded_memos_match_a_cold_walk(g)
+
+
+@pytest.mark.usefixtures("oracle_checked_held_karp")
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_lp_support_expansion_memos_match_the_copies(n):
+    matrix, emb = lp_support_instance(n, PCG32(1))
+    inst = ATSPInstance.from_matrix(matrix)
+    y, c_prime = symmetrize(solve_held_karp(inst), inst)
+    mult, _ = discretize(y, 60)
+    g, _ = expand_support_embedding(emb, mult, c_prime)
+    assert_seeded_memos_match_a_cold_walk(g)
 
 
 # --- randomized rotation systems -------------------------------------

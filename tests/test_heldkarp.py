@@ -288,6 +288,19 @@ def test_pricing_restricts_the_columns():
     assert len(sol.x) <= sol.columns < 30 * 29 / 4
 
 
+def test_pricing_adds_every_negative_arc_in_one_round(monkeypatch):
+    # lp-support n = 8, seed 2: the first LP leaves arcs that price below
+    # zero, and one round of pricing brings in all of them, so two cold
+    # solves end the loop (adding one arc per round takes four)
+    solves = []
+    solve_on = heldkarp._solve_on
+    monkeypatch.setattr(heldkarp, "_solve_on",
+                        lambda *args: solves.append(args) or solve_on(*args))
+    sol = solve_held_karp(_instance("lp-support", 8, 2))
+    assert len(solves) == 2
+    assert sol.objective == 110
+
+
 def test_oracle_rejects_a_solve_whose_pricing_skips_a_needed_arc(monkeypatch):
     # random-metric n = 6, seed 7: the optimum uses the arc (3, 1), which
     # is not a start arc, so only pricing brings it in

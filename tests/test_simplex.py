@@ -146,16 +146,17 @@ def test_add_row_matches_a_cold_solve_and_the_oracle(lp):
     costs, rows, rhs, added = lp
     all_costs, all_rows, all_rhs = _whole_system(costs, rows, rhs, added)
     best = _basis_oracle(all_costs, all_rows, all_rhs)
-    result = solve_lp(costs, rows, rhs)
+    tableau = solve_lp(costs, rows, rhs).tableau
     if best is None:  # some appended row makes the LP infeasible
         with pytest.raises(InfeasibleError):
             for a, b in added:
-                result = result.tableau.add_row(a, b)
+                tableau.add_row(a, b)
         with pytest.raises(InfeasibleError):
             solve_lp(all_costs, all_rows, all_rhs)
         return
     for a, b in added:
-        result = result.tableau.add_row(a, b)
+        tableau.add_row(a, b)
+    result = tableau.result()
     assert result.objective == best
     assert result.objective == solve_lp(all_costs, all_rows, all_rhs).objective
     x = result.values
@@ -177,7 +178,8 @@ def test_add_row_restores_the_optimum_by_dual_simplex():
     # x2 + x3 - s = 1 makes the cheapest feasible point x1 = x2 = 1
     result = solve_lp([1, 2, 3], [[1, 1, 1]], [2])
     assert result.values == [2, 0, 0]
-    result = result.tableau.add_row([0, 1, 1], 1)
+    result.tableau.add_row([0, 1, 1], 1)
+    result = result.tableau.result()
     assert result.objective == 3
     assert result.values == [1, 1, 0, 0]
     row_duals, added_duals, den = result.tableau.duals()
