@@ -89,7 +89,8 @@ def expand_support_embedding(emb: EmbeddedGraph, mult: dict, c_prime: dict):
 
     ``emb`` must cover every pair in ``mult``; extra edges are deleted,
     which can only lower the genus.  Returns (expanded graph, map new edge
-    id -> vertex pair), each copy carrying the undirected cost of its pair.
+    id -> the support edge it copies), each copy carrying the undirected
+    cost of its pair.
     """
     pair_to_edge = {}
     for e in emb.edges():
@@ -101,11 +102,9 @@ def expand_support_embedding(emb: EmbeddedGraph, mult: dict, c_prime: dict):
             f"support pairs {missing} not covered by the embedding")
 
     chosen = {pair_to_edge[key]: key for key in mult}
-    expanded, origin = expand_parallel(
+    return expand_parallel(
         emb, {e: mult[key] for e, key in chosen.items()},
         {e: c_prime[key] for e, key in chosen.items()})
-    copy_pair = {i: chosen[e] for i, e in origin.items()}
-    return expanded, copy_pair
 
 
 def orient_tree(tree_pairs, inst: ATSPInstance) -> list:
@@ -226,7 +225,7 @@ def atsp_approx(inst: ATSPInstance, support_embedding: EmbeddedGraph,
     y, c_prime = symmetrize(x, inst)
     mult, k_guarantee = discretize(y, denominator)
 
-    expanded, copy_pair = expand_support_embedding(support_embedding, mult, c_prime)
+    expanded, origin = expand_support_embedding(support_embedding, mult, c_prime)
     k = edge_connectivity(expanded)
     if k < k_guarantee:
         raise ConnectivityShortfallError(
@@ -237,7 +236,8 @@ def atsp_approx(inst: ATSPInstance, support_embedding: EmbeddedGraph,
     c_x = x.objective
     # sigma = c'(T)/c'(H) bounds the tree by sigma*D*c(x) because c'(H) <= D*c(x)
     assert weighted.c_graph <= denominator * c_x
-    tree_pairs = sorted({copy_pair[e] for e in weighted.tree_edges})
+    tree_pairs = sorted({tuple(sorted(support_embedding.endpoints(origin[e])))
+                         for e in weighted.tree_edges})
     assert len(tree_pairs) == n - 1, "thin tree reused a parallel pair"
     tree_arcs = orient_tree(tree_pairs, inst)
 

@@ -437,18 +437,24 @@ def cut_to_dual_cycles(g: EmbeddedGraph, d: DualGraph, cut: Cut) -> list[list[in
     if not s_star:
         return []
 
+    # s_star is sorted, so walking it backwards leaves each list in pop
+    # order: pop() yields the smallest edge first.  A face's degree is its
+    # list's length plus its loops, which are listed once but meet it twice.
+    faces_of = d.faces_of
     incident = {}
-    for e in s_star:
-        l, r = d.faces_of(e)
+    loops = {}
+    for e in reversed(s_star):
+        l, r = faces_of(e)
         incident.setdefault(l, []).append((e, r))
         if r != l:
             incident.setdefault(r, []).append((e, l))
+        else:
+            loops[l] = loops.get(l, 0) + 1
     for f, lst in incident.items():
-        deg = sum(2 if other == f else 1 for _, other in lst)
+        deg = len(lst) + loops.get(f, 0)
         if deg % 2:
             raise ParityViolationError(
                 f"face {f} meets the cut's dual edges {deg} times")
-        lst.sort(reverse=True)  # pop() yields the smallest edge first
 
     # One stack walk that always takes the smallest unused edge.  Every face
     # has even unused degree, so the walk can only get stuck at its start.

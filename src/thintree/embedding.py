@@ -33,15 +33,31 @@ sum of its edges' multiplicities, and the total cost is
 sum(mult(e) * cost(e)).  The expanded genus is still measured on the
 traced faces, which the dual reuses, with only kappa taken from the
 support.
+
+``delete_edges`` copies the maps whole, drops the deleted darts, and
+re-links only the surviving predecessor of each deleted dart in its
+rotation.  It seeds the result's edge ids (the parent's minus the deleted
+ones), pair counts (one copy fewer per deleted non-loop edge, pairs at 0
+dropped) and faces from whichever of those the parent has measured.  The
+faces are exact: on a face that holds no deleted dart, phi'(d) = phi(d),
+because twin(d) survives and its old successor phi(d) lies on the same
+face, so it survives too and the splice leaves it in place.  Such a face
+is kept as the same tuple; only the surviving darts of the other faces are
+traced again, and the merged list is sorted as a cold trace would be.
+Components are the union of the vertex pairs with a positive count, so
+they follow from the seeded pair counts, and the genus is still measured
+by the Euler formula on these faces and components.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import (
     BadTwinError,
     DisconnectedError,
+    EdgeAbsentError,
     MalformedRotationError,
     OddEulerDefectError,
 )
@@ -157,8 +173,8 @@ class EmbeddedGraph:
                 x = parent[x]
             return x
 
-        for d, v in self.dart_owner.items():
-            a, b = find(v), find(self.dart_owner[d ^ 1])
+        for u, v in self.pair_counts():
+            a, b = find(u), find(v)
             if a != b:
                 parent[a] = b
         groups = {}
@@ -193,25 +209,97 @@ class EmbeddedGraph:
     def delete_edges(self, edge_ids) -> "EmbeddedGraph":
         """New graph with the given edges removed (rotation splicing).
 
-        Surviving edges keep their ids and darts.
+        Surviving edges keep their ids and darts; repeated ids count once.
+        Raises EdgeAbsentError, before anything is copied, when an id is not
+        an edge of self.  The memos of self that are filled seed those of
+        the result (see the module docstring).
         """
-        doomed_darts = set()
-        for e in edge_ids:
-            if not self.has_edge(e):
-                raise ValueError(f"edge {e} not present")
-            doomed_darts.add(2 * e)
-            doomed_darts.add(2 * e + 1)
-        owner = {d: v for d, v in self.dart_owner.items() if d not in doomed_darts}
-        rot = {}
-        for d in owner:
-            nxt = self.rotation_next[d]
-            while nxt in doomed_darts:
-                nxt = self.rotation_next[nxt]
-            rot[d] = nxt
+        doomed = set(edge_ids)
+        absent = sorted(e for e in doomed if not self.has_edge(e))
+        if absent:
+            raise EdgeAbsentError(f"edges not present: {absent}")
+        gone = {d for e in doomed for d in (2 * e, 2 * e + 1)}
+        owner = dict(self.dart_owner)
+        rot = dict(self.rotation_next)
+        for d in gone:
+            del owner[d], rot[d]
+        # re-link the surviving predecessor of each deleted dart, walking
+        # each vertex that loses a dart once around its old rotation
+        nxt = self.rotation_next
+        walked = set()
+        for d0 in gone:
+            v = self.dart_owner[d0]
+            if v in walked:
+                continue
+            walked.add(v)
+            first = nxt[d0]
+            while first in gone and first != d0:
+                first = nxt[first]
+            if first == d0:
+                continue  # v lost all its darts
+            d = first
+            while True:
+                after = nxt[d]
+                if after in gone:
+                    while after in gone:
+                        after = nxt[after]
+                    rot[d] = after
+                d = after
+                if d == first:
+                    break
         cost = None
         if self.edge_cost is not None:
-            cost = {e: c for e, c in self.edge_cost.items() if 2 * e in owner}
-        return EmbeddedGraph(self.vertex_count, owner, rot, cost)
+            cost = dict(self.edge_cost)
+            for e in doomed:
+                del cost[e]
+        h = EmbeddedGraph(self.vertex_count, owner, rot, cost)
+        if self._edges is not None:
+            h._edges = [e for e in self._edges if e not in doomed]
+        if self._pairs is not None:
+            pairs = dict(self._pairs)
+            for e in doomed:
+                u, v = self.endpoints(e)
+                if u != v:
+                    key = (u, v) if u < v else (v, u)
+                    pairs[key] -= 1
+                    if not pairs[key]:
+                        del pairs[key]
+            h._pairs = pairs
+        if self._faces is not None:
+            h._faces = self._spliced_faces(gone, rot)
+        return h
+
+    def _spliced_faces(self, gone, rot):
+        """faces() after deleting the darts ``gone``, whose survivors are
+        spliced by ``rot``: the faces that hold no deleted dart are kept
+        as they are, and only the surviving darts of the others are traced
+        again."""
+        faces = self._faces
+        touched = []  # index in faces of each face that holds a deleted dart
+        retrace = []
+        seen = set()
+        for d0 in gone:
+            if d0 in seen:
+                continue
+            walk = []
+            d = d0
+            while True:
+                walk.append(d)
+                d = self.rotation_next[d ^ 1]
+                if d == d0:
+                    break
+            seen.update(walk)
+            touched.append(bisect_left(faces, (min(walk),)))
+            retrace.extend(d for d in walk if d not in gone)
+        kept = []
+        start = 0
+        for i in sorted(touched):
+            kept += faces[start:i]
+            start = i + 1
+        kept += faces[start:]
+        kept += _trace(retrace, rot)
+        kept.sort()
+        return kept
 
     def restrict_to_component(self, vertices) -> "EmbeddedGraph":
         """Standalone embedding of one component.

@@ -39,8 +39,8 @@ class NoCycleError(ThinTreeError):
     """The dual graph is a forest, so it has no girth."""
 
 
-class EdgeAbsentError(ThinTreeError):
-    """Queried edge id is not present in the graph."""
+class EdgeAbsentError(ThinTreeError, ValueError):
+    """Queried or deleted edge id is not present in the graph."""
 
 
 class ParityViolationError(ThinTreeError):

@@ -188,10 +188,11 @@ def test_expand_support_embedding_copies_and_costs():
     inst = ATSPInstance.from_matrix(matrix)
     y, c_prime = symmetrize(solve_held_karp(inst), inst)
     mult, _ = discretize(y, 60)
-    expanded, copy_pair = expand_support_embedding(emb, mult, c_prime)
-    assert sorted(copy_pair) == expanded.edges()
+    expanded, origin = expand_support_embedding(emb, mult, c_prime)
+    assert sorted(origin) == expanded.edges()
     copies = {}
-    for i, pair in copy_pair.items():
+    for i, e in origin.items():
+        pair = tuple(sorted(emb.endpoints(e)))
         copies[pair] = copies.get(pair, 0) + 1
         assert expanded.edge_cost[i] == c_prime[pair]
         assert set(expanded.endpoints(i)) == set(pair)

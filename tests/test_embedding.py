@@ -5,12 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thintree.atsp import discretize, expand_support_embedding, symmetrize
+from thintree.dual import geometric_dual, shortest_dual_cycle
 from thintree.embedding import EmbeddedGraph, build_embedding, expand_parallel
 from thintree.errors import (
     BadTwinError,
     DisconnectedError,
+    EdgeAbsentError,
     MalformedRotationError,
     OddEulerDefectError,
+    ThinTreeError,
 )
 from thintree.flows import edge_connectivity
 from thintree.genlab import (
@@ -26,6 +29,8 @@ from thintree.heldkarp import ATSPInstance, solve_held_karp
 from thintree.oracle import brute_force_edge_connectivity
 from thintree.prng import PCG32
 from thintree.spanning import thin_spanning_tree
+
+from .conftest import add_edge
 
 
 def test_single_loop_on_sphere():
@@ -165,6 +170,14 @@ def test_deletion_result_has_its_own_edges_and_connectivity():
 def test_delete_missing_edge_rejected():
     with pytest.raises(ValueError):
         prism_graph(4).delete_edges([99])
+
+
+def test_delete_missing_edge_raises_the_typed_error():
+    cube = prism_graph(4)
+    with pytest.raises(EdgeAbsentError, match=r"\[98, 99\]") as info:
+        cube.delete_edges([0, 99, 98, 99])
+    assert isinstance(info.value, ThinTreeError)
+    assert cube.edges() == list(range(12)) and cube.genus() == 0
 
 
 def test_restrict_to_component_roundtrip():
@@ -341,3 +354,141 @@ def test_deletion_preserves_validity(g, data):
     h = g.delete_edges(doomed)
     assert h.genus() >= 0
     assert len(h.edges()) == len(edges) - len(doomed)
+
+
+# --- deletion seeds its memos from the graph it deletes from ------------
+
+def assert_deletion_memos_match_a_cold_walk(h):
+    """Every measurement of h, whose memos delete_edges seeded, equals what
+    a fresh graph over copies of h's maps measures from scratch."""
+    cold = EmbeddedGraph(h.vertex_count, dict(h.dart_owner), dict(h.rotation_next),
+                         None if h.edge_cost is None else dict(h.edge_cost))
+    assert h.faces() == cold.faces()
+    assert h.face_of_dart() == cold.face_of_dart()
+    assert h.pair_counts() == cold.pair_counts()
+    assert h.components() == cold.components()
+    assert h.edges() == cold.edges()
+    assert h.genus() == cold.genus()
+    assert h.total_cost() == cold.total_cost()
+
+
+def _costed(g, draw):
+    if g.edge_cost is None:
+        g.edge_cost = {e: Fraction(draw(st.integers(0, 9)), draw(st.integers(1, 3)))
+                       for e in g.edges()}
+    return g
+
+
+@st.composite
+def graphs_to_delete_from(draw):
+    """A genlab base, the torus grid, an expand_parallel multigraph, the
+    handle instance of the surgery tests or an arbitrary rotation system
+    (loops, isolated vertices), each with costs."""
+    kind = draw(st.sampled_from(["base", "torus", "expanded", "handle", "rotation"]))
+    if kind == "base":
+        name = draw(st.sampled_from(sorted(BASES)))
+        g = BASES[name](draw(st.integers(min_value=3, max_value=6)))
+    elif kind == "torus":
+        g = torus_grid(3, draw(st.integers(min_value=3, max_value=4)))
+    elif kind == "expanded":
+        base, mult, cost = draw(multiplied_bases())
+        if not any(mult.values()):
+            mult[base.edges()[0]] = 1
+        g, _ = expand_parallel(base, mult, cost)
+    elif kind == "handle":
+        g = add_edge(amplify(prism_graph(4), draw(st.integers(1, 3))), 0, 2, 0, 0)
+    else:
+        g = draw(rotation_systems())
+    return _costed(g, draw)
+
+
+@st.composite
+def deletions(draw, g):
+    """Edge ids to delete from g, repeated ids allowed: one edge, a whole
+    bundle, the shortest dual cycle, every edge at a vertex, a cut that
+    splits a component, the loops, or any set."""
+    edges = g.edges()
+    kind = draw(st.sampled_from(
+        ["single", "bundle", "dual cycle", "star", "bond", "loops", "any"]))
+    if kind == "single":
+        doomed = [draw(st.sampled_from(edges))]
+    elif kind == "bundle":
+        ends = set(g.endpoints(draw(st.sampled_from(edges))))
+        doomed = [e for e in edges if set(g.endpoints(e)) == ends]
+    elif kind == "dual cycle":
+        found = shortest_dual_cycle(geometric_dual(g))
+        doomed = list(found[1]) if found else [edges[0]]
+    elif kind == "star":
+        v = g.endpoints(draw(st.sampled_from(edges)))[0]
+        doomed = [e for e in edges if v in g.endpoints(e)]
+    elif kind == "bond":
+        component = max(g.components(), key=len)
+        side = set(draw(st.lists(st.sampled_from(component), min_size=1)))
+        doomed = [e for e in edges
+                  if len({u in side for u in g.endpoints(e)}) == 2]
+    elif kind == "loops":
+        doomed = [e for e in edges if len(set(g.endpoints(e))) == 1]
+    else:
+        doomed = draw(st.lists(st.sampled_from(edges), max_size=len(edges)))
+    if doomed and draw(st.booleans()):
+        doomed += draw(st.lists(st.sampled_from(doomed), min_size=1, max_size=3))
+    return doomed
+
+
+@given(graphs_to_delete_from(), st.booleans(), st.data())
+@settings(max_examples=250, deadline=None)
+def test_deletion_memos_match_a_cold_walk(g, warm, data):
+    """Up to three deletions in a row, from a graph whose memos are all
+    filled or from a copy whose memos were never filled."""
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        if not g.edges():
+            break
+        doomed = data.draw(deletions(g))
+        if warm:
+            for measure in (g.faces, g.pair_counts, g.edges, g.genus):
+                measure()
+        else:
+            g = EmbeddedGraph(g.vertex_count, dict(g.dart_owner),
+                              dict(g.rotation_next), dict(g.edge_cost))
+        h = g.delete_edges(doomed)
+        if warm:
+            assert h._faces is not None and h._pairs is not None
+        assert_deletion_memos_match_a_cold_walk(h)
+        g = h
+
+
+def components_by_dart_walk(g):
+    """Components by a depth-first search from each dart to its twin's
+    owner, sharing no code with EmbeddedGraph.components."""
+    adjacent = [set() for _ in range(g.vertex_count)]
+    for d, v in g.dart_owner.items():
+        adjacent[v].add(g.dart_owner[d ^ 1])
+    seen = set()
+    out = []
+    for s in range(g.vertex_count):
+        if s in seen:
+            continue
+        seen.add(s)
+        stack, component = [s], []
+        while stack:
+            v = stack.pop()
+            component.append(v)
+            for w in adjacent[v] - seen:
+                seen.add(w)
+                stack.append(w)
+        out.append(sorted(component))
+    return out
+
+
+@given(rotation_systems(), st.integers(min_value=0, max_value=2), st.data())
+@settings(max_examples=200, deadline=None)
+def test_components_match_a_dart_walk(g, isolated, data):
+    """Loops, isolated vertices (some added at the end, some left by a
+    deletion) and parallel edges."""
+    rotations = [g.darts_at(v) for v in range(g.vertex_count)] + [[]] * isolated
+    g = build_embedding(len(rotations), rotations,
+                        [(2 * e, 2 * e + 1) for e in g.edges()])
+    assert g.components() == components_by_dart_walk(g)
+    doomed = data.draw(st.lists(st.sampled_from(g.edges())))
+    h = g.delete_edges(doomed)
+    assert h.components() == components_by_dart_walk(h)
