@@ -14,7 +14,9 @@ trees on a count of degrees and decomposes the dual itself, or a
 ``DualGraph`` of its 2-core when it peeled something), and everything after
 works on whole threads.  The girth search contracts each thread into one
 edge weighted by its length, runs one Dijkstra search per thread, and reads
-the cycle it picked back along the same contracted threads.  The far-set
+the cycle it picked back along the same contracted threads; its answer is
+also kept once per ``DualGraph``, so a dual that surgery hands on to the
+spanning step carries the girth surgery measured on it.  The far-set
 selection in ``spanning`` keeps the threads as a graph on their branch
 faces.  ``min_pairwise_distance`` runs one Dijkstra search over the same
 contracted threads, cut only at the ends of the queried edges and where a
@@ -33,6 +35,9 @@ from .errors import (
     NoCycleError,
     ParityViolationError,
 )
+
+
+_UNSEARCHED = object()
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,7 @@ class DualGraph:
         self._threads = None
         self._pendant = None  # the edges pruned off the 2-core
         self._places = None
+        self._shortest = _UNSEARCHED  # shortest_dual_cycle's answer
 
     def faces_of(self, e: int) -> tuple[int, int]:
         try:
@@ -261,6 +267,9 @@ def _chain_distance(links, source, target, skip, bound):
 def shortest_dual_cycle(d: DualGraph):
     """Shortest simple cycle as (length, edge id list), or None if acyclic.
 
+    Searched once per ``DualGraph``: later calls, ``dual_girth`` among
+    them, read the memo, and each call returns a list of its own.
+
     The shortest cycle through edge e = (l, r) is e plus a shortest l-r path
     avoiding e; minimizing over all edges is exact on multigraphs (loops give
     length 1, parallel pairs length 2).  Deterministic: the anchor is the
@@ -282,8 +291,16 @@ def shortest_dual_cycle(d: DualGraph):
     and at each branch face the path takes the link with the smallest first
     edge among those on a shortest path to y.  On a cycle thread x is y.
     """
+    if d._shortest is _UNSEARCHED:
+        d._shortest = _shortest_cycle(d)
+    found = d._shortest
+    return None if found is None else (found[0], list(found[1]))
+
+
+def _shortest_cycle(d: DualGraph):
+    """``shortest_dual_cycle``'s search, with the cycle as a tuple."""
     if d.loops:
-        return 1, [d.loops[0][0]]
+        return 1, (d.loops[0][0],)
     chains = sorted((min(t.edges), t.vertices[0], t.vertices[-1], t)
                     for t in d.core_threads())
     links = {}  # branch face -> (length, key, other end, thread) of its path threads
@@ -320,7 +337,7 @@ def shortest_dual_cycle(d: DualGraph):
             for length, k, v, th in links[x]
             if k != key and dist.get(v, best_len) + length == dist[x])
         middle += run if run[0] == first else run[::-1]
-    return best_len, [*edges[o + 1:], *middle, *edges[:o], key]
+    return best_len, (*edges[o + 1:], *middle, *edges[:o], key)
 
 
 def dual_girth(d: DualGraph) -> int:

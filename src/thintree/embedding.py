@@ -396,10 +396,11 @@ def _pair_counts(g: EmbeddedGraph, copies=None) -> dict:
 def _cost_sum(terms) -> Fraction:
     """Exact sum of count * cost over (count, Fraction) terms.  Numerators
     are summed per denominator, so that only the few group totals are
-    added as Fractions."""
+    added as Fractions; one ``as_integer_ratio`` call reads both parts."""
     groups = {}
     for count, c in terms:
-        groups[c.denominator] = groups.get(c.denominator, 0) + count * c.numerator
+        n, d = c.as_integer_ratio()
+        groups[d] = groups.get(d, 0) + count * n
     return sum((Fraction(n, d) for d, n in groups.items()), Fraction(0))
 
 

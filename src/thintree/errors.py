@@ -47,6 +47,11 @@ class ParityViolationError(ThinTreeError):
     """A dual vertex meets the cut's dual edge set an odd number of times."""
 
 
+class DualMismatchError(InvalidInputError):
+    """A dual handed in with a graph has another face or edge count than
+    the graph: it is the dual of some other graph."""
+
+
 # --- thread selection ---
 
 class DegreeOneVertexError(ThinTreeError):

@@ -91,7 +91,9 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
     for component in h.components():
         if len(component) == 1:
             continue
-        sub_result = thin_spanning_tree(h.restrict_to_component(component))
+        piece = h.restrict_to_component(component)
+        # a whole h is h itself, whose dual surgery has built and searched
+        sub_result = thin_spanning_tree(piece, log.dual if piece is h else None)
         tree_edges.extend(sub_result.tree_edges)
         far_edges.extend(sub_result.far_set)
         if g_star_min is None or sub_result.g_star < g_star_min:

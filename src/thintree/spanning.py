@@ -11,6 +11,14 @@ cut, hence span; and because the selected dual edges end up far apart, the
 set crosses no cut too often.  The emitted certificate is the measured
 minimum pairwise dual distance m (capped at the dual girth), which makes the
 selected set 1/m-thin.
+
+The dual is built here, except on the genus branch when surgery leaves the
+graph connected: the tree is then built on surgery's own result, and
+``increase_dual_girth`` hands over the dual it built of that very graph and
+searched for its girth last.  Both are read as they are, so the girth and
+the threads are those a fresh build would find.  A handed dual must match
+the graph's face and edge counts, which a dual from before surgery's last
+deletion does not.
 """
 
 from __future__ import annotations
@@ -30,7 +38,12 @@ from .dual import (
     min_pairwise_distance,
 )
 from .embedding import EmbeddedGraph
-from .errors import DisconnectedError, InvalidInputError, NoLongThreadError
+from .errors import (
+    DisconnectedError,
+    DualMismatchError,
+    InvalidInputError,
+    NoLongThreadError,
+)
 
 
 def alpha(genus: int) -> int:
@@ -258,7 +271,8 @@ def _bfs_spanning_tree(g: EmbeddedGraph, allowed) -> list[int]:
     return sorted(tree)
 
 
-def thin_spanning_tree(g: EmbeddedGraph) -> ThinTreeResult:
+def thin_spanning_tree(g: EmbeddedGraph,
+                       dual: DualGraph | None = None) -> ThinTreeResult:
     """Spanning tree with thinness bound 2*alpha/g*.
 
     For g* <= 2*alpha the bound is at least 1, so any spanning tree does and
@@ -266,12 +280,23 @@ def thin_spanning_tree(g: EmbeddedGraph) -> ThinTreeResult:
     Otherwise the selection loop runs and the certificate is the measured
     minimum pairwise dual distance of the selected dual edges.  Raises
     InvalidInputError on fewer than 2 vertices: no cut to be thin on.
+
+    ``dual`` is g's geometric dual when the caller holds it already
+    (surgery's last one); it is built here otherwise.  A dual whose face or
+    edge count differs from g's raises DualMismatchError.
     """
     if g.vertex_count < 2:
         raise InvalidInputError("thin_spanning_tree needs at least 2 vertices")
     if not g.is_connected():
         raise DisconnectedError("thin_spanning_tree needs a connected graph")
-    d = geometric_dual(g)
+    if dual is None:
+        d = geometric_dual(g)
+    elif dual.face_count != len(g.faces()) or len(dual.dual_edges) != g.edge_count:
+        raise DualMismatchError(
+            f"dual has {dual.face_count} faces and {len(dual.dual_edges)} edges, "
+            f"the graph {len(g.faces())} faces and {g.edge_count} edges")
+    else:
+        d = dual
     g_star = dual_girth(d)
     a = alpha(g.genus())
 

@@ -6,16 +6,25 @@ component.  Repeating while a dual cycle shorter than k/(3*sqrt(genus))
 exists leaves at most 2*sqrt(genus) components.  The square root never needs
 floating point: ``length < k / (3*sqrt(g))`` is evaluated as
 ``9*g*length^2 < k^2`` in integers.
+
+Each iteration builds the dual of the current graph and searches it for its
+shortest cycle.  The loop ends on a dual whose girth meets the threshold (or
+that has no cycle), built from the very graph it returns; graphs are
+immutable, so that dual stays exact.  The log hands it on as
+``SurgeryLog.dual`` with its girth search, and the spanning step that builds
+a tree on the returned graph reads both rather than building and searching
+them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .dual import geometric_dual, shortest_dual_cycle
+from .dual import DualGraph, geometric_dual, shortest_dual_cycle
 from .embedding import EmbeddedGraph
 from .errors import (
     DichotomyViolationError,
+    InvalidInputError,
     NotEdgeConnectedError,
     ZeroGenusError,
 )
@@ -34,11 +43,16 @@ class SurgeryIteration:
 
 @dataclass
 class SurgeryLog:
-    """Per-iteration bookkeeping for one girth-raising run."""
+    """Per-iteration bookkeeping for one girth-raising run.
+
+    ``dual`` is the dual of the returned graph, searched for its girth by
+    the loop's last check; it is not part of the records.
+    """
 
     k: int
     genus: int
     iterations: list = field(default_factory=list)
+    dual: DualGraph | None = field(default=None, repr=False, compare=False)
 
     @property
     def total_deleted(self) -> int:
@@ -83,12 +97,14 @@ def increase_dual_girth(g: EmbeddedGraph, k: int):
     """Delete short dual cycles until girth(H*) >= k / (3*sqrt(genus)).
 
     The genus in the threshold is measured on g once and stays fixed across
-    iterations.  Returns (H, SurgeryLog).
+    iterations.  Returns (H, SurgeryLog), the log holding the dual of H.
 
-    Raises ZeroGenusError for planar inputs (the caller should use the
-    planar branch instead) and NotEdgeConnectedError when g is less than
-    k-edge-connected.
+    Raises InvalidInputError for k < 1, ZeroGenusError for planar inputs
+    (the caller should use the planar branch instead) and
+    NotEdgeConnectedError when g is less than k-edge-connected.
     """
+    if k < 1:
+        raise InvalidInputError(f"surgery needs k >= 1, got k = {k}")
     genus = g.genus()
     if genus == 0:
         raise ZeroGenusError("input embedding has genus 0")
@@ -108,6 +124,7 @@ def increase_dual_girth(g: EmbeddedGraph, k: int):
             break
         h, step = delete_dual_cycle(h, cycle)
         log.iterations.append(step)
+    log.dual = d
 
     kappa = len(h.components())
     assert kappa * kappa <= 4 * genus, (

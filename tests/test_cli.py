@@ -64,6 +64,19 @@ def test_surgery_cli(tmp_path):
     assert h.edge_count == 54
 
 
+@pytest.mark.parametrize("k", ["0", "-12", "-40"])
+def test_surgery_cli_rejects_k_below_one(tmp_path, capsys, k):
+    emb = tmp_path / "g.emb"
+    out = tmp_path / "h.emb"
+    run_cli(["gen", "--family", "torus-grid", "--rows", "3", "--cols", "3",
+             "--mult", "3", "--seed", "7", "--weighted", "--out", str(emb)])
+    code = main(["surgery", "--in", str(emb), "--k", k,
+                 "--out", str(out), "--log", str(tmp_path / "log.json")])
+    assert code == 2
+    assert "k >= 1" in assert_one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_pipeline_cli_weighted(tmp_path):
     emb = tmp_path / "g.emb"
     out = tmp_path / "result.json"

@@ -259,6 +259,16 @@ def test_shortest_cycle_prefers_loop():
     assert shortest_dual_cycle(d) == (1, [3])
 
 
+def test_returned_cycle_is_a_copy_of_the_memo():
+    d = geometric_dual(torus_grid(3, 3))
+    length, cycle = shortest_dual_cycle(d)
+    kept = list(cycle)
+    cycle.append(99)
+    cycle.reverse()
+    assert shortest_dual_cycle(d) == (length, kept)
+    assert dual_girth(d) == length
+
+
 def test_shortest_cycle_deterministic_anchor():
     d = DualGraph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 2, 3), (4, 3, 0)])
     length, cycle = shortest_dual_cycle(d)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thintree import pipeline
+from thintree.dual import geometric_dual
 from thintree.embedding import EmbeddedGraph, build_embedding
 from thintree.errors import DisconnectedError, ExtractionFailureError
 from thintree.flows import edge_connectivity
@@ -20,6 +21,8 @@ from thintree.pipeline import (
     weighted_thin_tree,
 )
 from thintree.prng import PCG32
+from thintree.spanning import thin_spanning_tree
+from thintree.surgery import SurgeryLog, delete_dual_cycle
 
 from .conftest import add_edge
 from .test_acceptance import _weighted_battery
@@ -133,6 +136,36 @@ def test_connectors_join_two_components(cube):
     h, connectors = assert_connectors_from_deleted(g, between)
     assert len(h.components()) == 2
     assert len(connectors) == 1
+
+
+def test_two_components_build_their_own_duals(monkeypatch):
+    # surgery is stood in for by one split: deleting the copies of the
+    # edges between the handled cube's two squares leaves two components,
+    # so neither tree may read the dual of the whole surgered graph
+    g = add_edge(amplify(prism_graph(4), 8), 0, 2, 0, 0)
+    g.edge_cost = {e: Fraction(e % 5 + 1, 2) for e in g.edges()}
+    between = [e for e in g.edges() if {u < 4 for u in g.endpoints(e)} == {True, False}]
+    h, step = delete_dual_cycle(g, between)
+    assert len(h.components()) == 2
+
+    def split(graph, k):
+        return h, SurgeryLog(k, graph.genus(), [step], dual=geometric_dual(h))
+
+    handed = []
+
+    def spanning_tree(piece, dual=None):
+        handed.append(dual)
+        return thin_spanning_tree(piece, dual)
+
+    monkeypatch.setattr(pipeline, "increase_dual_girth", split)
+    monkeypatch.setattr(pipeline, "thin_spanning_tree", spanning_tree)
+    result = bounded_genus_thin_tree(g)
+    assert handed == [None, None]
+    # the tree before surgery handed its dual on
+    assert result.tree_edges == (0, 24, 35, 43, 55, 65, 96)
+    assert result.far_set == (*range(32), 35, 43, 55, 65, 96)
+    assert (result.g_star, result.alpha, result.certificate_distance) == (1, 6, 1)
+    assert result.thinness_bound == Fraction(7, 4)
 
 
 @given(rotation_systems(), st.data())

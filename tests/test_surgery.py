@@ -1,11 +1,19 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thintree import pipeline
 from thintree.dual import cut_edges, Cut, dual_girth, geometric_dual, shortest_dual_cycle
 from thintree.embedding import build_embedding
-from thintree.errors import NotEdgeConnectedError, ZeroGenusError
+from thintree.errors import (
+    DualMismatchError,
+    InvalidInputError,
+    NotEdgeConnectedError,
+    ZeroGenusError,
+)
 from thintree.flows import edge_connectivity
 from thintree.genlab import amplify, prism_graph, torus_grid
+from thintree.spanning import thin_spanning_tree
 from thintree.surgery import (
     SurgeryIteration,
     below_threshold,
@@ -140,3 +148,73 @@ def test_not_edge_connected_guard():
     t = torus_grid(3, 3)
     with pytest.raises(NotEdgeConnectedError):
         increase_dual_girth(t, 5)
+
+
+@pytest.mark.parametrize("k", [0, -12, -40])
+def test_k_below_one_raises_the_typed_error(k):
+    # -40 once passed the connectivity guard and cut the torus into 9
+    # components, failing only at the component bound's assertion
+    with pytest.raises(InvalidInputError, match="k >= 1"):
+        increase_dual_girth(amplify(torus_grid(3, 3), 3), k)
+
+
+# --- surgery hands the dual of its result to the spanning step -----------
+
+@st.composite
+def surgery_inputs(draw):
+    """A torus grid, an amplified torus grid or the handled cube (the
+    conftest handle instance is q = 2), with k up to its connectivity."""
+    kind = draw(st.sampled_from(["torus", "amplified torus", "handle"]))
+    if kind == "torus":
+        g = torus_grid(draw(st.integers(3, 4)), draw(st.integers(3, 4)))
+    elif kind == "amplified torus":
+        g = amplify(torus_grid(3, draw(st.integers(3, 4))), draw(st.integers(2, 4)))
+    else:
+        g = handled_cube(draw(st.integers(1, 6)))
+    k = draw(st.integers(1, edge_connectivity(g)))
+    return g, k
+
+
+@given(surgery_inputs())
+@settings(max_examples=60, deadline=None)
+def test_handed_dual_is_the_dual_of_the_result(case):
+    g, k = case
+    h, log = increase_dual_girth(g, k)
+    fresh = geometric_dual(h)
+    assert log.dual.face_count == fresh.face_count
+    assert log.dual.dual_edges == fresh.dual_edges
+    assert shortest_dual_cycle(log.dual) == shortest_dual_cycle(fresh)
+    if h.is_connected():
+        assert thin_spanning_tree(h, log.dual) == thin_spanning_tree(h)
+
+
+def test_stale_dual_is_rejected():
+    g = handled_cube(4)
+    h, log = increase_dual_girth(g, edge_connectivity(g))
+    assert log.iterations
+    # the dual of the graph before the last deletion
+    before = g.delete_edges([e for it in log.iterations[:-1] for e in it.cycle_edges])
+    with pytest.raises(DualMismatchError):
+        thin_spanning_tree(h, geometric_dual(before))
+    with pytest.raises(InvalidInputError):
+        thin_spanning_tree(before, log.dual)
+
+
+def test_genus_branch_builds_one_dual_per_surgered_graph(monkeypatch):
+    g = handled_cube(4)
+    _, log = increase_dual_girth(g, edge_connectivity(g))
+    assert log.iterations
+    sizes = [g.edge_count]
+    for it in log.iterations:
+        sizes.append(sizes[-1] - it.cycle_length)
+    built = []
+
+    def counted(graph):
+        built.append(graph.edge_count)
+        return geometric_dual(graph)
+
+    for module in ("dual", "surgery", "spanning"):
+        monkeypatch.setattr(f"thintree.{module}.geometric_dual", counted)
+    pipeline.bounded_genus_thin_tree(g)
+    # one dual per graph surgery searched; the tree reads the last of them
+    assert built == sizes
