@@ -29,7 +29,8 @@ from .pipeline import genus_bound, weighted_thin_tree
 
 @dataclass
 class Tour:
-    """Hamiltonian tour, canonically rotated to start at vertex 0."""
+    """Hamiltonian tour, canonically rotated to start at vertex 0, and its
+    exact cost in the input's units."""
 
     order: tuple[int, ...]
     cost: Fraction
@@ -38,16 +39,16 @@ class Tour:
     def from_order(order, inst: ATSPInstance) -> "Tour":
         start = order.index(0)
         rotated = tuple(order[start:]) + tuple(order[:start])
-        cost = Fraction(0)
-        for i, u in enumerate(rotated):
-            cost += inst.cost[u][rotated[(i + 1) % len(rotated)]]
-        return Tour(rotated, cost)
+        cost = sum(inst.cost[u][rotated[(i + 1) % len(rotated)]]
+                   for i, u in enumerate(rotated))
+        return Tour(rotated, Fraction(cost, inst.scale))
 
 
 def symmetrize(x: HKSolution, inst: ATSPInstance):
     """Undirected shadow of x: y{u,v} = x_uv + x_vu, c'{u,v} = min cost.
 
-    Returns (y, c_prime) keyed by sorted vertex pairs.  The degree identity
+    Returns (y, c_prime) keyed by sorted vertex pairs; c' is in the
+    instance's integer units.  The degree identity
     y(delta(v)) = 2 is asserted exactly.
     """
     y = {}
@@ -131,7 +132,9 @@ def round_to_tour(inst: ATSPInstance, x: HKSolution, tree_arcs,
     the tree arcs and capacities ceil(2*alpha*D*x_a) + 1 exists whenever the
     thinness certificate is honest; its Eulerian circuit, shortcut by the
     triangle inequality, is the tour.  The final cost is asserted against
-    2*alpha*D*c(x) + c(tree arcs).
+    2*alpha*D*c(x) + c(tree arcs).  The circulation and the checks run on
+    the instance's integer costs; only ``Tour.cost`` is divided by its
+    ``scale``.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
@@ -168,14 +171,16 @@ def round_to_tour(inst: ATSPInstance, x: HKSolution, tree_arcs,
     assert len(order) == n, "Eulerian circuit missed vertices"
     tour = Tour.from_order(order, inst)
 
-    circuit_cost = sum(f * Fraction(c) for (_, _, _, _, c), f in zip(arcs, flow))
-    assert tour.cost <= circuit_cost, "shortcutting increased the cost"
+    tour_cost = tour.cost * inst.scale
+    circuit_cost = sum(f * c for (_, _, _, _, c), f in zip(arcs, flow))
+    assert tour_cost <= circuit_cost, "shortcutting increased the cost"
     c_x = sum((inst.cost[i][j] * val for (i, j), val in x.x.items()), Fraction(0))
-    c_tree = sum((inst.cost[u][v] for u, v in tree_arcs), Fraction(0))
+    c_tree = sum(inst.cost[u][v] for u, v in tree_arcs)
     bound = scale * c_x + c_tree
-    if tour.cost > bound:
+    if tour_cost > bound:
         raise CostBoundViolatedError(
-            f"tour cost {tour.cost} exceeds 2*alpha*D*c(x) + c(T) = {bound}")
+            f"tour cost {tour.cost} exceeds 2*alpha*D*c(x) + c(T) = "
+            f"{bound / inst.scale}")
     return tour
 
 
@@ -210,6 +215,9 @@ def atsp_approx(inst: ATSPInstance, support_embedding: EmbeddedGraph,
     the thin-tree extraction reads the same memoised k.  Returns (Tour,
     report) where the report carries every certificate value; the tour cost
     is asserted against 3*beta*(1 + 1/n)*c(x), beta = genus_bound(genus).
+    The LP, the multigraph's costs and the circulation work in the
+    instance's integer units; the tour cost, ``opt_hk``, ``tour_cost`` and
+    ``bound`` of the report are in the input's units.
     ``exact`` must be true and is kept only for callers that still pass it.
     """
     if not exact:
@@ -235,7 +243,7 @@ def atsp_approx(inst: ATSPInstance, support_embedding: EmbeddedGraph,
     weighted = weighted_thin_tree(expanded)
     c_x = x.objective
     # sigma = c'(T)/c'(H) bounds the tree by sigma*D*c(x) because c'(H) <= D*c(x)
-    assert weighted.c_graph <= denominator * c_x
+    assert weighted.c_graph <= denominator * c_x * inst.scale
     tree_pairs = sorted({tuple(sorted(support_embedding.endpoints(origin[e])))
                          for e in weighted.tree_edges})
     assert len(tree_pairs) == n - 1, "thin tree reused a parallel pair"

@@ -15,9 +15,15 @@ from dataclasses import asdict
 
 from . import genlab, oracle
 from .atsp import atsp_approx
-from .errors import FormatError, InvalidInputError, ThinTreeError, TooLargeError
+from .errors import (
+    FormatError,
+    InvalidInputError,
+    ThinnessBoundViolatedError,
+    ThinTreeError,
+    TooLargeError,
+)
 from .flows import edge_connectivity
-from .formats import format_cost, read_atsp, read_emb, write_emb
+from .formats import format_cost, parse_cost, read_atsp, read_emb, write_emb
 from .heldkarp import ATSPInstance
 from .pipeline import bounded_genus_thin_tree, weighted_thin_tree
 from .spanning import thin_spanning_tree, tree_cost_ratio
@@ -121,9 +127,9 @@ def cmd_atsp(args) -> int:
     return 0
 
 
-def _json_list(path: str, key: str) -> list:
-    """The list in the JSON file at ``path``: the whole file, or the
-    ``key`` entry of an object."""
+def _json_list(path: str, key: str):
+    """The JSON file at ``path`` and the list in it: the whole file, or
+    the ``key`` entry of an object."""
     try:
         data = json.loads(_read(path))
     except json.JSONDecodeError as exc:
@@ -131,17 +137,28 @@ def _json_list(path: str, key: str) -> list:
     value = data.get(key) if isinstance(data, dict) else data
     if not isinstance(value, list):
         raise FormatError(f"{path}: want a list or an object with a {key!r} list")
-    return value
+    return data, value
 
 
 def cmd_verify(args) -> int:
     if args.what == "thinness":
         g = read_emb(_read(args.infile))
-        report = oracle.brute_force_thinness(g, _json_list(args.edges, "tree_edges"))
+        data, edges = _json_list(args.edges, "tree_edges")
+        report = oracle.brute_force_thinness(g, edges)
+        # a tree file claims thinness_bound (thin-tree, pipeline) or
+        # thinness (pipeline --weighted); a bare list claims nothing
+        claimed = None
+        if isinstance(data, dict):
+            claimed = data.get("thinness_bound", data.get("thinness"))
+        if claimed is not None and report.max_ratio > parse_cost(str(claimed)):
+            raise ThinnessBoundViolatedError(
+                f"{args.edges}: measured thinness {report.max_ratio} exceeds "
+                f"the claimed {claimed}")
         payload = {**asdict(report), "witness_cut": sorted(report.witness_cut.side)}
     else:
         inst = ATSPInstance.from_matrix(read_atsp(_read(args.infile)))
-        cost = oracle.verify_tour(_json_list(args.tour, "order"), inst.cost)
+        _, order = _json_list(args.tour, "order")
+        cost = oracle.verify_tour(order, inst.cost) / inst.scale
         payload = {"cost": cost, "hamiltonian": True}
     sys.stdout.write(_dump(payload))
     return 0

@@ -124,6 +124,11 @@ class NotHamiltonianError(ThinTreeError):
     """Claimed tour does not visit every vertex exactly once."""
 
 
+class ThinnessBoundViolatedError(ThinTreeError):
+    """An edge set is thicker, over some cut, than the thinness bound its
+    tree file claims."""
+
+
 # --- generators / file formats ---
 
 class BadParamsError(ThinTreeError):

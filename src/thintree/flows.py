@@ -11,7 +11,6 @@ paths by BFS, min-cost flow by a Bellman-Ford queue over the same arcs.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 
 from .embedding import EmbeddedGraph
 from .errors import CirculationInfeasibleError, InvalidInputError
@@ -174,7 +173,8 @@ def directed_global_min_cut(n: int, arcs: dict):
 def min_cost_circulation(n: int, arcs: list):
     """Minimum-cost integral circulation with lower bounds.
 
-    ``arcs`` is a list of (u, v, lower, upper, cost).  Returns a list of
+    ``arcs`` is a list of (u, v, lower, upper, cost) with exact costs,
+    taken as given (ints on the ATSP path).  Returns a list of
     integral flow values aligned with ``arcs``.  Standard transformation:
     send the mandatory lower bounds, then balance the induced excess with a
     min-cost flow between two auxiliary terminals.
@@ -193,7 +193,7 @@ def min_cost_circulation(n: int, arcs: list):
             raise ValueError(f"arc ({u}, {v}) has negative cost {cost}")
         excess[v] += lower
         excess[u] -= lower
-        arc_idx.append(net.add_arc(u, v, upper - lower, Fraction(cost)))
+        arc_idx.append(net.add_arc(u, v, upper - lower, cost))
     need = 0
     for v in range(n):
         if excess[v] > 0:

@@ -30,20 +30,32 @@ START_ARCS = 3  # cheapest out- and in-arcs per vertex in the first LP
 
 @dataclass
 class ATSPInstance:
-    """Metric ATSP instance; construction completes the metric.
+    """Metric ATSP instance in integer costs; construction completes the
+    metric.
 
-    ``cost[i][j]`` is the exact arc cost after all-pairs shortest paths, so
-    the triangle inequality always holds.
+    ``cost[i][j]`` is an int: the exact arc cost after all-pairs shortest
+    paths, in units of 1/``scale``, so the triangle inequality always
+    holds.  ``scale`` is the lcm of the input's denominators, 1 for an
+    integral matrix.  The LP, the rounding and every bound check work in
+    these units; a value leaves the package divided by ``scale``.
     """
 
     cost: list
+    scale: int = 1
 
     @staticmethod
     def from_matrix(matrix) -> "ATSPInstance":
+        """Scale the ints or Fractions of ``matrix`` to ints over their
+        common denominator and close them under shortest paths."""
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise ValueError("cost matrix must be square")
-        cost = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+        try:
+            scale = math.lcm(*(c.denominator for row in matrix for c in row))
+        except AttributeError:
+            raise InvalidInputError("costs must be ints or Fractions") from None
+        cost = [[c.numerator * (scale // c.denominator) for c in row]
+                for row in matrix]
         for i in range(n):
             if cost[i][i] != 0:
                 raise ValueError("diagonal must be zero")
@@ -56,7 +68,7 @@ class ATSPInstance:
                     via = cik + row_k[j]
                     if via < row_i[j]:
                         row_i[j] = via
-        return ATSPInstance(cost=cost)
+        return ATSPInstance(cost=cost, scale=scale)
 
     @property
     def n(self) -> int:
@@ -85,9 +97,10 @@ class HKSolution:
     """Optimal fractional solution of the Held-Karp relaxation.
 
     ``x`` maps arcs (i, j) to positive Fractions (zero arcs are omitted),
-    ``objective`` is the LP optimum, ``cuts_added`` counts subtour
-    constraints generated, ``columns`` is the number of arcs in the final
-    LP and ``duals`` certifies the optimum over every arc.
+    ``objective`` is the LP optimum in the input's units, ``cuts_added``
+    counts subtour constraints generated, ``columns`` is the number of arcs
+    in the final LP and ``duals`` certifies the optimum over every arc in
+    the instance's integer units: its value is ``objective * inst.scale``.
     """
 
     x: dict
@@ -100,8 +113,9 @@ class HKSolution:
 def negative_arcs(cost, duals: HKDuals) -> list:
     """Every arc (i, j) that prices below zero under ``duals``, in arc
     order: the reduced cost c_ij - u_out[i] - u_in[j] - sum(z_S : i in S,
-    j not in S), computed exactly.  Raises DualCertificateError when the
-    denominator is not positive or some z_S < 0.
+    j not in S), computed exactly on the integer costs.  Raises
+    DualCertificateError when the denominator is not positive or some
+    z_S < 0.
     """
     n = len(cost)
     den = duals.denominator
@@ -122,10 +136,7 @@ def negative_arcs(cost, duals: HKDuals) -> list:
     for i in range(n):
         u_i, row, cost_i = duals.u_out[i], crossing[i], cost[i]
         for j in range(n):
-            if i == j:
-                continue
-            c = cost_i[j]
-            if c.numerator * den < c.denominator * (u_i + duals.u_in[j] + row[j]):
+            if i != j and cost_i[j] * den < u_i + duals.u_in[j] + row[j]:
                 negative.append((i, j))
     return negative
 
@@ -133,7 +144,8 @@ def negative_arcs(cost, duals: HKDuals) -> list:
 def check_dual_certificate(cost, duals: HKDuals, objective: Fraction) -> None:
     """Raise DualCertificateError unless ``duals`` is a feasible dual of the
     Held-Karp LP over all arcs, restricted to the degree rows and the cuts
-    of ``duals.sides``, whose value is ``objective``.
+    of ``duals.sides``, whose value is ``objective`` (in the units of
+    ``cost``).
 
     Checks, exactly: every z_S >= 0; no arc prices below zero
     (``negative_arcs``); and sum(u) + sum(z) equals ``objective``.  By weak
@@ -156,15 +168,11 @@ def start_arcs(cost) -> list:
     0 -> 1 -> ... -> n-1 -> 0, which keeps every degree and cut row
     feasible."""
     n = len(cost)
-    # integer keys over one common denominator: sorting them is exact and
-    # much cheaper than comparing Fractions
-    scale = math.lcm(*(c.denominator for row in cost for c in row))
-    keys = [[c.numerator * (scale // c.denominator) for c in row] for row in cost]
     arcs = {(v, (v + 1) % n) for v in range(n)}
     for v in range(n):
         others = [w for w in range(n) if w != v]
-        out = sorted(others, key=keys[v].__getitem__)[:START_ARCS]
-        into = sorted(others, key=lambda w: keys[w][v])[:START_ARCS]
+        out = sorted(others, key=cost[v].__getitem__)[:START_ARCS]
+        into = sorted(others, key=lambda w: cost[w][v])[:START_ARCS]
         arcs.update((v, w) for w in out)
         arcs.update((w, v) for w in into)
     return sorted(arcs)
@@ -238,5 +246,5 @@ def solve_held_karp(inst: ATSPInstance) -> HKSolution:
     result = tableau.result()  # Fractions for the final optimum only
     x = {a: val for a, val in zip(arcs, result.values) if val > 0}
     check_dual_certificate(inst.cost, duals, result.objective)
-    return HKSolution(x=x, objective=result.objective, cuts_added=len(sides),
-                      columns=len(arcs), duals=duals)
+    return HKSolution(x=x, objective=result.objective / inst.scale,
+                      cuts_added=len(sides), columns=len(arcs), duals=duals)

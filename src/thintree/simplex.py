@@ -48,11 +48,19 @@ class Tableau:
         self.scale = scale
 
     def pivot(self, row_i, col_j):
-        # every other row becomes (p*T[i] - T[i][s]*T[r]) / d, exactly
+        """Pivot on T[r][s] = p: every other row becomes
+        (p*T[i] - T[i][s]*T[r]) / d, exactly, and d becomes |p| (a
+        negative p negates the whole tableau).  When p is d or -d, the new
+        denominator is d and each row only takes T[i][s]*T[r]/d off; for
+        -d, the dual simplex and drive-out case, the pivot row is negated
+        first, which gives the same tableau as the full rescale."""
         tableau = self.tableau
         d = self.d
         p = tableau[row_i][col_j]
         prow = tableau[row_i]
+        if p == -d:
+            prow[:] = [-v for v in prow]
+            p = d
         nonzero = [j for j, w in enumerate(prow) if w]
         for i, target in enumerate(tableau):
             if i == row_i:
@@ -68,7 +76,7 @@ class Tableau:
                 tableau[i] = [(p * v - factor * w) // d
                               for v, w in zip(target, prow)]
         self.d = p
-        if p < 0:  # a drive-out or dual simplex pivot
+        if p < 0:
             self.d = -p
             tableau[:] = [[-v for v in target] for target in tableau]
         self.basis[row_i] = col_j
@@ -222,7 +230,8 @@ def solve_lp(costs, rows, rhs):
     """Minimize costs.x over A x = b, x >= 0.
 
     Parameters:
-        costs: per-variable objective coefficients (ints or Fractions).
+        costs: per-variable objective coefficients, ints or Fractions (read
+            through ``numerator`` and ``denominator``).
         rows: list of integer constraint coefficient lists (dense, len == #vars).
         rhs: integer right-hand sides, all >= 0.
 
@@ -233,9 +242,8 @@ def solve_lp(costs, rows, rhs):
     """
     num_vars = len(costs)
     m = len(rows)
-    costs = [Fraction(c) for c in costs]
     scale = math.lcm(*(c.denominator for c in costs))
-    int_costs = [int(c * scale) for c in costs]
+    int_costs = [c.numerator * (scale // c.denominator) for c in costs]
 
     # tableau columns: real vars, artificials, rhs; real tableau is T / d
     width = num_vars + m + 1

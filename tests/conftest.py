@@ -62,7 +62,9 @@ def oracle_checked_held_karp(monkeypatch, request):
 
     def checked(inst):
         sol = heldkarp.solve_held_karp(inst)
-        oracle.verify_hk_certificate(inst.cost, sol.x, sol.duals, sol.objective)
+        # the duals price the instance's integer costs, in units of 1/scale
+        oracle.verify_hk_certificate(inst.cost, sol.x, sol.duals,
+                                     sol.objective * inst.scale)
         return sol
 
     monkeypatch.setattr(atsp, "solve_held_karp", checked)

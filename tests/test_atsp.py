@@ -216,6 +216,26 @@ def test_atsp_approx_planar_instances():
                 == report["connectivity_trace"][0])
 
 
+@pytest.mark.parametrize("divisor", [7, 12])
+def test_fractional_costs_round_like_the_integral_instance(divisor):
+    """Every cost divided by 7, or by 12, which leaves denominators 1, 2, 3,
+    4, 6 and 12: the same tour, at 1/divisor of the integral costs."""
+    matrix, emb = lp_support_instance(8, PCG32(1))
+    tour, report = atsp_approx(ATSPInstance.from_matrix(matrix), emb, denominator=60)
+    matrix, emb = lp_support_instance(8, PCG32(1))
+    scaled = [[Fraction(c, divisor) for c in row] for row in matrix]
+    inst = ATSPInstance.from_matrix(scaled)
+    assert inst.scale == divisor
+    assert len({c.denominator for row in scaled for c in row}) > 1
+    s_tour, s_report = atsp_approx(inst, emb, denominator=60)
+    assert s_tour.order == tour.order
+    assert type(s_tour.cost) is Fraction and s_tour.cost == tour.cost / divisor
+    assert s_report["opt_hk"] == report["opt_hk"] / divisor
+    assert s_report["bound"] == report["bound"] / divisor
+    assert s_report["ratio"] == report["ratio"]
+    assert verify_tour(s_tour.order, inst.cost) == s_tour.cost * divisor
+
+
 def test_atsp_approx_unit_c4():
     inst = ATSPInstance.from_matrix(
         [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])

@@ -2,11 +2,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from thintree.cli import main
-from thintree.formats import write_emb
+from thintree.formats import read_atsp, read_emb, write_atsp, write_emb
 from thintree.genlab import amplify, prism_graph
 
 from .conftest import add_edge
@@ -122,6 +123,62 @@ def test_atsp_and_verify_cli(tmp_path):
              "--mult", "6", "--seed", "0", "--out", str(g)])
     run_cli(["thin-tree", "--in", str(g), "--out", str(tree)])
     run_cli(["verify", "thinness", "--in", str(g), "--edges", str(tree)])
+
+
+def test_atsp_and_verify_on_fractional_costs(tmp_path, capsys):
+    """The lp-support n = 8 instance with every cost divided by 12, written
+    as '5/6', '1.25' or '1': atsp and verify tour agree on the cost, 1/12
+    of the integral instance's, and the tour is the same."""
+    inst = tmp_path / "inst.atsp"
+    emb = tmp_path / "support.emb"
+    run_cli(["gen", "--family", "lp-support-instance", "--n", "8",
+             "--seed", "1", "--out", str(inst), "--emb-out", str(emb)])
+    frac = tmp_path / "frac.atsp"
+    matrix = read_atsp(inst.read_text())
+    frac.write_text(write_atsp([[c / 12 for c in row] for row in matrix]))
+    assert "/" in frac.read_text() and "." in frac.read_text()
+    tours = {}
+    for name in ("inst", "frac"):
+        tour = tmp_path / f"{name}-tour.json"
+        run_cli(["atsp", "--in", str(tmp_path / f"{name}.atsp"), "--emb", str(emb),
+                 "--denominator", "60", "--out", str(tour)])
+        capsys.readouterr()
+        run_cli(["verify", "tour", "--in", str(tmp_path / f"{name}.atsp"),
+                 "--tour", str(tour)])
+        verified = json.loads(capsys.readouterr().out)
+        tours[name] = json.loads(tour.read_text())
+        assert verified["cost"] == tours[name]["cost"]
+    assert tours["frac"]["order"] == tours["inst"]["order"]
+    assert Fraction(tours["frac"]["cost"]) == Fraction(tours["inst"]["cost"]) / 12
+    assert Fraction(tours["frac"]["opt_hk"]) == Fraction(tours["inst"]["opt_hk"]) / 12
+
+
+@pytest.mark.parametrize("command,key", [(["thin-tree"], "thinness_bound"),
+                                         (["pipeline", "--weighted"], "thinness")],
+                         ids=["thin-tree", "pipeline"])
+def test_verify_thinness_gates_on_the_claimed_bound(tmp_path, capsys, command, key):
+    """A tree file whose tree_edges are every edge of the amplified cube
+    claims a bound below 1 but has thinness 1: exit 2, one error line.  The
+    true tree passes, and a bare list of every edge claims nothing."""
+    g = tmp_path / "cube.emb"
+    tree = tmp_path / "tree.json"
+    run_cli(["gen", "--family", "planar-amplified", "--base", "cube", "--mult", "12",
+             "--seed", "0", "--cost-model", "uniform-range", "--weighted",
+             "--out", str(g)])
+    run_cli(command + ["--in", str(g), "--out", str(tree)])
+    payload = json.loads(tree.read_text())
+    assert Fraction(payload[key]) < 1
+    run_cli(["verify", "thinness", "--in", str(g), "--edges", str(tree)])
+    every_edge = list(read_emb(g.read_text()).edges())
+    bare = tmp_path / "all.json"
+    bare.write_text(json.dumps(every_edge))
+    capsys.readouterr()
+    run_cli(["verify", "thinness", "--in", str(g), "--edges", str(bare)])
+    assert json.loads(capsys.readouterr().out)["max_ratio"] == "1"
+    thick = tmp_path / "thick.json"
+    thick.write_text(json.dumps({**payload, "tree_edges": every_edge}))
+    assert main(["verify", "thinness", "--in", str(g), "--edges", str(thick)]) == 2
+    assert "exceeds the claimed" in assert_one_error_line(capsys)
 
 
 @pytest.mark.parametrize("tour", ['{"cost": "3"}', "[true, 0, 2]", '[0, 1, "a"]',

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from thintree import heldkarp
-from thintree.errors import DualCertificateError, InfeasibleError
+from thintree.errors import DualCertificateError, InfeasibleError, InvalidInputError
 from thintree.flows import directed_global_min_cut
 from thintree.heldkarp import (
     ATSPInstance,
@@ -29,6 +29,36 @@ def test_metric_completion():
         for j in range(3):
             for k in range(3):
                 assert inst.cost[i][j] <= inst.cost[i][k] + inst.cost[k][j]
+
+
+def _fraction_closure(matrix):
+    """Floyd-Warshall over Fractions, the closure before integer costs."""
+    cost = [[Fraction(c) for c in row] for row in matrix]
+    n = len(cost)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                cost[i][j] = min(cost[i][j], cost[i][k] + cost[k][j])
+    return cost
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_closure_matches_a_fraction_closure(seed):
+    # random 1..100 costs over denominators 1, 2, 3, 4, 6 and 12 by position
+    dens = (1, 2, 3, 4, 6, 12)
+    matrix = [[c / dens[(5 * i + j) % 6] for j, c in enumerate(row)]
+              for i, row in enumerate(random_metric(9, PCG32(seed)))]
+    inst = ATSPInstance.from_matrix(matrix)
+    assert inst.scale == 12
+    assert all(type(c) is int for row in inst.cost for c in row)
+    assert ([[Fraction(c, inst.scale) for c in row] for row in inst.cost]
+            == _fraction_closure(matrix))
+
+
+@pytest.mark.parametrize("entry", [0.5, "2"])
+def test_costs_that_are_not_exact_numbers_are_rejected(entry):
+    with pytest.raises(InvalidInputError):
+        ATSPInstance.from_matrix([[0, 1, entry], [1, 0, 1], [1, 1, 0]])
 
 
 def test_n3_cheapest_triangle():

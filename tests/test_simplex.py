@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thintree.errors import InfeasibleError
-from thintree.simplex import solve_lp
+from thintree.genlab import lp_support_instance
+from thintree.heldkarp import ATSPInstance, solve_held_karp
+from thintree.prng import PCG32
+from thintree.simplex import Tableau, solve_lp
 
 
 def _solve_columns(rows, rhs, cols):
@@ -199,3 +202,44 @@ def test_add_row_rejects_non_integer_rows():
         result.tableau.add_row([Fraction(1, 2), 1], 1)
     with pytest.raises(ValueError):
         result.tableau.add_row([1, 1, 1], 1)
+
+
+def _full_rescale_pivot(tableau, d, row_i, col_j):
+    """The plain Bareiss step on a copy: every other row becomes
+    (p*T[i] - T[i][s]*T[r]) / d, divided exactly, and a negative p negates
+    the whole tableau.  Returns (tableau, new d)."""
+    p = tableau[row_i][col_j]
+    prow = tableau[row_i]
+    new = []
+    for i, row in enumerate(tableau):
+        if i == row_i:
+            new.append(list(row))
+            continue
+        f = row[col_j]
+        scaled = [p * v - f * w for v, w in zip(row, prow)]
+        assert all(v % d == 0 for v in scaled)
+        new.append([v // d for v in scaled])
+    if p < 0:
+        new = [[-v for v in row] for row in new]
+    return new, abs(p)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_minus_d_pivots_match_the_full_rescale(monkeypatch, n):
+    """Every pivot of the Held-Karp LPs, the cold solves, the dual simplex
+    rounds and the drive-out, leaves the tableau and d of the full-rescale
+    step; some of them pivot on -d, the element the fast path negates."""
+    fast = Tableau.pivot
+    minus_d = []
+
+    def checked(self, row_i, col_j):
+        expected = _full_rescale_pivot(self.tableau, self.d, row_i, col_j)
+        minus_d.append(self.tableau[row_i][col_j] == -self.d)
+        fast(self, row_i, col_j)
+        assert (self.tableau, self.d) == expected
+
+    monkeypatch.setattr(Tableau, "pivot", checked)
+    for seed in (1, 2):
+        matrix, _ = lp_support_instance(n, PCG32(seed))
+        solve_held_karp(ATSPInstance.from_matrix(matrix))
+    assert any(minus_d), f"no -d pivot among {len(minus_d)}"
