@@ -46,10 +46,12 @@ class ATSPInstance:
     @staticmethod
     def from_matrix(matrix) -> "ATSPInstance":
         """Scale the ints or Fractions of ``matrix`` to ints over their
-        common denominator and close them under shortest paths."""
+        common denominator and close them under shortest paths.  Raises
+        InvalidInputError unless the matrix is square, with a zero
+        diagonal and no negative entry."""
         n = len(matrix)
         if any(len(row) != n for row in matrix):
-            raise ValueError("cost matrix must be square")
+            raise InvalidInputError("cost matrix must be square")
         try:
             scale = math.lcm(*(c.denominator for row in matrix for c in row))
         except AttributeError:
@@ -58,7 +60,9 @@ class ATSPInstance:
                 for row in matrix]
         for i in range(n):
             if cost[i][i] != 0:
-                raise ValueError("diagonal must be zero")
+                raise InvalidInputError("diagonal must be zero")
+            if min(cost[i]) < 0:
+                raise InvalidInputError(f"row {i} has a negative cost")
         for k in range(n):
             for i in range(n):
                 cik = cost[i][k]
@@ -192,7 +196,7 @@ def _solve_on(cost, arcs, sides):
         degree_rows[i][col] = 1
         degree_rows[n + j][col] = 1
     costs = [cost[i][j] for i, j in arcs]
-    tableau = solve_lp(costs, degree_rows, [1] * (2 * n)).tableau
+    tableau = solve_lp(costs, degree_rows, [1] * (2 * n))
     for side in sides:
         tableau.add_row(_cut_row(arcs, side), 1)
     return tableau
@@ -243,8 +247,8 @@ def solve_held_karp(inst: ATSPInstance) -> HKSolution:
             raise DualCertificateError("an arc of the LP prices below zero")
         arcs = sorted(arcs + entering)
 
-    result = tableau.result()  # Fractions for the final optimum only
-    x = {a: val for a, val in zip(arcs, result.values) if val > 0}
-    check_dual_certificate(inst.cost, duals, result.objective)
-    return HKSolution(x=x, objective=result.objective / inst.scale,
+    objective, values = tableau.result()  # Fractions, final optimum only
+    x = {a: val for a, val in zip(arcs, values) if val > 0}
+    check_dual_certificate(inst.cost, duals, objective)
+    return HKSolution(x=x, objective=objective / inst.scale,
                       cuts_added=len(sides), columns=len(arcs), duals=duals)

@@ -1,11 +1,13 @@
 """Dense two-phase simplex for small LPs, in exact integer arithmetic.
 
-Solves  min c.x  subject to  A x = b, x >= 0  with integer A and b >= 0.
+Solves  min c.x  subject to  A x = b, x >= 0  with integer c, A and b >= 0.
 The tableau holds ints T over one denominator d > 0 (the real tableau is
-T/d); pivots are integer-preserving, exact by Sylvester's identity (Bareiss,
-Math. Comp. 1968).  Pivoting is Dantzig's rule with smallest-index tie
-breaks, switching to Bland's rule after a burn-in so degenerate instances
-cannot cycle.  Everything is deterministic.
+T/d), the objective row included; pivots are integer-preserving, exact by
+Sylvester's identity (Bareiss, Math. Comp. 1968), and a negative pivot
+element first negates its own row, so d stays positive.  Pivoting is
+Dantzig's rule with smallest-index tie breaks, switching to Bland's rule
+after a burn-in so degenerate instances cannot cycle.  Everything is
+deterministic.
 
 An optimal tableau takes further rows a.x - s = b, each with a new slack
 s >= 0, and the LP is re-solved by dual simplex on the kept tableau (Lemke
@@ -16,17 +18,9 @@ The objective row also carries the exact row duals (``Tableau.duals``).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import InfeasibleError
-
-
-class LPResult:
-    def __init__(self, objective, values, tableau):
-        self.objective = objective
-        self.values = values
-        self.tableau = tableau  # the optimal tableau, for add_row
 
 
 class Tableau:
@@ -34,33 +28,31 @@ class Tableau:
 
     Columns: ``num_vars`` real variables, one artificial per original row
     (kept through phase 2, so the objective row prices them), then the rhs.
-    The last row is the objective, scaled by ``d * scale`` where ``scale``
-    clears the cost denominators.  Row i has basic variable ``basis[i]``.
+    The last row is the objective, over the same ``d``.  Row i has basic
+    variable ``basis[i]``.
     """
 
-    def __init__(self, rows, num_vars, scale):
+    def __init__(self, rows, num_vars):
         self.tableau = rows
         self.basis = [num_vars + i for i in range(len(rows))]
         self.d = 1
         self.num_vars = num_vars
         self.num_rows = len(rows)  # original rows, one artificial each
         self.num_added = 0         # rows appended by add_row
-        self.scale = scale
 
     def pivot(self, row_i, col_j):
         """Pivot on T[r][s] = p: every other row becomes
-        (p*T[i] - T[i][s]*T[r]) / d, exactly, and d becomes |p| (a
-        negative p negates the whole tableau).  When p is d or -d, the new
-        denominator is d and each row only takes T[i][s]*T[r]/d off; for
-        -d, the dual simplex and drive-out case, the pivot row is negated
-        first, which gives the same tableau as the full rescale."""
+        (p*T[i] - T[i][s]*T[r]) / d, exactly, and d becomes p.  A negative
+        p (dual simplex and drive-out pivots) first negates the pivot row,
+        which represents the same equation, so d stays positive.  When p
+        is d, each row only takes T[i][s]*T[r]/d off."""
         tableau = self.tableau
         d = self.d
         p = tableau[row_i][col_j]
         prow = tableau[row_i]
-        if p == -d:
+        if p < 0:
             prow[:] = [-v for v in prow]
-            p = d
+            p = -p
         nonzero = [j for j, w in enumerate(prow) if w]
         for i, target in enumerate(tableau):
             if i == row_i:
@@ -76,9 +68,6 @@ class Tableau:
                 tableau[i] = [(p * v - factor * w) // d
                               for v, w in zip(target, prow)]
         self.d = p
-        if p < 0:
-            self.d = -p
-            tableau[:] = [[-v for v in target] for target in tableau]
         self.basis[row_i] = col_j
 
     def run_phase(self):
@@ -206,13 +195,13 @@ class Tableau:
         return values
 
     def result(self):
+        """(objective, values) of the basic solution, as Fractions."""
         d, m, zero = self.d, len(self.basis), Fraction(0)
         values = [Fraction(v, d) if v else zero for v in self.numerators()]
-        objective = Fraction(-self.tableau[m][-1], d * self.scale)
-        return LPResult(objective, values, self)
+        return Fraction(-self.tableau[m][-1], d), values
 
     def duals(self):
-        """Optimal row duals as integer numerators over ``d * scale``.
+        """Optimal row duals as integer numerators over ``d``.
 
         Returns (original-row duals, added-row duals, denominator).  The
         dual of original row i is minus the reduced cost of its
@@ -223,27 +212,28 @@ class Tableau:
         first_slack = self.num_vars - self.num_added
         rows = [-v for v in obj_row[self.num_vars:self.num_vars + self.num_rows]]
         added = obj_row[first_slack:self.num_vars]
-        return rows, added, self.d * self.scale
+        return rows, added, self.d
 
 
 def solve_lp(costs, rows, rhs):
     """Minimize costs.x over A x = b, x >= 0.
 
     Parameters:
-        costs: per-variable objective coefficients, ints or Fractions (read
-            through ``numerator`` and ``denominator``).
+        costs: integer per-variable objective coefficients.
         rows: list of integer constraint coefficient lists (dense, len == #vars).
         rhs: integer right-hand sides, all >= 0.
 
-    Objective and values are Fractions; ``tableau`` is the optimal
-    tableau, which takes further rows.  Raises InfeasibleError when the
-    feasible region is empty and ValueError on malformed input.
-    Unboundedness raises AssertionError (our LPs are bounded by construction).
+    Returns the optimal ``Tableau``: ``result()`` reads the objective and
+    values as Fractions, and ``add_row`` takes further rows.  Raises
+    InfeasibleError when the feasible region is empty and ValueError on
+    malformed input.  Unboundedness raises AssertionError (our LPs are
+    bounded by construction).
     """
     num_vars = len(costs)
     m = len(rows)
-    scale = math.lcm(*(c.denominator for c in costs))
-    int_costs = [c.numerator * (scale // c.denominator) for c in costs]
+    int_costs = [int(c) for c in costs]
+    if int_costs != list(costs):
+        raise ValueError("costs must be integers")
 
     # tableau columns: real vars, artificials, rhs; real tableau is T / d
     width = num_vars + m + 1
@@ -258,7 +248,7 @@ def solve_lp(costs, rows, rhs):
             raise ValueError("rhs must be non-negative")
         t_row[num_vars + i] = 1
         tableau.append(t_row)
-    t = Tableau(tableau, num_vars, scale)
+    t = Tableau(tableau, num_vars)
 
     # phase 1: minimize sum of artificials
     obj = [0] * num_vars + [1] * m + [0]
@@ -285,7 +275,7 @@ def solve_lp(costs, rows, rhs):
         del basis[i]
     m = len(basis)
 
-    # phase 2: original objective over real variables, scaled to integers
+    # phase 2: original objective over real variables
     obj = [t.d * c for c in int_costs] + [0] * (width - num_vars)
     for i in range(m):
         factor = int_costs[basis[i]]
@@ -293,4 +283,4 @@ def solve_lp(costs, rows, rhs):
             obj = [o - factor * v for o, v in zip(obj, tableau[i])]
     tableau[m] = obj
     t.run_phase()
-    return t.result()
+    return t

@@ -61,6 +61,23 @@ def test_costs_that_are_not_exact_numbers_are_rejected(entry):
         ATSPInstance.from_matrix([[0, 1, entry], [1, 0, 1], [1, 1, 0]])
 
 
+@pytest.mark.parametrize("entry", [-30, -3])
+def test_negative_costs_are_rejected(entry):
+    # lp-support n = 6 with one negative arc: -30 closes to a negative
+    # diagonal, and -3 used to reach the circulation before failing
+    matrix, _ = lp_support_instance(6, PCG32(1))
+    matrix[0][1] = entry
+    with pytest.raises(InvalidInputError, match="negative"):
+        ATSPInstance.from_matrix(matrix)
+
+
+def test_malformed_matrices_raise_a_typed_error():
+    with pytest.raises(InvalidInputError, match="square"):
+        ATSPInstance.from_matrix([[0, 1], [1, 0, 1]])
+    with pytest.raises(InvalidInputError, match="diagonal"):
+        ATSPInstance.from_matrix([[0, 1], [1, 2]])
+
+
 def test_n3_cheapest_triangle():
     m = [[0, 2, 7], [3, 0, 4], [5, 6, 0]]
     inst = ATSPInstance.from_matrix(m)
@@ -147,9 +164,9 @@ def test_simplex_infeasible():
 
 
 def test_simplex_redundant_rows():
-    result = solve_lp([1, 2], [[1, 1], [2, 2]], [1, 2])
-    assert result.objective == 1
-    assert result.values == [1, 0]
+    objective, values = solve_lp([1, 2], [[1, 1], [2, 2]], [1, 2]).result()
+    assert objective == 1
+    assert values == [1, 0]
 
 
 # lp-support (even n >= 6) and random-metric instances for n = 3-14
@@ -179,7 +196,7 @@ def _cold_objective(inst, sides):
         rows.append([int(i in side and j not in side) for i, j in arcs]
                     + [-int(r == q) for q in range(k)])
     costs = [inst.cost[i][j] for i, j in arcs] + [0] * k
-    return solve_lp(costs, rows, [1] * len(rows)).objective
+    return solve_lp(costs, rows, [1] * len(rows)).result()[0]
 
 
 @pytest.mark.parametrize("family,n,seed", CERTIFIED)

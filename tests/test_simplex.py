@@ -1,3 +1,5 @@
+import math
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -72,23 +74,72 @@ def feasible_lps(draw):
     return costs, rows, rhs
 
 
+def _integer_costs(costs):
+    """``costs`` times the lcm L of their denominators, and L."""
+    scale = math.lcm(*(Fraction(c).denominator for c in costs))
+    return [int(c * scale) for c in costs], scale
+
+
+def _full_rescale_pivot(tableau, d, row_i, col_j):
+    """The plain Bareiss step on a copy: every other row becomes
+    (p*T[i] - T[i][s]*T[r]) / d, divided exactly, and a negative p negates
+    the whole tableau.  Returns (tableau, new d)."""
+    p = tableau[row_i][col_j]
+    prow = tableau[row_i]
+    new = []
+    for i, row in enumerate(tableau):
+        if i == row_i:
+            new.append(list(row))
+            continue
+        f = row[col_j]
+        scaled = [p * v - f * w for v, w in zip(row, prow)]
+        assert all(v % d == 0 for v in scaled)
+        new.append([v // d for v in scaled])
+    if p < 0:
+        new = [[-v for v in row] for row in new]
+    return new, abs(p)
+
+
+@contextmanager
+def checked_pivots():
+    """Patch ``Tableau.pivot`` so that every pivot must leave the tableau
+    and d of the full-rescale step.  Yields the list of pivot kinds, one
+    of "d", "-d", "negative" or "positive" per pivot, in order."""
+    fast = Tableau.pivot
+    kinds = []
+
+    def checked(self, row_i, col_j):
+        expected = _full_rescale_pivot(self.tableau, self.d, row_i, col_j)
+        p = self.tableau[row_i][col_j]
+        kinds.append("d" if p == self.d else "-d" if p == -self.d
+                     else "negative" if p < 0 else "positive")
+        fast(self, row_i, col_j)
+        assert (self.tableau, self.d) == expected
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Tableau, "pivot", checked)
+        yield kinds
+
+
 @given(feasible_lps())
 @settings(max_examples=300, deadline=None)
 def test_solve_lp_matches_basis_enumeration(lp):
     costs, rows, rhs = lp
-    result = solve_lp(costs, rows, rhs)
-    assert result.objective == _basis_oracle(costs, rows, rhs)
-    x = result.values
+    int_costs, scale = _integer_costs(costs)
+    with checked_pivots():
+        objective, x = solve_lp(int_costs, rows, rhs).result()
+    assert objective / scale == _basis_oracle(costs, rows, rhs)
     assert all(v >= 0 for v in x)
     for row, b in zip(rows, rhs):
         assert sum(a * v for a, v in zip(row, x)) == b
-    assert sum(c * v for c, v in zip(costs, x)) == result.objective
+    assert sum(c * v for c, v in zip(costs, x)) == objective / scale
 
 
 # Degenerate LPs (zero right-hand sides, an all-zero row) whose phase 1 ends
 # with artificials in the basis at level 0; the drive-out step then pivots
 # on a negative entry in each of them.  Values recorded with the Fraction
-# tableau this solver replaced.
+# tableau this solver replaced; the costs of the third are scaled to
+# integers in the test.
 GOLDEN_LPS = [
     ([5, 2, 3], [[0, 0, -2], [0, 0, 0], [2, 3, -3]], [0, 0, 4],
      Fraction(8, 3), [0, Fraction(4, 3), 0]),
@@ -104,12 +155,17 @@ GOLDEN_LPS = [
 
 @pytest.mark.parametrize("costs,rows,rhs,objective,values", GOLDEN_LPS)
 def test_degenerate_lps_golden(costs, rows, rhs, objective, values):
-    result = solve_lp(costs, rows, rhs)
-    assert result.objective == objective
-    assert result.values == values
+    int_costs, scale = _integer_costs(costs)
+    with checked_pivots() as kinds:
+        got, x = solve_lp(int_costs, rows, rhs).result()
+    assert got / scale == objective
+    assert x == values
+    assert "-d" in kinds or "negative" in kinds, kinds
 
 
 def test_solve_lp_rejects_non_integer_constraints():
+    with pytest.raises(ValueError):
+        solve_lp([Fraction(1, 2), 1], [[1, 1]], [1])
     with pytest.raises(ValueError):
         solve_lp([1, 1], [[Fraction(1, 2), 1]], [1])
     with pytest.raises(ValueError):
@@ -147,9 +203,10 @@ def _whole_system(costs, rows, rhs, added):
 @settings(max_examples=150, deadline=None)
 def test_add_row_matches_a_cold_solve_and_the_oracle(lp):
     costs, rows, rhs, added = lp
+    costs, _ = _integer_costs(costs)
     all_costs, all_rows, all_rhs = _whole_system(costs, rows, rhs, added)
     best = _basis_oracle(all_costs, all_rows, all_rhs)
-    tableau = solve_lp(costs, rows, rhs).tableau
+    tableau = solve_lp(costs, rows, rhs)
     if best is None:  # some appended row makes the LP infeasible
         with pytest.raises(InfeasibleError):
             for a, b in added:
@@ -159,15 +216,14 @@ def test_add_row_matches_a_cold_solve_and_the_oracle(lp):
         return
     for a, b in added:
         tableau.add_row(a, b)
-    result = tableau.result()
-    assert result.objective == best
-    assert result.objective == solve_lp(all_costs, all_rows, all_rhs).objective
-    x = result.values
+    objective, x = tableau.result()
+    assert objective == best
+    assert objective == solve_lp(all_costs, all_rows, all_rhs).result()[0]
     assert all(v >= 0 for v in x)
     for row, b in zip(all_rows, all_rhs):
         assert sum(a * v for a, v in zip(row, x)) == b
     # the duals price every column non-negatively and match the optimum
-    row_duals, added_duals, den = result.tableau.duals()
+    row_duals, added_duals, den = tableau.duals()
     y = [Fraction(v, den) for v in row_duals]
     y += [Fraction(v, den) for v in added_duals]
     assert all(v >= 0 for v in added_duals)
@@ -179,67 +235,40 @@ def test_add_row_matches_a_cold_solve_and_the_oracle(lp):
 def test_add_row_restores_the_optimum_by_dual_simplex():
     # min x1 + 2 x2 + 3 x3 over x1 + x2 + x3 = 2 puts x1 = 2; the row
     # x2 + x3 - s = 1 makes the cheapest feasible point x1 = x2 = 1
-    result = solve_lp([1, 2, 3], [[1, 1, 1]], [2])
-    assert result.values == [2, 0, 0]
-    result.tableau.add_row([0, 1, 1], 1)
-    result = result.tableau.result()
-    assert result.objective == 3
-    assert result.values == [1, 1, 0, 0]
-    row_duals, added_duals, den = result.tableau.duals()
+    tableau = solve_lp([1, 2, 3], [[1, 1, 1]], [2])
+    assert tableau.result()[1] == [2, 0, 0]
+    tableau.add_row([0, 1, 1], 1)
+    objective, values = tableau.result()
+    assert objective == 3
+    assert values == [1, 1, 0, 0]
+    row_duals, added_duals, den = tableau.duals()
     assert (Fraction(row_duals[0], den), Fraction(added_duals[0], den)) == (1, 1)
 
 
 def test_add_row_infeasible():
     # x1 + x2 = 1 leaves no room for x1 + x2 - s = 2 with s >= 0
-    result = solve_lp([1, 1], [[1, 1]], [1])
+    tableau = solve_lp([1, 1], [[1, 1]], [1])
     with pytest.raises(InfeasibleError):
-        result.tableau.add_row([1, 1], 2)
+        tableau.add_row([1, 1], 2)
 
 
 def test_add_row_rejects_non_integer_rows():
-    result = solve_lp([1, 1], [[1, 1]], [1])
+    tableau = solve_lp([1, 1], [[1, 1]], [1])
     with pytest.raises(ValueError):
-        result.tableau.add_row([Fraction(1, 2), 1], 1)
+        tableau.add_row([Fraction(1, 2), 1], 1)
     with pytest.raises(ValueError):
-        result.tableau.add_row([1, 1, 1], 1)
-
-
-def _full_rescale_pivot(tableau, d, row_i, col_j):
-    """The plain Bareiss step on a copy: every other row becomes
-    (p*T[i] - T[i][s]*T[r]) / d, divided exactly, and a negative p negates
-    the whole tableau.  Returns (tableau, new d)."""
-    p = tableau[row_i][col_j]
-    prow = tableau[row_i]
-    new = []
-    for i, row in enumerate(tableau):
-        if i == row_i:
-            new.append(list(row))
-            continue
-        f = row[col_j]
-        scaled = [p * v - f * w for v, w in zip(row, prow)]
-        assert all(v % d == 0 for v in scaled)
-        new.append([v // d for v in scaled])
-    if p < 0:
-        new = [[-v for v in row] for row in new]
-    return new, abs(p)
+        tableau.add_row([1, 1, 1], 1)
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
-def test_minus_d_pivots_match_the_full_rescale(monkeypatch, n):
+def test_minus_d_pivots_match_the_full_rescale(n):
     """Every pivot of the Held-Karp LPs, the cold solves, the dual simplex
     rounds and the drive-out, leaves the tableau and d of the full-rescale
-    step; some of them pivot on -d, the element the fast path negates."""
-    fast = Tableau.pivot
-    minus_d = []
-
-    def checked(self, row_i, col_j):
-        expected = _full_rescale_pivot(self.tableau, self.d, row_i, col_j)
-        minus_d.append(self.tableau[row_i][col_j] == -self.d)
-        fast(self, row_i, col_j)
-        assert (self.tableau, self.d) == expected
-
-    monkeypatch.setattr(Tableau, "pivot", checked)
-    for seed in (1, 2):
-        matrix, _ = lp_support_instance(n, PCG32(seed))
-        solve_held_karp(ATSPInstance.from_matrix(matrix))
-    assert any(minus_d), f"no -d pivot among {len(minus_d)}"
+    step.  Some of them pivot on -d and some on another negative element;
+    for both, the pivot row alone is negated."""
+    with checked_pivots() as kinds:
+        for seed in (1, 2):
+            matrix, _ = lp_support_instance(n, PCG32(seed))
+            solve_held_karp(ATSPInstance.from_matrix(matrix))
+    assert "-d" in kinds, f"no -d pivot among {len(kinds)}"
+    assert "negative" in kinds, f"no other negative pivot among {len(kinds)}"
