@@ -16,7 +16,6 @@ from .dual import (
     Cut,
     DualGraph,
     Thread,
-    cut_to_dual_cycles,
     dual_girth,
     find_threads,
     geometric_dual,

@@ -1,19 +1,25 @@
-"""Geometric duals, their threads, dual girth, pairwise dual distances, and
-cut/cycle translation.
+"""Geometric duals, their threads, dual girth and pairwise dual distances.
 
 The dual of an embedded graph has one vertex per face and one edge per primal
-edge, under the same edge id.  ``left_face`` is the face containing dart
-``2e`` and ``right_face`` the face containing dart ``2e+1``; a dual loop
-(both sides the same face) is allowed and counts as a cycle of length 1.
+edge, under the same edge id.  Its one representation is the primal's own
+face walks: ``DualGraph`` keeps ``g.faces()`` as they are, each face a tuple
+of darts, plus one dart -> face map.  Dual edge e joins the face of dart
+``2e`` (its left face) and that of dart ``2e+1`` (its right face); a dual
+loop (both darts on one face) is allowed and counts as a cycle of length 1.
+The degree of a face is its dart count.  An abstract dual given as
+``(edge_id, left_face, right_face)`` triples is put on darts 2e and 2e+1
+the same way.  The edge list ``dual_edges`` is built only when read.
 
 A thread is a maximal chain of degree-2 faces (each parallel bundle of an
-amplified graph is one).  ``find_threads`` is the one chain decomposition,
-and ``DualGraph`` the one representation it reads: the threads of a dual's
-2-core are found once per ``DualGraph`` (``core_threads`` peels the pendant
-trees on a count of degrees and decomposes the dual itself, or a
-``DualGraph`` of its 2-core when it peeled something), and everything after
-works on whole threads.  The girth search contracts each thread into one
-edge weighted by its length, runs one Dijkstra search per thread, and reads
+amplified graph is one).  ``find_threads`` is the one chain decomposition:
+it walks darts, going on at a face of degree 2 through its other dart.  The
+threads of a dual's 2-core are found once per ``DualGraph``
+(``core_threads`` peels the pendant trees on dart counts and decomposes the
+dual itself, or the dual of its 2-core when it peeled something), and
+everything after works on whole threads; a loop is a thread of length 1.
+The girth search contracts each thread into one edge weighted by its
+length, runs one Dijkstra search per thread until it meets a cycle as short
+as a proven floor (on a planar primal, the edge connectivity k), and reads
 the cycle it picked back along the same contracted threads; its answer is
 also kept once per ``DualGraph``, so a dual that surgery hands on to the
 spanning step carries the girth surgery measured on it.  The far-set
@@ -32,8 +38,8 @@ from .embedding import EmbeddedGraph
 from .errors import (
     DegreeOneVertexError,
     EdgeAbsentError,
+    InvalidInputError,
     NoCycleError,
-    ParityViolationError,
 )
 
 
@@ -46,72 +52,98 @@ class Cut:
 
     side: frozenset
 
-    def validate(self, vertex_count: int) -> None:
-        if not 0 < len(self.side) < vertex_count:
-            raise ValueError(
-                f"cut side of size {len(self.side)} invalid for {vertex_count} vertices")
-        if any(not 0 <= v < vertex_count for v in self.side):
-            raise ValueError("cut side contains unknown vertices")
-
 
 class DualGraph:
-    """Abstract dual: faces as vertices, primal edge ids reused.
+    """Dual on darts: faces as vertices, primal edge ids reused.
+
+    Face f is the tuple ``faces[f]`` of darts, and ``face_of[x]`` is the
+    face of dart x (None where x is no dart); dual edge e joins the faces
+    of darts 2e and 2e+1.  Both are shared with the primal
+    (``geometric_dual``) or built here from ``(edge_id, left_face,
+    right_face)`` triples, dart 2e on the left face and 2e+1 on the right;
+    callers must not mutate them.
 
     Attributes:
         face_count: number of dual vertices.
-        dual_edges: sorted list of (edge_id, left_face, right_face).
-        loops: (edge_id, face) of each loop, in edge-id order.
+        edge_count: number of dual edges.
+        faces: per face, the tuple of its darts; its length is the degree.
+        face_of: list dart -> face.
     """
 
     def __init__(self, face_count, dual_edges):
-        self.face_count = face_count
-        self.dual_edges = sorted(dual_edges)
-        self._by_id = {e: (l, r) for e, l, r in self.dual_edges}
-        self.loops = [(e, l) for e, l, r in self.dual_edges if l == r]
-        self._neighbors = None
+        dual_edges = list(dual_edges)
+        faces = [[] for _ in range(face_count)]
+        face_of = [None] * (2 * max((e for e, _, _ in dual_edges), default=-1) + 2)
+        for e, l, r in dual_edges:
+            if e < 0 or face_of[2 * e] is not None:
+                raise InvalidInputError(f"dual edge id {e} is negative or repeated")
+            if not (0 <= l < face_count and 0 <= r < face_count):
+                raise InvalidInputError(
+                    f"dual edge {e} joins faces {l} and {r}, not in [0, {face_count})")
+            faces[l].append(2 * e)
+            faces[r].append(2 * e + 1)
+            face_of[2 * e], face_of[2 * e + 1] = l, r
+        self._attach(list(map(tuple, faces)), face_of, len(dual_edges))
+
+    @classmethod
+    def on_darts(cls, faces, face_of, edge_count) -> DualGraph:
+        """The dual whose face f is the dart tuple ``faces[f]``."""
+        d = cls.__new__(cls)
+        d._attach(faces, face_of, edge_count)
+        return d
+
+    def _attach(self, faces, face_of, edge_count):
+        self.faces = faces
+        self.face_of = face_of
+        self.face_count = len(faces)
+        self.edge_count = edge_count
+        self._dual_edges = None
         self._threads = None
         self._pendant = None  # the edges pruned off the 2-core
         self._places = None
         self._shortest = _UNSEARCHED  # shortest_dual_cycle's answer
 
+    @property
+    def dual_edges(self) -> list[tuple[int, int, int]]:
+        """Sorted list of (edge_id, left_face, right_face), built on the
+        first read."""
+        if self._dual_edges is None:
+            face_of = self.face_of
+            self._dual_edges = [(x >> 1, face_of[x], face_of[x + 1])
+                                for x in range(0, len(face_of), 2)
+                                if face_of[x] is not None]
+        return self._dual_edges
+
+    @property
+    def loops(self) -> list[tuple[int, int]]:
+        """(edge_id, face) of each loop, in edge-id order.  No loop is ever
+        peeled, and each is a thread of length 1 of its own."""
+        return sorted((t.edges[0], t.vertices[0]) for t in self.core_threads()
+                      if t.length == 1 and t.vertices[0] == t.vertices[1])
+
     def faces_of(self, e: int) -> tuple[int, int]:
-        try:
-            return self._by_id[e]
-        except KeyError:
-            raise EdgeAbsentError(f"dual edge {e} absent") from None
-
-    def neighbors(self) -> list[dict[int, int]]:
-        """Per-face {edge_id: other_face} in edge-id order, loops omitted.
-
-        Built once and shared: callers must not mutate it.
-        """
-        if self._neighbors is None:
-            adj = [{} for _ in range(self.face_count)]
-            for e, l, r in self.dual_edges:
-                if l != r:
-                    adj[l][e] = r
-                    adj[r][e] = l
-            self._neighbors = adj
-        return self._neighbors
+        face_of = self.face_of
+        if 0 <= 2 * e < len(face_of) and face_of[2 * e] is not None:
+            return face_of[2 * e], face_of[2 * e + 1]
+        raise EdgeAbsentError(f"dual edge {e} absent")
 
     def core_threads(self) -> tuple[Thread, ...]:
         """The threads of the dual's 2-core (every degree-1 face peeled
         away, repeatedly), found once."""
         if self._threads is None:
-            neighbors = self.neighbors()
-            degree = [len(m) for m in neighbors]
-            for _, f in self.loops:
-                degree[f] += 2
-            stack = [f for f, deg in enumerate(degree) if deg == 1]
+            faces, face_of = self.faces, self.face_of
+            degree = list(map(len, faces))
+            stack = [f for f, deg in enumerate(degree) if deg == 1] if 1 in degree else []
             pendant = []
             while stack:
                 f = stack.pop()
                 if degree[f] != 1:
                     continue
-                # f has no loop, and its edges peeled so far lead to peeled
+                # f has no loop, and its darts peeled so far lead to peeled
                 # faces, of degree 0; the one left leads to a face that is not
-                e, other = next((e, o) for e, o in neighbors[f].items() if degree[o])
-                pendant.append(e)
+                x = next(x for x in faces[f] if degree[face_of[x ^ 1]])
+                other = face_of[x ^ 1]
+                pendant.append(x >> 1)
                 degree[f] = 0
                 degree[other] -= 1
                 if degree[other] == 1:
@@ -119,9 +151,14 @@ class DualGraph:
             self._pendant = pendant
             core = self
             if pendant:
+                # the 2-core drops the pruned darts from their faces and
+                # keeps the dart map, of which find_threads reads only the
+                # darts it meets on those faces
                 gone = set(pendant)
-                core = DualGraph(self.face_count,
-                                 [x for x in self.dual_edges if x[0] not in gone])
+                kept = list(faces)
+                for f in {face_of[x] for e in pendant for x in (2 * e, 2 * e + 1)}:
+                    kept[f] = tuple(x for x in faces[f] if x >> 1 not in gone)
+                core = DualGraph.on_darts(kept, face_of, self.edge_count - len(pendant))
             self._threads = tuple(find_threads(core))
         return self._threads
 
@@ -138,7 +175,7 @@ class DualGraph:
                       for o, e in enumerate(t.edges)}
             hangs = {}
             if self._pendant:
-                feet = {f for e in self._pendant for f in self._by_id[e]}
+                feet = {f for e in self._pendant for f in self.faces_of(e)}
                 for i, t in enumerate(threads):
                     offsets = [o for o, f in enumerate(t.vertices) if f in feet]
                     if offsets:
@@ -148,10 +185,8 @@ class DualGraph:
 
 
 def geometric_dual(g: EmbeddedGraph) -> DualGraph:
-    """Construct the geometric dual of g."""
-    face_of = g.face_of_dart()
-    dual_edges = [(e, face_of[2 * e], face_of[2 * e + 1]) for e in g.edges()]
-    return DualGraph(len(g.faces()), dual_edges)
+    """The geometric dual of g, on g's own faces."""
+    return DualGraph.on_darts(g.faces(), g.face_of_dart(), g.edge_count)
 
 
 @dataclass(frozen=True)
@@ -168,10 +203,6 @@ class Thread:
     vertices: tuple[int, ...]
 
     @property
-    def kind(self) -> str:
-        return "cycle" if self.vertices[0] == self.vertices[-1] else "path"
-
-    @property
     def length(self) -> int:
         return len(self.edges)
 
@@ -184,61 +215,65 @@ def find_threads(d: DualGraph) -> list[Thread]:
     cycle starts at its branch vertex, or else at its smallest vertex, and
     leaves along the smaller of its two end edges.  Faces of degree 0 are
     skipped.  Raises DegreeOneVertexError when the precondition is violated.
-    """
-    neighbors = d.neighbors()
-    degree = [len(m) for m in neighbors]  # a loop counts twice
-    loops = {}
-    for e, f in d.loops:
-        loops.setdefault(f, []).append(e)
-        degree[f] += 2
 
-    def walk(start, edge, other):
-        # Follow the chain from start along the non-loop edge through
-        # degree-2 faces, up to a face of another degree or back at start.
-        # A face entered by a non-loop edge that has degree 2 has no loop,
-        # so its two neighbour entries are the way in and the way on.
-        edges, verts = [edge], [start, other]
+    The walk reads darts only: a thread enters a face through the twin of
+    the dart it left by, and a face of degree 2 sends it on through its
+    other dart.  A branch face's darts, sorted, give its edges in edge-id
+    order, a loop's two darts next to each other.
+    """
+    faces, face_of = d.faces, d.face_of
+    degree = list(map(len, faces))
+
+    def walk(start, x):
+        # Follow the chain from start along the non-loop edge of its dart
+        # x through degree-2 faces, up to a face of another degree or back
+        # at start.  A face of degree 2 entered through y has no loop, so
+        # its other dart is the way on.
+        y = x ^ 1
+        cur = face_of[y]
+        edges, verts = [x >> 1], [start, cur]
         add_edge, add_vert = edges.append, verts.append
-        cur = other
         while cur != start and degree[cur] == 2:
-            ends = neighbors[cur]
-            e1, e2 = ends
-            edge = e2 if e1 == edge else e1
-            cur = ends[edge]
-            add_edge(edge)
+            a, b = faces[cur]
+            y = (b if a == y else a) ^ 1
+            cur = face_of[y]
+            add_edge(y >> 1)
             add_vert(cur)
         return edges, verts
 
     threads = []
-    used = set()
+    ends = set()  # the last edge of each thread, met again at its end face
+    walked = 0
     for b, deg in enumerate(degree):
         if deg == 2 or deg == 0:
             continue
         if deg == 1:
             raise DegreeOneVertexError(f"vertex {b} has degree 1")
-        incident = neighbors[b].items()  # in edge-id order
-        if b in loops:
-            incident = sorted([(e, b) for e in loops[b]] + list(incident))
-        for e, other in incident:
-            if e in used:
+        for x in sorted(faces[b]):
+            e = x >> 1
+            if e in ends:
                 continue
-            if other == b:  # loop at a branch vertex: cycle of length 1
-                used.add(e)
+            if face_of[x ^ 1] == b:  # loop at a branch vertex: cycle of length 1
+                ends.add(e)
                 threads.append(Thread((e,), (b, b)))
+                walked += 1
                 continue
-            edges, verts = walk(b, e, other)
-            used.update(edges)
+            edges, verts = walk(b, x)
+            ends.add(edges[-1])
+            walked += len(edges)
             threads.append(Thread(tuple(edges), tuple(verts)))
 
     # the edges left over form components where every vertex has degree 2,
     # single cycles; the first vertex met of each is its smallest, and the
     # cycle leaves it along its first (smaller) edge, or is its loop
-    if len(used) < sum(degree) // 2:
+    if 2 * walked < sum(degree):
+        seen = {f for t in threads for f in t.vertices}
         for f, deg in enumerate(degree):
-            if deg == 2 and min(neighbors[f] or loops[f]) not in used:
-                edges, verts = (walk(f, *next(iter(neighbors[f].items())))
-                                if neighbors[f] else (loops[f], (f, f)))
-                used.update(edges)
+            if deg == 2 and f not in seen:
+                x = min(faces[f])
+                edges, verts = (([x >> 1], (f, f)) if face_of[x ^ 1] == f
+                                else walk(f, x))
+                seen.update(verts)
                 threads.append(Thread(tuple(edges), tuple(verts)))
     return threads
 
@@ -264,7 +299,7 @@ def _chain_distance(links, source, target, skip, bound):
     return dist
 
 
-def shortest_dual_cycle(d: DualGraph):
+def shortest_dual_cycle(d: DualGraph, floor: int = 1):
     """Shortest simple cycle as (length, edge id list), or None if acyclic.
 
     Searched once per ``DualGraph``: later calls, ``dual_girth`` among
@@ -285,6 +320,13 @@ def shortest_dual_cycle(d: DualGraph):
     their smallest edge, and only a strictly shorter cycle replaces the
     best, so the anchor is that of searching from every edge.
 
+    ``floor`` is a proven lower bound on the girth, such as the edge
+    connectivity of a planar primal (bond-cycle duality, Whitney 1932).
+    The search stops at its first cycle of that length: no later thread
+    can give a strictly shorter one, so the anchor, the cycle and the memo
+    are those of the full search.  A floor above the girth gives a wrong
+    answer; the default 1 never stops the search early.
+
     The least path runs along the anchor's thread from l to its end x, from
     x to the other end y, and along the thread to r.  Only the middle has a
     choice: one Dijkstra search from y, stopped at x, gives the distances,
@@ -292,15 +334,16 @@ def shortest_dual_cycle(d: DualGraph):
     edge among those on a shortest path to y.  On a cycle thread x is y.
     """
     if d._shortest is _UNSEARCHED:
-        d._shortest = _shortest_cycle(d)
+        d._shortest = _shortest_cycle(d, floor)
     found = d._shortest
     return None if found is None else (found[0], list(found[1]))
 
 
-def _shortest_cycle(d: DualGraph):
+def _shortest_cycle(d: DualGraph, floor):
     """``shortest_dual_cycle``'s search, with the cycle as a tuple."""
-    if d.loops:
-        return 1, (d.loops[0][0],)
+    loops = d.loops
+    if loops:
+        return 1, (loops[0][0],)
     chains = sorted((min(t.edges), t.vertices[0], t.vertices[-1], t)
                     for t in d.core_threads())
     links = {}  # branch face -> (length, key, other end, thread) of its path threads
@@ -308,7 +351,7 @@ def _shortest_cycle(d: DualGraph):
         if a != b:
             links.setdefault(a, []).append((t.length, key, b, t))
             links.setdefault(b, []).append((t.length, key, a, t))
-    best_len, best = len(d.dual_edges) + 1, None  # longer than any cycle
+    best_len, best = d.edge_count + 1, None  # longer than any cycle
     for key, a, b, t in chains:
         if a == b:
             found = t.length
@@ -319,6 +362,8 @@ def _shortest_cycle(d: DualGraph):
             found = t.length + rest
         if found < best_len:
             best_len, best = found, (key, t)
+            if found == floor:
+                break
     if best is None:
         return None
 
@@ -340,13 +385,13 @@ def _shortest_cycle(d: DualGraph):
     return best_len, (*edges[o + 1:], *middle, *edges[:o], key)
 
 
-def dual_girth(d: DualGraph) -> int:
+def dual_girth(d: DualGraph, floor: int = 1) -> int:
     """Length of the shortest cycle in the dual.
 
-    A loop counts as 1 and a parallel pair as 2.  Raises NoCycleError when
-    the dual is a forest.
+    A loop counts as 1 and a parallel pair as 2.  ``floor`` is passed on to
+    ``shortest_dual_cycle``.  Raises NoCycleError when the dual is a forest.
     """
-    found = shortest_dual_cycle(d)
+    found = shortest_dual_cycle(d, floor)
     if found is None:
         raise NoCycleError("dual graph is a forest")
     return found[0]
@@ -428,79 +473,3 @@ def min_pairwise_distance(d: DualGraph, edge_ids) -> int | None:
             elif label[v] != eu and (best is None or du + length + dv < best):
                 best = du + length + dv
     return best
-
-
-def cut_edges(g: EmbeddedGraph, cut: Cut) -> list[int]:
-    """Sorted ids of the edges crossing the cut (loops never cross).
-
-    Walks only the darts at the cut side: an edge crosses when exactly
-    one of its darts sits there, so each crossing edge is seen once.
-    """
-    side = cut.side
-    owner = g.dart_owner
-    return sorted(d >> 1 for v in side for d in g.darts_at(v)
-                  if owner[d ^ 1] not in side)
-
-
-def cut_to_dual_cycles(g: EmbeddedGraph, d: DualGraph, cut: Cut) -> list[list[int]]:
-    """Decompose the dual of the cut (U, V-U) into edge-disjoint cycles.
-
-    Returns a list of cycles, each a list of edge ids in walk order; their
-    union is exactly the cut's dual edge set.  Every face must meet that set
-    an even number of times (ParityViolationError otherwise).
-    """
-    cut.validate(g.vertex_count)
-    s_star = cut_edges(g, cut)
-    if not s_star:
-        return []
-
-    # s_star is sorted, so walking it backwards leaves each list in pop
-    # order: pop() yields the smallest edge first.  A face's degree is its
-    # list's length plus its loops, which are listed once but meet it twice.
-    faces_of = d.faces_of
-    incident = {}
-    loops = {}
-    for e in reversed(s_star):
-        l, r = faces_of(e)
-        incident.setdefault(l, []).append((e, r))
-        if r != l:
-            incident.setdefault(r, []).append((e, l))
-        else:
-            loops[l] = loops.get(l, 0) + 1
-    for f, lst in incident.items():
-        deg = len(lst) + loops.get(f, 0)
-        if deg % 2:
-            raise ParityViolationError(
-                f"face {f} meets the cut's dual edges {deg} times")
-
-    # One stack walk that always takes the smallest unused edge.  Every face
-    # has even unused degree, so the walk can only get stuck at its start.
-    # Revisiting a face on the walk closes a cycle; it is popped off and the
-    # walk resumes from that face.  Used edges only accumulate, so they are
-    # dropped from ``incident`` for good, and the start only moves forward.
-    used = set()
-    cycles = []
-    for start in sorted(incident):
-        walk_faces = [start]
-        walk_edges = []
-        index_of = {start: 0}
-        while True:
-            pending = incident[walk_faces[-1]]
-            while pending and pending[-1][0] in used:
-                pending.pop()
-            if not pending:
-                break
-            e, nxt = pending.pop()
-            used.add(e)
-            walk_edges.append(e)
-            if nxt in index_of:
-                j = index_of[nxt]
-                cycles.append(walk_edges[j:])
-                for f in walk_faces[j + 1:]:
-                    del index_of[f]
-                del walk_faces[j + 1:]
-                del walk_edges[j:]
-            else:
-                index_of[nxt] = len(walk_faces)
-                walk_faces.append(nxt)
-    return sorted(cycles, key=min)

@@ -153,9 +153,11 @@ class EmbeddedGraph:
             self._faces = _trace(self.dart_owner, self.rotation_next)
         return self._faces
 
-    def face_of_dart(self) -> dict[int, int]:
-        """Map dart -> index of its face in faces()."""
-        owner = {}
+    def face_of_dart(self) -> list:
+        """List indexed by dart: the index of its face in faces(), None at
+        the ids below the largest dart that are no dart (deleted edges)."""
+        edges = self.edges()
+        owner = [None] * (2 * edges[-1] + 2 if edges else 0)
         for i, walk in enumerate(self.faces()):
             for d in walk:
                 owner[d] = i

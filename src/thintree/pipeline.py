@@ -79,8 +79,9 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
     k = edge_connectivity(g)
     genus = g.genus()
     if genus == 0:
-        result = thin_spanning_tree(g)
-        # 2*alpha(0)/g* with g* = k: planar dual girth is the edge connectivity
+        # planar dual girth is the edge connectivity, so k is a proven floor
+        # for the girth search, and 2*alpha(0)/g* is 10/k
+        result = thin_spanning_tree(g, floor=k)
         assert result.thinness_bound == Fraction(10, k)
         return result
 

@@ -12,13 +12,18 @@ set crosses no cut too often.  The emitted certificate is the measured
 minimum pairwise dual distance m (capped at the dual girth), which makes the
 selected set 1/m-thin.
 
-The dual is built here, except on the genus branch when surgery leaves the
-graph connected: the tree is then built on surgery's own result, and
-``increase_dual_girth`` hands over the dual it built of that very graph and
-searched for its girth last.  Both are read as they are, so the girth and
-the threads are those a fresh build would find.  A handed dual must match
-the graph's face and edge counts, which a dual from before surgery's last
-deletion does not.
+The dual is ``geometric_dual`` of the graph: its faces as they are, one
+dart -> face map, and threads walked on the darts.  On the planar branch
+the caller hands in the edge connectivity k as a proven floor on the dual
+girth (bond-cycle duality), so the girth search stops at its first cycle of
+length k; that is exact, because only a strictly shorter cycle replaces the
+best, and none is shorter than k.  The dual is built here, except on the
+genus branch when surgery leaves the graph connected: the tree is then
+built on surgery's own result, and ``increase_dual_girth`` hands over the
+dual it built of that very graph and searched for its girth last.  Both are
+read as they are, so the girth and the threads are those a fresh build
+would find.  A handed dual must match the graph's face and edge counts,
+which a dual from before surgery's last deletion does not.
 """
 
 from __future__ import annotations
@@ -271,8 +276,8 @@ def _bfs_spanning_tree(g: EmbeddedGraph, allowed) -> list[int]:
     return sorted(tree)
 
 
-def thin_spanning_tree(g: EmbeddedGraph,
-                       dual: DualGraph | None = None) -> ThinTreeResult:
+def thin_spanning_tree(g: EmbeddedGraph, dual: DualGraph | None = None,
+                       floor: int = 1) -> ThinTreeResult:
     """Spanning tree with thinness bound 2*alpha/g*.
 
     For g* <= 2*alpha the bound is at least 1, so any spanning tree does and
@@ -283,7 +288,9 @@ def thin_spanning_tree(g: EmbeddedGraph,
 
     ``dual`` is g's geometric dual when the caller holds it already
     (surgery's last one); it is built here otherwise.  A dual whose face or
-    edge count differs from g's raises DualMismatchError.
+    edge count differs from g's raises DualMismatchError.  ``floor`` is a
+    proven lower bound on the dual girth, handed to the girth search (see
+    ``shortest_dual_cycle``).
     """
     if g.vertex_count < 2:
         raise InvalidInputError("thin_spanning_tree needs at least 2 vertices")
@@ -291,13 +298,13 @@ def thin_spanning_tree(g: EmbeddedGraph,
         raise DisconnectedError("thin_spanning_tree needs a connected graph")
     if dual is None:
         d = geometric_dual(g)
-    elif dual.face_count != len(g.faces()) or len(dual.dual_edges) != g.edge_count:
+    elif dual.face_count != len(g.faces()) or dual.edge_count != g.edge_count:
         raise DualMismatchError(
-            f"dual has {dual.face_count} faces and {len(dual.dual_edges)} edges, "
+            f"dual has {dual.face_count} faces and {dual.edge_count} edges, "
             f"the graph {len(g.faces())} faces and {g.edge_count} edges")
     else:
         d = dual
-    g_star = dual_girth(d)
+    g_star = dual_girth(d, floor)
     a = alpha(g.genus())
 
     if g_star <= 2 * a:

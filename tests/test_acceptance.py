@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from thintree.atsp import atsp_approx
-from thintree.dual import Cut, cut_edges, cut_to_dual_cycles, dual_girth, geometric_dual
+from thintree.dual import Cut, dual_girth, geometric_dual
 from thintree.flows import directed_global_min_cut, edge_connectivity
 from thintree.genlab import (
     amplify,
@@ -33,6 +33,8 @@ from thintree.pipeline import (
 from thintree.prng import PCG32
 from thintree.spanning import thin_spanning_tree
 from thintree.surgery import below_threshold, increase_dual_girth
+
+from .dual_helpers import cut_edges, cut_to_dual_cycles
 
 pytestmark = pytest.mark.usefixtures("oracle_checked_held_karp")
 

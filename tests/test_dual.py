@@ -5,21 +5,20 @@ from hypothesis import strategies as st
 from thintree.dual import (
     Cut,
     DualGraph,
-    cut_edges,
-    cut_to_dual_cycles,
     dual_girth,
     geometric_dual,
     min_pairwise_distance,
     shortest_dual_cycle,
 )
 from thintree.embedding import build_embedding
-from thintree.errors import EdgeAbsentError, NoCycleError
+from thintree.errors import EdgeAbsentError, InvalidInputError, NoCycleError
 from thintree.flows import edge_connectivity
-from thintree.genlab import amplify, cycle_graph, prism_graph, torus_grid
+from thintree.genlab import BASES, amplify, cycle_graph, prism_graph, torus_grid
 from thintree.oracle import bfs_distances, brute_force_edge_connectivity
 from thintree.spanning import alpha, select_far_edge_set
 
 from .conftest import add_edge
+from .dual_helpers import cut_edges, cut_to_dual_cycles
 from .test_embedding import rotation_systems
 
 
@@ -84,6 +83,25 @@ def test_dual_loop_girth_one():
     d = geometric_dual(g)
     assert d.faces_of(0) == (0, 0) and d.faces_of(1) == (0, 0)
     assert dual_girth(d) == 1
+
+
+@pytest.mark.parametrize("face_count, dual_edges", [
+    (2, [(0, 0, 5)]),           # face id beyond face_count
+    (2, [(0, -1, 1)]),          # negative face id
+    (3, [(-1, 0, 1)]),          # negative edge id
+    (3, [(0, 0, 1), (0, 1, 2)]),  # repeated edge id
+], ids=["face beyond count", "negative face", "negative edge", "repeated edge"])
+def test_abstract_dual_rejects_bad_ids(face_count, dual_edges):
+    with pytest.raises(InvalidInputError):
+        DualGraph(face_count, dual_edges)
+
+
+def test_abstract_dual_puts_edges_on_darts():
+    d = DualGraph(3, [(4, 2, 0), (1, 1, 1), (0, 0, 1)])
+    assert d.faces == [(9, 0), (2, 3, 1), (8,)]
+    assert d.face_of == [0, 1, 1, 1, None, None, None, None, 2, 0]
+    assert d.dual_edges == [(0, 0, 1), (1, 1, 1), (4, 2, 0)]
+    assert d.edge_count == 3 and d.face_count == 3
 
 
 def oracle_edge_distances(d):
@@ -251,6 +269,35 @@ def test_whitney_planar_girth_equals_oracle_connectivity(g):
     if not (g.genus() == 0 and g.is_connected() and g.vertex_count >= 2):
         return
     assert dual_girth(geometric_dual(g)) == brute_force_edge_connectivity(g)
+
+
+# the thin-planar workload's bases, each at its smallest and largest
+# multiplicity there, and the amplified cycle
+PLANAR_LADDER = [("cube", 0, 8), ("cube", 0, 48), ("wheel", 6, 8), ("wheel", 6, 32),
+                 ("prism", 5, 8), ("prism", 5, 32), ("prism", 6, 8), ("prism", 6, 20),
+                 ("cycle", 6, 12)]
+
+
+@pytest.mark.parametrize("base, n, q", PLANAR_LADDER,
+                         ids=[f"{b}{n or ''}x{q}" for b, n, q in PLANAR_LADDER])
+def test_floored_search_matches_the_full_search(monkeypatch, base, n, q):
+    import thintree.dual
+
+    g = amplify(BASES[base](n), q)
+    k = edge_connectivity(g)
+    searches = []
+    real = thintree.dual._chain_distance
+    monkeypatch.setattr(thintree.dual, "_chain_distance",
+                        lambda *a: searches.append(a) or real(*a))
+    full = shortest_dual_cycle(geometric_dual(g))
+    full_searches = len(searches)
+    del searches[:]
+    d = geometric_dual(g)
+    assert shortest_dual_cycle(d, k) == full
+    assert full[0] == k  # bond-cycle duality: the floor is the girth
+    assert shortest_dual_cycle(d) == full  # the memo is the full search's
+    # the search stops at its first cycle of length k
+    assert len(searches) < full_searches
 
 
 def test_shortest_cycle_prefers_loop():

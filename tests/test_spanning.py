@@ -33,6 +33,7 @@ from thintree.spanning import (
 )
 
 from .conftest import add_edge
+from .dual_helpers import kind, neighbor_core_threads, neighbor_find_threads
 from .test_dual import dual_degrees, dual_edge_ids, dual_graphs, oracle_edge_distances
 from .test_embedding import rotation_systems
 
@@ -65,7 +66,7 @@ def test_alpha_rejects_negative():
 def test_whole_cycle_component_is_one_thread():
     d = geometric_dual(bond(8))  # C8
     threads = find_threads(d)
-    assert [(t.kind, t.length) for t in threads] == [("cycle", 8)]
+    assert [(kind(t), t.length) for t in threads] == [("cycle", 8)]
 
 
 def test_theta_graph_threads():
@@ -74,28 +75,28 @@ def test_theta_graph_threads():
         (2, 0, 3), (3, 3, 4), (4, 4, 1),
         (5, 0, 5), (6, 5, 6), (7, 6, 7), (8, 7, 1)])
     threads = find_threads(theta)
-    assert sorted((t.kind, t.length) for t in threads) == [
+    assert sorted((kind(t), t.length) for t in threads) == [
         ("path", 2), ("path", 3), ("path", 4)]
 
 
 def test_octahedron_trivial_threads(cube):
     threads = find_threads(geometric_dual(cube))
     assert sorted(t.length for t in threads) == [1] * 12
-    assert all(t.kind == "path" for t in threads)
+    assert all(kind(t) == "path" for t in threads)
 
 
 def test_lollipop_cycle_thread():
     # branch vertex 0 with a pendant cycle 0-1-2-0 and a doubled edge to 3
     d = DualGraph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 3), (4, 0, 3)])
     threads = find_threads(d)
-    kinds = sorted((t.kind, t.length) for t in threads)
+    kinds = sorted((kind(t), t.length) for t in threads)
     assert kinds == [("cycle", 2), ("cycle", 3)]
 
 
 def test_loop_at_branch_vertex_is_length_one_cycle():
     d = DualGraph(2, [(0, 0, 0), (1, 0, 1), (2, 0, 1)])
     threads = find_threads(d)
-    assert sorted((t.kind, t.length) for t in threads) == [
+    assert sorted((kind(t), t.length) for t in threads) == [
         ("cycle", 1), ("cycle", 2)]
 
 
@@ -118,8 +119,66 @@ def test_core_threads_peel_pendant_faces():
     d = DualGraph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 3)])
     with pytest.raises(DegreeOneVertexError):
         find_threads(d)
-    assert [(t.kind, t.edges) for t in d.core_threads()] == [("cycle", (0, 1, 2))]
+    assert [(kind(t), t.edges) for t in d.core_threads()] == [("cycle", (0, 1, 2))]
     assert d._pendant == [3]
+
+
+def with_empty_loops(g, places):
+    """g with one new loop per (vertex, position): its two darts sit next
+    to each other in the vertex's rotation, so one of its sides is a face
+    of its own, a pendant face of the dual."""
+    rotations = [g.darts_at(v) for v in range(g.vertex_count)]
+    e = max(g.edges(), default=-1) + 1
+    for v, pos in places:
+        at = rotations[v % g.vertex_count]
+        at[pos % (len(at) + 1):pos % (len(at) + 1)] = [2 * e, 2 * e + 1]
+        e += 1
+    twins = [(d, d + 1) for at in rotations for d in at if not d & 1]
+    return build_embedding(g.vertex_count, rotations, twins)
+
+
+@st.composite
+def dart_walk_graphs(draw):
+    """A random rotation system (loops and bonds, whose duals are closed
+    chains, included), amplified, with empty loops added and some edges
+    deleted."""
+    g = amplify(draw(rotation_systems()), draw(st.integers(1, 3)))
+    places = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 20)), max_size=3))
+    g = with_empty_loops(g, places)
+    return g.delete_edges(draw(st.sets(st.sampled_from(g.edges()))))
+
+
+def assert_dart_walk_matches_neighbor_maps(d):
+    threads, pendant, loops = neighbor_core_threads(d.face_count, d.dual_edges)
+    assert d.core_threads() == tuple(threads)
+    assert d._pendant == pendant
+    assert d.loops == loops
+    try:
+        expected = neighbor_find_threads(d.face_count, d.dual_edges)
+    except DegreeOneVertexError:
+        with pytest.raises(DegreeOneVertexError):
+            find_threads(d)
+    else:
+        assert find_threads(d) == expected
+
+
+@given(dart_walk_graphs())
+@settings(max_examples=300, deadline=None)
+def test_dart_walk_matches_neighbor_maps(g):
+    assert_dart_walk_matches_neighbor_maps(geometric_dual(g))
+
+
+@given(dual_graphs())
+@settings(max_examples=200, deadline=None)
+def test_dart_walk_matches_neighbor_maps_on_any_dual(d):
+    assert_dart_walk_matches_neighbor_maps(d)
+
+
+def test_empty_loop_is_a_pendant_dual_edge(cube):
+    d = geometric_dual(with_empty_loops(amplify(cube, 2), [(0, 0)]))
+    d.core_threads()
+    assert d._pendant == [24]
+    assert_dart_walk_matches_neighbor_maps(d)
 
 
 def two_core(d):
@@ -220,7 +279,7 @@ def test_threads_satisfy_shape_invariants():
         for t in find_threads(d):
             for v in t.vertices[1:-1]:
                 assert degree[v] == 2
-            if t.kind == "path":
+            if kind(t) == "path":
                 assert t.vertices[0] != t.vertices[-1]
                 assert degree[t.vertices[0]] >= 3
                 assert degree[t.vertices[-1]] >= 3
@@ -513,9 +572,11 @@ def test_selection_leaves_the_dual_as_it_was(build):
     g_star, a = dual_girth(d), alpha(g.genus())
     core = d.core_threads()
     threads = [(t.edges, t.vertices) for t in core]
-    neighbors = [dict(m) for m in d.neighbors()]
+    dual_edges = list(d.dual_edges)
+    faces, face_of = list(d.faces), list(d.face_of)
     first = select_far_edge_set(d, g_star, a)
     assert select_far_edge_set(d, g_star, a) == first
     assert d.core_threads() is core
     assert [(t.edges, t.vertices) for t in core] == threads
-    assert d.neighbors() == neighbors
+    assert d.dual_edges == dual_edges
+    assert d.faces == faces and d.face_of == face_of

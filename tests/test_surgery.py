@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thintree import pipeline
-from thintree.dual import cut_edges, Cut, dual_girth, geometric_dual, shortest_dual_cycle
+from thintree.dual import Cut, dual_girth, geometric_dual, shortest_dual_cycle
 from thintree.embedding import build_embedding
 from thintree.errors import (
     DualMismatchError,
@@ -22,6 +22,7 @@ from thintree.surgery import (
 )
 
 from .conftest import add_edge
+from .dual_helpers import cut_edges
 from .test_embedding import rotation_systems
 
 
