@@ -46,7 +46,7 @@ from .spanning import (
 )
 from .surgery import (
     SurgeryLog,
-    delete_dual_cycle,
+    SurgeryState,
     increase_dual_girth,
 )
 

@@ -26,7 +26,15 @@ spanning step carries the girth surgery measured on it.  The far-set
 selection in ``spanning`` keeps the threads as a graph on their branch
 faces.  ``min_pairwise_distance`` runs one Dijkstra search over the same
 contracted threads, cut only at the ends of the queried edges and where a
-pruned edge hangs.
+pruned edge hangs; it looks into only the threads that hold a queried edge.
+
+Surgery edits one dual across its deletions (``WorkingDual``).  A dual
+cycle runs along whole threads, so a deletion drops the threads that end
+in its darts, peels a new face of degree 1, walks again as one the threads
+that meet at a new face of degree 2, and gives every other thread that
+ends on a new face the new ids of its end faces.  Its face ids are not
+canonical, and need not be: the girth search's answer does not depend on
+how the faces are numbered (see ``WorkingDual``).
 """
 
 from __future__ import annotations
@@ -100,7 +108,7 @@ class DualGraph:
         self._dual_edges = None
         self._threads = None
         self._pendant = None  # the edges pruned off the 2-core
-        self._places = None
+        self._hung = None  # _hangs' answer
         self._shortest = _UNSEARCHED  # shortest_dual_cycle's answer
 
     @property
@@ -119,7 +127,7 @@ class DualGraph:
         """(edge_id, face) of each loop, in edge-id order.  No loop is ever
         peeled, and each is a thread of length 1 of its own."""
         return sorted((t.edges[0], t.vertices[0]) for t in self.core_threads()
-                      if t.length == 1 and t.vertices[0] == t.vertices[1])
+                      if len(t.edges) == 1 and t.vertices[0] == t.vertices[1])
 
     def faces_of(self, e: int) -> tuple[int, int]:
         face_of = self.face_of
@@ -134,59 +142,73 @@ class DualGraph:
             faces, face_of = self.faces, self.face_of
             degree = list(map(len, faces))
             stack = [f for f, deg in enumerate(degree) if deg == 1] if 1 in degree else []
-            pendant = []
-            while stack:
-                f = stack.pop()
-                if degree[f] != 1:
-                    continue
-                # f has no loop, and its darts peeled so far lead to peeled
-                # faces, of degree 0; the one left leads to a face that is not
-                x = next(x for x in faces[f] if degree[face_of[x ^ 1]])
-                other = face_of[x ^ 1]
-                pendant.append(x >> 1)
-                degree[f] = 0
-                degree[other] -= 1
-                if degree[other] == 1:
-                    stack.append(other)
+            pendant = _peel(faces, face_of, degree, stack)
             self._pendant = pendant
             core = self
             if pendant:
-                # the 2-core drops the pruned darts from their faces and
-                # keeps the dart map, of which find_threads reads only the
-                # darts it meets on those faces
-                gone = set(pendant)
-                kept = list(faces)
-                for f in {face_of[x] for e in pendant for x in (2 * e, 2 * e + 1)}:
-                    kept[f] = tuple(x for x in faces[f] if x >> 1 not in gone)
-                core = DualGraph.on_darts(kept, face_of, self.edge_count - len(pendant))
+                # the 2-core keeps the dart map, of which find_threads reads
+                # only the darts it meets on the 2-core's faces
+                core = DualGraph.on_darts(_core_faces(faces, face_of, set(pendant)),
+                                          face_of, self.edge_count - len(pendant))
             self._threads = tuple(find_threads(core))
         return self._threads
 
-    def _thread_places(self):
-        """Where the 2-core's edges sit on ``core_threads()``, found once.
-
-        Returns (edge id -> (thread index, offset), thread index -> offsets
-        of the thread's faces that a pruned edge hangs from).  Edge
-        ``t.edges[o]`` joins ``t.vertices[o]`` and ``t.vertices[o + 1]``.
-        """
-        if self._places is None:
-            threads = self.core_threads()
-            places = {e: (i, o) for i, t in enumerate(threads)
-                      for o, e in enumerate(t.edges)}
+    def _hangs(self):
+        """Thread index -> offsets of the faces of that thread of
+        ``core_threads()`` that a pruned edge hangs from, found once."""
+        if self._hung is None:
             hangs = {}
             if self._pendant:
                 feet = {f for e in self._pendant for f in self.faces_of(e)}
-                for i, t in enumerate(threads):
+                for i, t in enumerate(self.core_threads()):
                     offsets = [o for o, f in enumerate(t.vertices) if f in feet]
                     if offsets:
                         hangs[i] = offsets
-            self._places = places, hangs
-        return self._places
+            self._hung = hangs
+        return self._hung
 
 
-def geometric_dual(g: EmbeddedGraph) -> DualGraph:
-    """The geometric dual of g, on g's own faces."""
-    return DualGraph.on_darts(g.faces(), g.face_of_dart(), g.edge_count)
+def _core_faces(faces, face_of, pendant):
+    """A copy of ``faces`` without the darts of the pruned edges
+    ``pendant``: the faces of the 2-core."""
+    core = list(faces)
+    for f in {face_of[x] for e in pendant for x in (2 * e, 2 * e + 1)}:
+        core[f] = tuple(x for x in faces[f] if x >> 1 not in pendant)
+    return core
+
+
+def _peel(faces, face_of, degree, stack):
+    """Peel the faces of degree 1 on ``stack`` off the 2-core, and every
+    face that falls to degree 1 after them.  ``degree`` holds each face's
+    darts in the 2-core and is updated; returns the peeled edges."""
+    pendant = []
+    while stack:
+        f = stack.pop()
+        if degree[f] != 1:
+            continue
+        # f has no loop, and its darts peeled so far lead to peeled faces,
+        # of degree 0; the one left leads to a face that is not
+        x = next(x for x in faces[f] if degree[face_of[x ^ 1]])
+        other = face_of[x ^ 1]
+        pendant.append(x >> 1)
+        degree[f] = 0
+        degree[other] -= 1
+        if degree[other] == 1:
+            stack.append(other)
+    return pendant
+
+
+def geometric_dual(g: EmbeddedGraph, searched: DualGraph | None = None) -> DualGraph:
+    """The geometric dual of g, on g's own faces.
+
+    ``searched`` is a dual of g under other face ids, such as surgery's
+    working dual; the answer of its girth search, if it ran, is kept as
+    this dual's, since that answer does not depend on the face ids.
+    """
+    d = DualGraph.on_darts(g.faces(), g.face_of_dart(), g.edge_count)
+    if searched is not None:
+        d._shortest = searched._shortest
+    return d
 
 
 @dataclass(frozen=True)
@@ -223,24 +245,6 @@ def find_threads(d: DualGraph) -> list[Thread]:
     """
     faces, face_of = d.faces, d.face_of
     degree = list(map(len, faces))
-
-    def walk(start, x):
-        # Follow the chain from start along the non-loop edge of its dart
-        # x through degree-2 faces, up to a face of another degree or back
-        # at start.  A face of degree 2 entered through y has no loop, so
-        # its other dart is the way on.
-        y = x ^ 1
-        cur = face_of[y]
-        edges, verts = [x >> 1], [start, cur]
-        add_edge, add_vert = edges.append, verts.append
-        while cur != start and degree[cur] == 2:
-            a, b = faces[cur]
-            y = (b if a == y else a) ^ 1
-            cur = face_of[y]
-            add_edge(y >> 1)
-            add_vert(cur)
-        return edges, verts
-
     threads = []
     ends = set()  # the last edge of each thread, met again at its end face
     walked = 0
@@ -258,7 +262,7 @@ def find_threads(d: DualGraph) -> list[Thread]:
                 threads.append(Thread((e,), (b, b)))
                 walked += 1
                 continue
-            edges, verts = walk(b, x)
+            edges, verts = _walk(faces, face_of, b, x)
             ends.add(edges[-1])
             walked += len(edges)
             threads.append(Thread(tuple(edges), tuple(verts)))
@@ -272,10 +276,197 @@ def find_threads(d: DualGraph) -> list[Thread]:
             if deg == 2 and f not in seen:
                 x = min(faces[f])
                 edges, verts = (([x >> 1], (f, f)) if face_of[x ^ 1] == f
-                                else walk(f, x))
+                                else _walk(faces, face_of, f, x))
                 seen.update(verts)
                 threads.append(Thread(tuple(edges), tuple(verts)))
     return threads
+
+
+def _walk(faces, face_of, start, x):
+    """The chain from face ``start`` along its non-loop dart x, on through
+    faces of degree 2 up to a face of another degree or back at start, as
+    (edge list, face list).  A face of degree 2 entered through dart y has
+    no loop, so its other dart is the way on."""
+    y = x ^ 1
+    cur = face_of[y]
+    edges, verts = [x >> 1], [start, cur]
+    add_edge, add_vert = edges.append, verts.append
+    while cur != start:
+        here = faces[cur]
+        if len(here) != 2:
+            break
+        a, b = here
+        y = (b if a == y else a) ^ 1
+        cur = face_of[y]
+        add_edge(y >> 1)
+        add_vert(cur)
+    return edges, verts
+
+
+class WorkingDual:
+    """The dual of a graph under surgery, edited in place.
+
+    It holds its own copies of a dual's face list and dart -> face list,
+    the darts of each face in the 2-core (``core``), the pruned edges, and
+    the 2-core's threads.  A thread is known by its two end darts, the
+    darts by which it leaves its first face and enters its last: a thread
+    is keyed by the first, and ``ends`` maps each end dart to the pair.
+    ``replace`` changes only what one deletion touched; ``view`` gives the
+    current dual to search.
+
+    A dual cycle through one edge of a thread runs along the whole thread,
+    so the threads a cycle deletes are those that end in its darts
+    (``threads_of``), and every other thread keeps its edges.
+
+    Face ids do not stay canonical: a new face, the longest first, takes
+    the id of the dead face its first dart lay on while that id is free,
+    or else a new id at the end, and a dead face left over becomes an
+    empty tuple.  So most threads that end on a split or merged face keep
+    their end faces' ids.  That is exact for the girth search, whose answer
+    does not depend on how the faces are numbered: its anchor is the
+    smallest edge id on a shortest cycle, its read-back compares edge ids,
+    and the links at a face have distinct first edges.  Threads are
+    kept as maximal chains, but a closed chain may start at another face
+    and a path may run the other way than ``find_threads`` would walk them;
+    the search orients each thread by its anchor.
+    """
+
+    def __init__(self, d: DualGraph):
+        threads = d.core_threads()
+        self.faces = list(d.faces)
+        self.face_of = list(d.face_of)
+        self.edge_count = d.edge_count
+        self.pendant = set(d._pendant)
+        self.core = _core_faces(self.faces, self.face_of, self.pendant)
+        self.threads = {}
+        self.ends = {}
+        for t in threads:
+            self._add(t)
+
+    def _add(self, t):
+        face_of = self.face_of
+        first, last = 2 * t.edges[0], 2 * t.edges[-1]
+        # a thread's end edges are loops only when it is one loop, whose
+        # darts 2e and 2e + 1 are then its two ends
+        x = first if face_of[first] == t.vertices[0] else first + 1
+        z = last + 1 if face_of[last + 1] == t.vertices[-1] else last
+        self.threads[x] = t
+        self.ends[x] = self.ends[z] = (x, z)
+
+    def view(self) -> DualGraph:
+        """The current dual, its threads found; it shares this object's
+        lists, so it holds only until the next ``replace``."""
+        d = DualGraph.on_darts(self.faces, self.face_of, self.edge_count)
+        d._threads = tuple(self.threads.values())
+        d._pendant = list(self.pendant)
+        return d
+
+    def threads_of(self, cycle) -> set:
+        """The keys of the threads that make up the edges ``cycle``.
+        Raises InvalidInputError when the edges are not whole threads of
+        the 2-core, as no dual cycle's are."""
+        ends, threads = self.ends, self.threads
+        keys = {ends[x][0] for e in cycle for x in (2 * e, 2 * e + 1) if x in ends}
+        edges = {e for key in keys for e in threads[key].edges}
+        if len(edges) != len(cycle) or not edges.issuperset(cycle):
+            raise InvalidInputError(
+                f"edges {sorted(cycle)} are not whole threads of the dual: "
+                f"not a dual cycle")
+        return keys
+
+    def replace(self, cycle, hit, dead, born):
+        """Delete the edges ``cycle``, made of the threads ``hit``
+        (``threads_of``), whose darts lay on the faces ``dead``, and append
+        the faces ``born`` traced from those faces' surviving darts.
+
+        The old pruned edges stay pruned: the faces of a pendant tree hold
+        no deleted dart, so the tree still hangs from one face.  A new face
+        of degree 1 is peeled, and the peel may go on into faces that kept
+        their darts; it too takes whole threads.  The threads of the cycle
+        and of the peel are dropped, and so is a thread that ends on a new
+        or peeled face now of degree 2.  Every other thread ending on a new
+        face is still a maximal chain and takes the faces its end darts now
+        lie on.  The dropped threads' surviving edges are walked again,
+        from the branch faces among the new faces, the peeled faces and the
+        ends of the dropped threads; what is left of them forms closed
+        chains of degree-2 faces.
+        """
+        faces, face_of, core = self.faces, self.face_of, self.core
+        pendant, threads, ends = self.pendant, self.threads, self.ends
+        free = set(dead)
+        new = [None] * len(born)
+        for i in sorted(range(len(born)), key=lambda i: -len(born[i])):
+            f = face_of[born[i][0]]
+            if f in free:
+                free.discard(f)
+            else:
+                f = len(faces)
+                faces.append(())
+                core.append(())
+            new[i] = f
+        for f in free:
+            faces[f] = core[f] = ()
+        for e in cycle:
+            face_of[2 * e] = face_of[2 * e + 1] = None
+        for f, walk in zip(new, born):
+            faces[f] = walk
+            for x in walk:
+                face_of[x] = f
+            core[f] = (tuple(x for x in walk if x >> 1 not in pendant)
+                       if pendant else walk)
+        self.edge_count -= len(cycle)
+
+        touched = set(new)
+        peeled = ()
+        stack = [f for f in new if len(core[f]) == 1]
+        if stack:
+            peeled = _peel(faces, face_of, list(map(len, core)), stack)
+            pendant.update(peeled)
+            darts = [x for e in peeled for x in (2 * e, 2 * e + 1)]
+            hit.update(ends[x][0] for x in darts if x in ends)
+            for f in {face_of[x] for x in darts}:
+                core[f] = tuple(x for x in core[f] if x >> 1 not in pendant)
+                touched.add(f)
+
+        for f in touched:
+            for y in core[f]:
+                pair = ends.get(y)
+                if pair is None or pair[0] in hit:
+                    continue
+                x, z = pair
+                a, b = face_of[x], face_of[z]
+                if len(core[a]) == 2 or len(core[b]) == 2:
+                    hit.add(x)
+                    continue
+                t = threads[x]
+                if a != t.vertices[0] or b != t.vertices[-1]:
+                    threads[x] = Thread(t.edges, (a, *t.vertices[1:-1], b))
+        loose = set()
+        for key in hit:
+            t = threads.pop(key)
+            del ends[ends.pop(key)[1]]
+            loose.update(t.edges)
+            touched.update((t.vertices[0], t.vertices[-1]))
+        loose.difference_update(cycle, peeled)
+        for b in sorted(touched):
+            if len(core[b]) < 3:
+                continue
+            for x in sorted(core[b]):
+                if x >> 1 in loose:
+                    self._walk_from(b, x, loose)
+        while loose:
+            x = 2 * min(loose)
+            self._walk_from(face_of[x], x, loose)
+
+    def _walk_from(self, f, x, loose):
+        """Add the thread that leaves face f along dart x; its edges are
+        no longer loose."""
+        if self.face_of[x ^ 1] == f:
+            edges, verts = [x >> 1], [f, f]
+        else:
+            edges, verts = _walk(self.core, self.face_of, f, x)
+        self._add(Thread(tuple(edges), tuple(verts)))
+        loose.difference_update(edges)
 
 
 def _chain_distance(links, source, target, skip, bound):
@@ -325,7 +516,9 @@ def shortest_dual_cycle(d: DualGraph, floor: int = 1):
     The search stops at its first cycle of that length: no later thread
     can give a strictly shorter one, so the anchor, the cycle and the memo
     are those of the full search.  A floor above the girth gives a wrong
-    answer; the default 1 never stops the search early.
+    answer.  A dual without a loop has girth at least 2, so once the loops
+    are known the floor is at least 2; this cuts the searches that
+    surgery makes after it has deleted the loops.
 
     The least path runs along the anchor's thread from l to its end x, from
     x to the other end y, and along the thread to r.  Only the middle has a
@@ -344,22 +537,27 @@ def _shortest_cycle(d: DualGraph, floor):
     loops = d.loops
     if loops:
         return 1, (loops[0][0],)
+    floor = max(floor, 2)  # only a loop is a cycle of length 1
     chains = sorted((min(t.edges), t.vertices[0], t.vertices[-1], t)
                     for t in d.core_threads())
     links = {}  # branch face -> (length, key, other end, thread) of its path threads
     for key, a, b, t in chains:
         if a != b:
-            links.setdefault(a, []).append((t.length, key, b, t))
-            links.setdefault(b, []).append((t.length, key, a, t))
+            n = len(t.edges)
+            links.setdefault(a, []).append((n, key, b, t))
+            links.setdefault(b, []).append((n, key, a, t))
     best_len, best = d.edge_count + 1, None  # longer than any cycle
     for key, a, b, t in chains:
+        n = len(t.edges)
         if a == b:
-            found = t.length
+            found = n
+        elif n + 1 >= best_len:
+            continue  # a path between two faces has length 1 or more
         else:
-            rest = _chain_distance(links, a, b, key, best_len - t.length).get(b)
+            rest = _chain_distance(links, a, b, key, best_len - n).get(b)
             if rest is None:
                 continue
-            found = t.length + rest
+            found = n + rest
         if found < best_len:
             best_len, best = found, (key, t)
             if found == floor:
@@ -419,16 +617,17 @@ def min_pairwise_distance(d: DualGraph, edge_ids) -> int | None:
     if len(ids) < 2:
         return None
     threads = d.core_threads()
-    places, hangs = d._thread_places()
+    hangs = d._hangs()
     label = {}  # face -> the edge of the set it was reached from
-    cuts = {}   # thread index -> offsets of queried edges on it
     for e in ids:
         for f in d.faces_of(e):
             if label.setdefault(f, e) != e:
                 return 0
-        place = places.get(e)
-        if place is not None:
-            cuts.setdefault(place[0], []).append(place[1])
+    # only the threads that hold a queried edge are cut at it; pruned
+    # edges lie on no thread
+    queried = set(ids)
+    cuts = {i: [t.edges.index(e) for e in queried.intersection(t.edges)]
+            for i, t in enumerate(threads) if not queried.isdisjoint(t.edges)}
 
     links = {}  # face -> (length, other end) of each link at it
 

@@ -47,6 +47,16 @@ traced again, and the merged list is sorted as a cold trace would be.
 Components are the union of the vertex pairs with a positive count, so
 they follow from the seeded pair counts, and the genus is still measured
 by the Euler formula on these faces and components.
+
+Surgery (``surgery.SurgeryState``) applies the same facts to one mutable
+copy of the rotations across many deletions, and builds a graph only at
+the end, with ``delete_edges``.  There the rotation predecessor of a
+deleted dart d is found on its face rather than by walking its vertex:
+phi(y) = rotation_next[y ^ 1], so the dart before d in its rotation is the
+twin of the dart before d on its face.  The faces it traces again keep
+their canonical form, each starting at its smallest dart, but take
+non-canonical indices; ``_components`` counts the components from its pair
+counts.
 """
 
 from __future__ import annotations
@@ -165,24 +175,8 @@ class EmbeddedGraph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, sorted by minimum."""
-        if self._components is not None:
-            return self._components
-        parent = list(range(self.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.pair_counts():
-            a, b = find(u), find(v)
-            if a != b:
-                parent[a] = b
-        groups = {}
-        for v in range(self.vertex_count):
-            groups.setdefault(find(v), []).append(v)
-        self._components = sorted(groups.values())
+        if self._components is None:
+            self._components = _components(self.vertex_count, self.pair_counts())
         return self._components
 
     def is_connected(self) -> bool:
@@ -380,6 +374,27 @@ def expand_parallel(g: EmbeddedGraph, multiplicity, cost=None):
     if expanded.genus() != base.genus():
         raise OddEulerDefectError("parallel expansion changed the genus")
     return expanded, origin
+
+
+def _components(vertex_count, pairs) -> list[list[int]]:
+    """Components of the vertices 0..vertex_count-1 joined by the vertex
+    pairs ``pairs``, as sorted vertex lists sorted by minimum."""
+    parent = list(range(vertex_count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        a, b = find(u), find(v)
+        if a != b:
+            parent[a] = b
+    groups = {}
+    for v in range(vertex_count):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
 
 
 def _pair_counts(g: EmbeddedGraph, copies=None) -> dict:

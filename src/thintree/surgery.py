@@ -7,25 +7,37 @@ exists leaves at most 2*sqrt(genus) components.  The square root never needs
 floating point: ``length < k / (3*sqrt(g))`` is evaluated as
 ``9*g*length^2 < k^2`` in integers.
 
-Each iteration builds the dual of the current graph and searches it for its
-shortest cycle.  The loop ends on a dual whose girth meets the threshold (or
-that has no cycle), built from the very graph it returns; graphs are
-immutable, so that dual stays exact.  The log hands it on as
-``SurgeryLog.dual`` with its girth search, and the spanning step that builds
-a tree on the returned graph reads both rather than building and searching
-them again.
+The loop keeps one working state (``SurgeryState``) across its iterations:
+one mutable copy of the rotations and of the dual (``dual.WorkingDual``),
+and the pair counts.  Each deletion splices out only the deleted darts,
+traces again only the faces that held them, and re-threads only what ends
+on those faces; the genus after it follows by the Euler formula from the
+new face count, and the components from the pair counts.  The working
+dual's face ids are not canonical, which the girth search does not see
+(see ``WorkingDual``), so each intermediate dual is searched by the one
+``shortest_dual_cycle``.
+
+The loop ends on a dual whose girth meets the threshold (or that has no
+cycle).  Only then is the graph built, once, as g.delete_edges(every
+deleted edge), with its canonical dual, which takes the working dual's
+last girth search.  The log hands that dual on as ``SurgeryLog.dual``, and
+the spanning step that builds a tree on the returned graph reads it rather
+than building and searching it again.  So surgery builds the duals of g and
+of its result and no other, however often it iterates.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .dual import DualGraph, geometric_dual, shortest_dual_cycle
-from .embedding import EmbeddedGraph
+from .dual import DualGraph, WorkingDual, geometric_dual, shortest_dual_cycle
+from .embedding import EmbeddedGraph, _components, _trace
 from .errors import (
     DichotomyViolationError,
+    EdgeAbsentError,
     InvalidInputError,
     NotEdgeConnectedError,
+    OddEulerDefectError,
     ZeroGenusError,
 )
 from .flows import edge_connectivity
@@ -45,8 +57,8 @@ class SurgeryIteration:
 class SurgeryLog:
     """Per-iteration bookkeeping for one girth-raising run.
 
-    ``dual`` is the dual of the returned graph, searched for its girth by
-    the loop's last check; it is not part of the records.
+    ``dual`` is the dual of the returned graph, holding the loop's last
+    girth search; it is not part of the records.
     """
 
     k: int
@@ -67,30 +79,134 @@ def below_threshold(length: int, k: int, genus: int) -> bool:
     return 9 * genus * length * length < k * k
 
 
-def delete_dual_cycle(g: EmbeddedGraph, cycle_edges):
-    """Delete the primal edges of a dual cycle and recheck the dichotomy.
+class SurgeryState:
+    """A graph under surgery: g less the dual cycles deleted so far.
 
-    Returns (H, the SurgeryIteration measured on g and H).  The new graph
-    must have smaller genus or more components; a violation means the
-    rotation-level surgery disagrees with the surface argument and is a
-    fatal correctness bug.
+    It holds one mutable copy of g's rotations and one of g's dual
+    (``work``, a ``WorkingDual``), g's pair counts less the deleted edges,
+    and the genus, the component count and V - E + F of the current graph
+    (an isolated vertex counting one face).  ``delete_dual_cycle`` measures
+    only what its cycle touched; ``graph`` builds the current graph.  ``d``
+    is g's geometric dual when the caller holds it already.
     """
-    genus_before = g.genus()
-    comps_before = len(g.components())
-    h = g.delete_edges(cycle_edges)
-    step = SurgeryIteration(
-        cycle_edges=tuple(sorted(cycle_edges)),
-        cycle_length=len(cycle_edges),
-        genus_before=genus_before,
-        genus_after=h.genus(),
-        components_before=comps_before,
-        components_after=len(h.components()),
-    )
-    if not (step.genus_after < genus_before or step.components_after > comps_before):
-        raise DichotomyViolationError(
-            f"deleting dual cycle {sorted(cycle_edges)} kept genus "
-            f"{genus_before} and components {comps_before}")
-    return h, step
+
+    def __init__(self, g: EmbeddedGraph, d: DualGraph | None = None):
+        self.g = g
+        self.rot = dict(g.rotation_next)
+        self.work = WorkingDual(geometric_dual(g) if d is None else d)
+        self.pairs = g.pair_counts()
+        self.genus = g.genus()
+        self.components = len(g.components())
+        self.euler = 2 * self.components - 2 * self.genus
+        self.deleted = []
+
+    def delete_dual_cycle(self, cycle_edges) -> SurgeryIteration:
+        """Delete the primal edges of a dual cycle and recheck the dichotomy.
+
+        The rotations lose only the deleted darts, and only the faces that
+        held them are traced again.  The genus after follows by the Euler
+        formula from the new face count, and the components from the pair
+        counts, counted again only when a pair lost its last edge.  The new
+        graph must have smaller genus or more components; a violation means
+        the rotation-level surgery disagrees with the surface argument and
+        is a fatal correctness bug.
+
+        Raises, before anything changes, InvalidInputError when an edge id
+        repeats or the edges are no dual cycle's, and EdgeAbsentError when
+        one is not an edge of the current graph.
+        """
+        cycle = sorted(cycle_edges)
+        if len(set(cycle)) < len(cycle):
+            raise InvalidInputError(f"dual cycle {cycle} repeats an edge")
+        work = self.work
+        faces, face_of = work.faces, work.face_of
+        absent = [e for e in cycle
+                  if not (0 <= 2 * e < len(face_of) and face_of[2 * e] is not None)]
+        if absent:
+            raise EdgeAbsentError(f"edges not present: {absent}")
+        hit = work.threads_of(cycle)
+
+        gone = {x for e in cycle for x in (2 * e, 2 * e + 1)}
+        dead = {face_of[x] for x in gone}
+        survivors = [x for f in dead for x in faces[f] if x not in gone]
+        bare = self._splice(gone)
+        born = _trace(survivors, self.rot)
+        work.replace(cycle, hit, dead, born)
+
+        owner, pairs = self.g.dart_owner, self.pairs
+        split = False
+        for e in cycle:
+            u, v = owner[2 * e], owner[2 * e + 1]
+            if u != v:
+                key = (u, v) if u < v else (v, u)
+                pairs[key] -= 1
+                if not pairs[key]:
+                    del pairs[key]
+                    split = True
+        comps = (len(_components(self.g.vertex_count, pairs)) if split
+                 else self.components)
+        self.euler += len(cycle) + len(born) - len(dead) + bare
+        defect = 2 * comps - self.euler
+        if defect % 2 or defect < 0:
+            raise OddEulerDefectError(
+                f"V-E+F-2k = {-defect} after surgery: corrupted rotation system")
+        step = SurgeryIteration(
+            cycle_edges=tuple(cycle),
+            cycle_length=len(cycle),
+            genus_before=self.genus,
+            genus_after=defect // 2,
+            components_before=self.components,
+            components_after=comps,
+        )
+        if not (step.genus_after < self.genus or comps > self.components):
+            raise DichotomyViolationError(
+                f"deleting dual cycle {cycle} kept genus "
+                f"{self.genus} and components {self.components}")
+        self.genus, self.components = step.genus_after, comps
+        self.deleted += cycle
+        return step
+
+    def _splice(self, gone) -> int:
+        """Drop the darts ``gone`` from the rotations and link each
+        surviving predecessor to its next survivor; returns the number of
+        vertices left with no dart.
+
+        The predecessor of dart d in its rotation is the twin of d's
+        predecessor on its face, since phi(y) = rotation_next[y ^ 1], so no
+        vertex is walked round.  Only survivors are re-linked, each after
+        the deleted darts' own successors are read.
+        """
+        rot = self.rot
+        faces, face_of = self.work.faces, self.work.face_of
+        linked = set()  # deleted darts that follow a survivor
+        for d in gone:
+            walk = faces[face_of[d]]
+            p = walk[walk.index(d) - 1] ^ 1
+            if p in gone:
+                continue
+            after = rot[d]
+            linked.add(d)
+            while after in gone:
+                linked.add(after)
+                after = rot[after]
+            rot[p] = after
+        # the others lie on vertices that lost every dart
+        rest = gone - linked
+        bare = 0
+        while rest:
+            d = rest.pop()
+            bare += 1
+            x = rot[d]
+            while x != d:
+                rest.discard(x)
+                x = rot[x]
+        for d in gone:
+            del rot[d]
+        return bare
+
+    def graph(self) -> EmbeddedGraph:
+        """The current graph, built as g.delete_edges(every deleted edge)."""
+        return self.g.delete_edges(self.deleted) if self.deleted else self.g
 
 
 def increase_dual_girth(g: EmbeddedGraph, k: int):
@@ -113,17 +229,24 @@ def increase_dual_girth(g: EmbeddedGraph, k: int):
         raise NotEdgeConnectedError(f"connectivity {measured} < k = {k}")
 
     log = SurgeryLog(k=k, genus=genus)
-    h = g
+    d = geometric_dual(g)
+    state = None
     while True:
-        d = geometric_dual(h)
         found = shortest_dual_cycle(d)
-        if found is None:
+        if found is None or not below_threshold(found[0], k, genus):
             break
-        length, cycle = found
-        if not below_threshold(length, k, genus):
-            break
-        h, step = delete_dual_cycle(h, cycle)
-        log.iterations.append(step)
+        if state is None:
+            state = SurgeryState(g, d)
+        log.iterations.append(state.delete_dual_cycle(found[1]))
+        d = state.work.view()
+    h = g
+    if state is not None:
+        # the graph is built once; its dual takes the working dual's last
+        # girth search, and its measured genus must be the working one
+        h = state.graph()
+        d = geometric_dual(h, searched=d)
+        assert h.genus() == state.genus, (
+            f"working genus {state.genus}, measured {h.genus()}")
     log.dual = d
 
     kappa = len(h.components())

@@ -22,7 +22,7 @@ from thintree.pipeline import (
 )
 from thintree.prng import PCG32
 from thintree.spanning import thin_spanning_tree
-from thintree.surgery import SurgeryLog, delete_dual_cycle
+from thintree.surgery import SurgeryLog, SurgeryState
 
 from .conftest import add_edge
 from .test_acceptance import _weighted_battery
@@ -145,7 +145,9 @@ def test_two_components_build_their_own_duals(monkeypatch):
     g = add_edge(amplify(prism_graph(4), 8), 0, 2, 0, 0)
     g.edge_cost = {e: Fraction(e % 5 + 1, 2) for e in g.edges()}
     between = [e for e in g.edges() if {u < 4 for u in g.endpoints(e)} == {True, False}]
-    h, step = delete_dual_cycle(g, between)
+    state = SurgeryState(g)
+    step = state.delete_dual_cycle(between)
+    h = state.graph()
     assert len(h.components()) == 2
 
     def split(graph, k):

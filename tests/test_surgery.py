@@ -1,12 +1,22 @@
+from dataclasses import asdict
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
+import thintree
 from thintree import pipeline
-from thintree.dual import Cut, dual_girth, geometric_dual, shortest_dual_cycle
+from thintree.dual import (
+    Cut,
+    DualGraph,
+    dual_girth,
+    geometric_dual,
+    shortest_dual_cycle,
+)
 from thintree.embedding import build_embedding
 from thintree.errors import (
     DualMismatchError,
+    EdgeAbsentError,
     InvalidInputError,
     NotEdgeConnectedError,
     ZeroGenusError,
@@ -16,14 +26,15 @@ from thintree.genlab import amplify, prism_graph, torus_grid
 from thintree.spanning import thin_spanning_tree
 from thintree.surgery import (
     SurgeryIteration,
+    SurgeryState,
     below_threshold,
-    delete_dual_cycle,
     increase_dual_girth,
 )
 
 from .conftest import add_edge
 from .dual_helpers import cut_edges
 from .test_embedding import rotation_systems
+from .test_spanning import with_empty_loops
 
 
 def handled_cube(q):
@@ -31,6 +42,21 @@ def handled_cube(q):
     g = add_edge(amplify(prism_graph(4), q), 0, 2, 0, 0)
     assert g.genus() == 1
     return g
+
+
+def twice_handled_cube(q):
+    """handled_cube(q) with a second handle edge, between the other square's
+    opposite corners: genus 2, two dual loops."""
+    g = add_edge(handled_cube(q), 4, 6, 0, 0)
+    assert g.genus() == 2
+    return g
+
+
+def delete_dual_cycle(g, cycle_edges):
+    """One deletion on a fresh working state: (H, its SurgeryIteration)."""
+    state = SurgeryState(g)
+    step = state.delete_dual_cycle(cycle_edges)
+    return state.graph(), step
 
 
 def one_vertex_torus():
@@ -202,20 +228,222 @@ def test_stale_dual_is_rejected():
 
 
 def test_genus_branch_builds_one_dual_per_surgered_graph(monkeypatch):
-    g = handled_cube(4)
-    _, log = increase_dual_girth(g, edge_connectivity(g))
-    assert log.iterations
-    sizes = [g.edge_count]
-    for it in log.iterations:
-        sizes.append(sizes[-1] - it.cycle_length)
-    built = []
+    # surgery builds a dual for g and one for its result, however often it
+    # iterates, and the whole-dual thread walks are g's and h's: the
+    # deletions in between edit one working dual.  Each graph surgery meets
+    # is searched once; h's dual takes the working dual's search.
+    cases = []
+    for g in (handled_cube(4), twice_handled_cube(4)):
+        h, log = increase_dual_girth(g, edge_connectivity(g))
+        assert len(log.iterations) == g.genus()
+        sizes = [g.edge_count]
+        for it in log.iterations:
+            sizes.append(sizes[-1] - it.cycle_length)
+        cases.append((g, h, sizes))
+    built, walked, searched = [], [], []
+    real_dual, real_walk = geometric_dual, thintree.dual.find_threads
+    real_search = thintree.dual._shortest_cycle
 
-    def counted(graph):
+    def counted(graph, **kw):
         built.append(graph.edge_count)
-        return geometric_dual(graph)
+        return real_dual(graph, **kw)
+
+    def walk(d):
+        walked.append(d.edge_count)
+        return real_walk(d)
+
+    def search(d, floor):
+        searched.append(d.edge_count)
+        return real_search(d, floor)
 
     for module in ("dual", "surgery", "spanning"):
         monkeypatch.setattr(f"thintree.{module}.geometric_dual", counted)
-    pipeline.bounded_genus_thin_tree(g)
-    # one dual per graph surgery searched; the tree reads the last of them
-    assert built == sizes
+    monkeypatch.setattr(thintree.dual, "find_threads", walk)
+    monkeypatch.setattr(thintree.dual, "_shortest_cycle", search)
+    for g, h, sizes in cases:
+        for seen in (built, walked, searched):
+            seen.clear()
+        pipeline.bounded_genus_thin_tree(g)
+        assert built == [g.edge_count, h.edge_count]
+        assert walked == [g.edge_count, h.edge_count]  # neither has a pendant
+        assert searched == sizes
+
+
+# --- one working dual across the iterations -------------------------------
+
+def test_repeated_edge_id_is_rejected():
+    t = torus_grid(3, 3)
+    h, step = delete_dual_cycle(t, [6, 3, 0])
+    assert (step.cycle_edges, step.cycle_length) == ((0, 3, 6), 3)
+    state = SurgeryState(t)
+    with pytest.raises(InvalidInputError, match="repeats"):
+        state.delete_dual_cycle([6, 3, 0, 6])
+    # nothing changed: the same cycle is still there to delete
+    assert state.delete_dual_cycle([6, 3, 0]) == step
+    with pytest.raises(EdgeAbsentError):
+        state.delete_dual_cycle([0])
+    assert state.graph().dart_owner == h.dart_owner
+
+
+def test_part_of_a_thread_is_no_dual_cycle():
+    # one copy of a bundle of three is no dual cycle: every cycle through
+    # it runs through all three
+    g = amplify(torus_grid(3, 3), 3)
+    state = SurgeryState(g)
+    with pytest.raises(InvalidInputError, match="whole threads"):
+        state.delete_dual_cycle([0])
+    with pytest.raises(EdgeAbsentError):
+        state.delete_dual_cycle([-1])
+    assert state.graph() is g
+
+
+@st.composite
+def renumbered_duals(draw):
+    """A dual of a random rotation system (pendant faces and loops
+    included) or of a handled cube, and the same dual under shuffled face
+    ids, built from its edge triples."""
+    if draw(st.booleans()):
+        g = draw(surgery_graphs())
+    else:
+        g = draw(st.sampled_from([handled_cube, twice_handled_cube]))(draw(st.integers(1, 4)))
+    d = geometric_dual(g)
+    name = draw(st.permutations(range(d.face_count)))
+    return d, DualGraph(d.face_count, [(e, name[l], name[r]) for e, l, r in d.dual_edges])
+
+
+@given(renumbered_duals())
+@settings(max_examples=200, deadline=None)
+def test_girth_search_ignores_face_numbering(duals):
+    # the fact the working dual rests on: its face ids are not canonical
+    d, renumbered = duals
+    assert shortest_dual_cycle(renumbered) == shortest_dual_cycle(d)
+
+
+@st.composite
+def surgery_graphs(draw):
+    """A random rotation system, amplified, with empty loops (pendant dual
+    faces) and up to three extra edges spliced in at random corners; an
+    edge between two faces is a handle, and a dual loop."""
+    g = amplify(draw(rotation_systems()), draw(st.integers(3, 6)))
+    assume(g.vertex_count >= 2 and g.is_connected())
+    places = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 30)), max_size=2))
+    g = with_empty_loops(g, places)
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = (draw(st.integers(0, g.vertex_count - 1)) for _ in range(2))
+        pu, pv = (draw(st.integers(0, 200)) for _ in range(2))
+        g = add_edge(g, u, v, pu % len(g.darts_at(u)), pv % len(g.darts_at(v)))
+    return g
+
+
+def rebuilt_surgery(g, k):
+    """The girth-raising loop as it ran before the working dual: every
+    intermediate graph is built, and its dual built and searched, anew.
+    Returns (H, [(cycle, its SurgeryIteration, the graph after)], the dual
+    of H)."""
+    genus = g.genus()
+    h, steps = g, []
+    while True:
+        d = geometric_dual(h)
+        found = shortest_dual_cycle(d)
+        if found is None or not below_threshold(found[0], k, genus):
+            return h, steps, d
+        after = h.delete_edges(found[1])
+        steps.append((found[1], SurgeryIteration(
+            tuple(sorted(found[1])), found[0], h.genus(), after.genus(),
+            len(h.components()), len(after.components())), after))
+        h = after
+
+
+def working_picture(state):
+    """What the working dual holds, face ids left out: its live faces, its
+    pruned edges and its threads as edge sets."""
+    work = state.work
+    return (sorted(f for f in work.faces if f), sorted(work.pendant),
+            sorted(sorted(t.edges) for t in work.threads.values()))
+
+
+def fresh_picture(g):
+    d = geometric_dual(g)
+    threads = d.core_threads()
+    return g.faces(), sorted(d._pendant), sorted(sorted(t.edges) for t in threads)
+
+
+def assert_matches_rebuilt_surgery(g, k):
+    """increase_dual_girth against ``rebuilt_surgery``, step by step: the
+    same cycle and record, and a working dual that holds the faces, the
+    pruned edges and the threads of the dual built anew.  Returns the
+    number of iterations."""
+    ref_h, ref_steps, ref_dual = rebuilt_surgery(g, k)
+    seen = []
+    real = SurgeryState.delete_dual_cycle
+
+    def recorded(self, cycle_edges):
+        step = real(self, cycle_edges)
+        seen.append((list(cycle_edges), step, working_picture(self)))
+        return step
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SurgeryState, "delete_dual_cycle", recorded)
+        h, log = increase_dual_girth(g, k)
+    assert len(seen) == len(ref_steps)
+    for (cycle, step, picture), (ref_cycle, ref_step, after) in zip(seen, ref_steps):
+        assert cycle == ref_cycle
+        assert step == ref_step
+        assert picture == fresh_picture(after)
+    assert (h.dart_owner, h.rotation_next, h.edges()) == (
+        ref_h.dart_owner, ref_h.rotation_next, ref_h.edges())
+    assert log.records() == [asdict(step) for _, step, _ in ref_steps]
+    assert (log.dual.faces, log.dual.face_of, log.dual.edge_count) == (
+        ref_dual.faces, ref_dual.face_of, ref_dual.edge_count)
+    assert shortest_dual_cycle(log.dual) == shortest_dual_cycle(ref_dual)
+    if log.iterations:
+        assert h.genus() == log.iterations[-1].genus_after
+    return len(log.iterations)
+
+
+@given(surgery_inputs())
+@settings(max_examples=40, deadline=None)
+def test_working_dual_matches_rebuilt_surgery(case):
+    assert_matches_rebuilt_surgery(*case)
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+@pytest.mark.parametrize("make", [handled_cube, twice_handled_cube])
+def test_working_dual_matches_rebuilt_surgery_on_handles(make, q):
+    g = make(q)
+    iterations = assert_matches_rebuilt_surgery(g, edge_connectivity(g))
+    assert iterations == (g.genus() if q > 1 else 0)
+
+
+@given(surgery_graphs())
+@settings(max_examples=150, deadline=None)
+def test_working_dual_matches_rebuilt_surgery_on_random_graphs(g):
+    genus, k = g.genus(), edge_connectivity(g)
+    assume(genus >= 1 and k >= 1)
+    target(float(assert_matches_rebuilt_surgery(g, k)))
+
+
+@given(surgery_graphs())
+@settings(max_examples=150, deadline=None)
+def test_working_dual_until_the_dual_is_a_forest(g):
+    """Delete the shortest dual cycle of the working dual, whatever its
+    length, until none is left: many iterations, pendant faces, loops,
+    splits and isolated vertices.  Every step must match the graph and the
+    dual built anew."""
+    state = SurgeryState(g)
+    h, d = g, geometric_dual(g)
+    while True:
+        found = shortest_dual_cycle(d)
+        fresh = shortest_dual_cycle(geometric_dual(h))
+        assert found == fresh
+        if found is None:
+            break
+        step = state.delete_dual_cycle(found[1])
+        after = h.delete_edges(found[1])
+        assert step == SurgeryIteration(
+            tuple(sorted(found[1])), found[0], h.genus(), after.genus(),
+            len(h.components()), len(after.components()))
+        assert working_picture(state) == fresh_picture(after)
+        h, d = after, state.work.view()
+    assert state.graph().dart_owner == h.dart_owner
+    assert state.genus == h.genus() and state.components == len(h.components())
