@@ -52,8 +52,10 @@ def _read(path: str) -> str:
 
 
 def _tree_payload(g, result) -> dict:
-    """The fields of a ThinTreeResult, plus cost_ratio when g is weighted."""
+    """The fields of a ThinTreeResult and its certificate_distance, plus
+    cost_ratio when g is weighted."""
     payload = asdict(result)
+    payload["certificate_distance"] = result.certificate_distance
     cost_ratio = tree_cost_ratio(g, result.tree_edges)
     if cost_ratio is not None:
         payload["cost_ratio"] = cost_ratio

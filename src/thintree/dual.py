@@ -28,6 +28,16 @@ faces.  ``min_pairwise_distance`` runs one Dijkstra search over the same
 contracted threads, cut only at the ends of the queried edges and where a
 pruned edge hangs; it looks into only the threads that hold a queried edge.
 
+The dual of a multigraph of parallel copies (``bundles.BundledGraph``) is a
+``bundles.BundledDual``: the same faces, face ids and core threads, read
+off the support's dual, with each thread's edges and faces held as ranges
+of ids (``bundles.Ranges``) rather than tuples.  The girth search reads a
+thread through its length, its ends and ``Thread.low``, and reads out in
+full only the threads on the cycle it returns; the far-set selection reads
+one position of a thread per step, and reads out a whole-component cycle
+once, when it walks it.  So both run on the support's few threads, however
+many copies the bundles hold.
+
 Surgery edits one dual across its deletions (``WorkingDual``).  A dual
 cycle runs along whole threads, so a deletion drops the threads that end
 in its darts, peels a new face of degree 1, walks again as one the threads
@@ -199,13 +209,19 @@ def _peel(faces, face_of, degree, stack):
 
 
 def geometric_dual(g: EmbeddedGraph, searched: DualGraph | None = None) -> DualGraph:
-    """The geometric dual of g, on g's own faces.
+    """The geometric dual of g, on g's own faces; a ``bundles.BundledDual``,
+    read off the support's dual, when g is a BundledGraph.
 
     ``searched`` is a dual of g under other face ids, such as surgery's
     working dual; the answer of its girth search, if it ran, is kept as
     this dual's, since that answer does not depend on the face ids.
     """
-    d = DualGraph.on_darts(g.faces(), g.face_of_dart(), g.edge_count)
+    if hasattr(g, "bundles"):  # a bundles.BundledGraph
+        from .bundles import BundledDual  # bundles builds on this module
+
+        d = BundledDual(g)
+    else:
+        d = DualGraph.on_darts(g.faces(), g.face_of_dart(), g.edge_count)
     if searched is not None:
         d._shortest = searched._shortest
     return d
@@ -227,6 +243,13 @@ class Thread:
     @property
     def length(self) -> int:
         return len(self.edges)
+
+    @property
+    def low(self) -> int:
+        """The smallest edge id: ``min`` of an edge tuple, else the edges'
+        own ``low`` (``bundles.Ranges``, found one range at a time)."""
+        edges = self.edges
+        return min(edges) if edges.__class__ is tuple else edges.low
 
 
 def find_threads(d: DualGraph) -> list[Thread]:
@@ -538,7 +561,7 @@ def _shortest_cycle(d: DualGraph, floor):
     if loops:
         return 1, (loops[0][0],)
     floor = max(floor, 2)  # only a loop is a cycle of length 1
-    chains = sorted((min(t.edges), t.vertices[0], t.vertices[-1], t)
+    chains = sorted((t.low, t.vertices[0], t.vertices[-1], t)
                     for t in d.core_threads())
     links = {}  # branch face -> (length, key, other end, thread) of its path threads
     for key, a, b, t in chains:
@@ -566,7 +589,9 @@ def _shortest_cycle(d: DualGraph, floor):
         return None
 
     key, t = best
-    edges, verts = t.edges, t.vertices
+    # the cycle holds the anchor's whole thread: reading it costs no more
+    # than the answer
+    edges, verts = tuple(t.edges), tuple(t.vertices)
     o = edges.index(key)
     if verts[o] == d.faces_of(key)[0]:  # l lies before the anchor: turn round
         edges, verts, o = edges[::-1], verts[::-1], len(edges) - 1 - o
@@ -579,7 +604,7 @@ def _shortest_cycle(d: DualGraph, floor):
             (th.edges[0] if th.vertices[0] == x else th.edges[-1], v, th.edges)
             for length, k, v, th in links[x]
             if k != key and dist.get(v, best_len) + length == dist[x])
-        middle += run if run[0] == first else run[::-1]
+        middle += run if run[0] == first else reversed(run)
     return best_len, (*edges[o + 1:], *middle, *edges[:o], key)
 
 

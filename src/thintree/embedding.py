@@ -24,15 +24,6 @@ construction; edge deletion returns a new graph.
 Global measurements are memoised per graph: faces, components, genus, the
 parallel copies of each vertex pair (``pair_counts``), the total cost (for
 the cost map it was taken on) and the edge connectivity (``flows``).
-``expand_parallel`` seeds the edge ids, components, pair counts and total
-cost of the multigraph it builds from the support and the multiplicities,
-without walking the copies.  That is exact: a bundle of q copies joins the
-ends of its edge and adds q - 1 bigon faces, so it changes neither the
-components nor, by the Euler formula, the genus; a pair's copies are the
-sum of its edges' multiplicities, and the total cost is
-sum(mult(e) * cost(e)).  The expanded genus is still measured on the
-traced faces, which the dual reuses, with only kappa taken from the
-support.
 
 ``delete_edges`` copies the maps whole, drops the deleted darts, and
 re-links only the surviving predecessor of each deleted dart in its
@@ -57,6 +48,10 @@ twin of the dart before d on its face.  The faces it traces again keep
 their canonical form, each starting at its smallest dart, but take
 non-canonical indices; ``_components`` counts the components from its pair
 counts.
+
+``expand_parallel`` returns its multigraph of parallel copies as a
+``bundles.BundledGraph``, which holds the support and a range of copy ids
+per support edge, and draws the copies' darts only when they are read.
 """
 
 from __future__ import annotations
@@ -68,6 +63,7 @@ from .errors import (
     BadTwinError,
     DisconnectedError,
     EdgeAbsentError,
+    InvalidInputError,
     MalformedRotationError,
     OddEulerDefectError,
 )
@@ -88,6 +84,9 @@ class EmbeddedGraph:
         self.dart_owner = dart_owner
         self.rotation_next = rotation_next
         self.edge_cost = edge_cost
+        self._unmeasured()
+
+    def _unmeasured(self):
         self._faces = None
         self._components = None
         self._edges = None
@@ -202,6 +201,10 @@ class EmbeddedGraph:
 
     # -- derived graphs -------------------------------------------------
 
+    def explicit(self) -> "EmbeddedGraph":
+        """This graph with a dart pair for every edge: self."""
+        return self
+
     def delete_edges(self, edge_ids) -> "EmbeddedGraph":
         """New graph with the given edges removed (rotation splicing).
 
@@ -214,6 +217,22 @@ class EmbeddedGraph:
         absent = sorted(e for e in doomed if not self.has_edge(e))
         if absent:
             raise EdgeAbsentError(f"edges not present: {absent}")
+        h = self._without(doomed)
+        if self._pairs is not None:
+            pairs = dict(self._pairs)
+            for e in doomed:
+                u, v = self.endpoints(e)
+                if u != v:
+                    key = (u, v) if u < v else (v, u)
+                    pairs[key] -= 1
+                    if not pairs[key]:
+                        del pairs[key]
+            h._pairs = pairs
+        return h
+
+    def _without(self, doomed) -> "EmbeddedGraph":
+        """``delete_edges`` of the edges ``doomed``, all present, but for
+        the pair counts."""
         gone = {d for e in doomed for d in (2 * e, 2 * e + 1)}
         owner = dict(self.dart_owner)
         rot = dict(self.rotation_next)
@@ -251,16 +270,6 @@ class EmbeddedGraph:
         h = EmbeddedGraph(self.vertex_count, owner, rot, cost)
         if self._edges is not None:
             h._edges = [e for e in self._edges if e not in doomed]
-        if self._pairs is not None:
-            pairs = dict(self._pairs)
-            for e in doomed:
-                u, v = self.endpoints(e)
-                if u != v:
-                    key = (u, v) if u < v else (v, u)
-                    pairs[key] -= 1
-                    if not pairs[key]:
-                        del pairs[key]
-            h._pairs = pairs
         if self._faces is not None:
             h._faces = self._spliced_faces(gone, rot)
         return h
@@ -328,51 +337,43 @@ def expand_parallel(g: EmbeddedGraph, multiplicity, cost=None):
 
     Copies are inserted in one order at the side of dart 2e and in reverse
     order at the side of dart 2e+1, so consecutive copies bound bigon faces
-    and the genus is unchanged.  Edges with multiplicity 0 are deleted
-    first.  Returns (expanded graph, map new edge id -> old edge id); new
-    ids are contiguous, assigned in old-id order.
+    and the genus is unchanged.  Edges with multiplicity 0 (or none given)
+    are deleted first.  Returns (expanded graph, map new edge id -> old
+    edge id); new ids are contiguous, assigned in old-id order.
 
+    The expanded graph is a BundledGraph on the support that is left: no
+    copy is drawn until its darts are read (see ``bundles``).
     ``cost`` optionally maps an old edge id to the Fraction that each of
-    its copies carries.  The edge ids, components, pair counts and total
-    cost of the result are seeded from the support (see the module
-    docstring); its genus is measured and must equal the support's.
+    its copies carries.  Raises InvalidInputError, before anything is
+    built, when a key of ``multiplicity`` is not an edge of g or its value
+    is not a non-negative integer.
     """
+    for e, m in multiplicity.items():
+        if not (isinstance(e, int) and g.has_edge(e)):
+            raise InvalidInputError(f"multiplicity given for {e!r}, not an edge")
+        if not isinstance(m, int) or m < 0:
+            raise InvalidInputError(
+                f"multiplicity {m!r} of edge {e} is not a non-negative integer")
+    from .bundles import BundledGraph, Origin, Ranges  # bundles builds on this module
+
+    g = g.explicit()
     zero = [e for e in g.edges() if multiplicity.get(e, 0) == 0]
     base = g.delete_edges(zero) if zero else g
 
-    new_ids = {}
-    origin = {}
-    costs = None if cost is None else {}
+    ids = {}
     counter = 0
     for e in base.edges():
-        ids = range(counter, counter + multiplicity[e])
-        new_ids[e] = ids
-        block = dict.fromkeys(ids, e)
-        origin.update(block)
-        if costs is not None:  # keyed by the same id objects as origin
-            costs.update(dict.fromkeys(block, cost[e]))
-        counter = ids.stop
-
-    owner = {}
-    rot = {}
-    for v in range(base.vertex_count):
-        cycle = []
-        for d in base.darts_at(v):
-            ids = new_ids[d >> 1]
-            darts = range(2 * ids.start + (d & 1), 2 * ids.stop, 2)
-            cycle.extend(reversed(darts) if d & 1 else darts)
-        owner.update(dict.fromkeys(cycle, v))
-        rot.update(zip(cycle, cycle[1:] + cycle[:1]))
-
-    expanded = EmbeddedGraph(base.vertex_count, owner, rot, costs)
-    expanded._edges = list(origin)
+        ids[e] = range(counter, counter + multiplicity[e])
+        counter = ids[e].stop
+    origin = Origin(ids)
+    bundles = {e: Ranges((r,)) for e, r in ids.items()}
+    unit = None if cost is None else {e: cost[e] for e in ids}
+    expanded = BundledGraph(base, bundles, origin, unit)
     expanded._components = base.components()
     expanded._pairs = _pair_counts(base, multiplicity)
-    if costs is not None:
-        expanded._total_cost = (costs, _cost_sum(
-            (multiplicity[e], cost[e]) for e in base.edges()))
-    if expanded.genus() != base.genus():
-        raise OddEulerDefectError("parallel expansion changed the genus")
+    if unit is not None:
+        expanded._total_cost = (expanded.edge_cost, _cost_sum(
+            (multiplicity[e], c) for e, c in unit.items()))
     return expanded, origin
 
 

@@ -110,7 +110,6 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
         tree_edges=tuple(tree_edges),
         far_set=tuple(far_edges),
         thinness_bound=genus_bound(genus) / k,
-        certificate_distance=1,
         g_star=g_star_min or 1,
         alpha=alpha(genus),
     )

@@ -10,7 +10,7 @@ primal edges of the selected set hit every dual cycle, hence cross every
 cut, hence span; and because the selected dual edges end up far apart, the
 set crosses no cut too often.  The emitted certificate is the measured
 minimum pairwise dual distance m (capped at the dual girth), which makes the
-selected set 1/m-thin.
+selected set 1/m-thin; it is measured only when read.
 
 The dual is ``geometric_dual`` of the graph: its faces as they are, one
 dart -> face map, and threads walked on the darts.  On the planar branch
@@ -29,8 +29,9 @@ which a dual from before surgery's last deletion does not.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from functools import partial
 from heapq import heappop, heappush
 from itertools import count
 
@@ -104,7 +105,7 @@ class ThreadGraph:
         self.heap = []
         self.ids = count()
         for i, t in enumerate(self.core):
-            self._add(t.vertices[0], t.vertices[-1], [(i, True)], t.length, min(t.edges))
+            self._add(t.vertices[0], t.vertices[-1], [(i, True)], t.length, t.low)
 
     def _add(self, a, b, chain, length, low) -> None:
         t = next(self.ids)
@@ -229,15 +230,26 @@ class ThinTreeResult:
 
     thinness_bound is 2*alpha/g*; certificate_distance is the measured
     minimum pairwise dual distance m of the far set (capped into [1, g*]),
-    which certifies that far_set is 1/m-thin.
+    which certifies that far_set is 1/m-thin.  It is measured on its first
+    read (``certificate`` holds the value or the function that measures
+    it), so a caller that reads only the tree never pays for it.
     """
 
     tree_edges: tuple[int, ...]
     far_set: tuple[int, ...]
     thinness_bound: Fraction
-    certificate_distance: int
     g_star: int
     alpha: int
+    certificate: InitVar[object] = 1
+
+    def __post_init__(self, certificate):
+        self._certificate = certificate
+
+    @property
+    def certificate_distance(self) -> int:
+        if callable(self._certificate):
+            self._certificate = self._certificate()
+        return self._certificate
 
 
 def tree_cost_ratio(g: EmbeddedGraph, tree_edges) -> Fraction | None:
@@ -283,7 +295,8 @@ def thin_spanning_tree(g: EmbeddedGraph, dual: DualGraph | None = None,
     For g* <= 2*alpha the bound is at least 1, so any spanning tree does and
     the whole edge set is reported as the far set with certificate 1.
     Otherwise the selection loop runs and the certificate is the measured
-    minimum pairwise dual distance of the selected dual edges.  Raises
+    minimum pairwise dual distance of the selected dual edges, measured
+    when it is first read.  Raises
     InvalidInputError on fewer than 2 vertices: no cut to be thin on.
 
     ``dual`` is g's geometric dual when the caller holds it already
@@ -312,15 +325,21 @@ def thin_spanning_tree(g: EmbeddedGraph, dual: DualGraph | None = None,
         certificate = 1
     else:
         far = select_far_edge_set(d, g_star, a)
-        measured = min_pairwise_distance(d, far)
-        certificate = g_star if measured is None else max(1, min(measured, g_star))
+        certificate = partial(_certificate, d, far, g_star)
 
     tree = _bfs_spanning_tree(g, far)
     return ThinTreeResult(
         tree_edges=tuple(tree),
         far_set=tuple(far),
         thinness_bound=Fraction(2 * a, g_star),
-        certificate_distance=certificate,
         g_star=g_star,
         alpha=a,
+        certificate=certificate,
     )
+
+
+def _certificate(d: DualGraph, far, g_star: int) -> int:
+    """The measured minimum pairwise dual distance of ``far``, capped into
+    [1, g_star]."""
+    measured = min_pairwise_distance(d, far)
+    return g_star if measured is None else max(1, min(measured, g_star))

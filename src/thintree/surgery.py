@@ -17,12 +17,13 @@ dual's face ids are not canonical, which the girth search does not see
 (see ``WorkingDual``), so each intermediate dual is searched by the one
 ``shortest_dual_cycle``.
 
-The loop ends on a dual whose girth meets the threshold (or that has no
-cycle).  Only then is the graph built, once, as g.delete_edges(every
-deleted edge), with its canonical dual, which takes the working dual's
-last girth search.  The log hands that dual on as ``SurgeryLog.dual``, and
-the spanning step that builds a tree on the returned graph reads it rather
-than building and searching it again.  So surgery builds the duals of g and
+A BundledGraph is drawn out once, before the loop (``explicit``), since
+surgery splices single darts.  The loop ends on a dual whose girth meets
+the threshold (or that has no cycle).  Only then is the graph built, once,
+as g.delete_edges(every deleted edge), with its canonical dual, which
+takes the working dual's last girth search.  The log hands that dual on
+as ``SurgeryLog.dual``, and the spanning step that builds a tree on the
+returned graph reads it rather than building and searching it again.  So surgery builds the duals of g and
 of its result and no other, however often it iterates.
 """
 
@@ -87,11 +88,14 @@ class SurgeryState:
     and the genus, the component count and V - E + F of the current graph
     (an isolated vertex counting one face).  ``delete_dual_cycle`` measures
     only what its cycle touched; ``graph`` builds the current graph.  ``d``
-    is g's geometric dual when the caller holds it already.
+    is g's geometric dual when the caller holds it already.  A BundledGraph
+    g works on its copies drawn one by one (``explicit``), since a deletion
+    splices single darts.
     """
 
     def __init__(self, g: EmbeddedGraph, d: DualGraph | None = None):
         self.g = g
+        g = g.explicit()
         self.rot = dict(g.rotation_next)
         self.work = WorkingDual(geometric_dual(g) if d is None else d)
         self.pairs = g.pair_counts()
@@ -229,6 +233,7 @@ def increase_dual_girth(g: EmbeddedGraph, k: int):
         raise NotEdgeConnectedError(f"connectivity {measured} < k = {k}")
 
     log = SurgeryLog(k=k, genus=genus)
+    g = g.explicit()  # surgery deletes single copies' darts
     d = geometric_dual(g)
     state = None
     while True:
