@@ -44,7 +44,12 @@ in its darts, peels a new face of degree 1, walks again as one the threads
 that meet at a new face of degree 2, and gives every other thread that
 ends on a new face the new ids of its end faces.  Its face ids are not
 canonical, and need not be: the girth search's answer does not depend on
-how the faces are numbered (see ``WorkingDual``).
+how the faces are numbered (see ``WorkingDual``).  Its last view is handed
+on as the dual of surgery's result.  The far-set selection reads face ids
+in order only to fix a thread's walk direction, and on a view it ranks
+faces by their first dart (``DualGraph.rank``): each face starts at its
+smallest dart, and canonical ids are sorted by it.  A view's
+``face_count`` counts its live faces.
 """
 
 from __future__ import annotations
@@ -86,7 +91,13 @@ class DualGraph:
         edge_count: number of dual edges.
         faces: per face, the tuple of its darts; its length is the degree.
         face_of: list dart -> face.
+        rank: None when the face ids are canonical, ranked as a fresh
+            trace ranks the faces, by each face's first (smallest) dart;
+            on a view of surgery's ``WorkingDual``, whose ids are not, the
+            function face -> that dart.
     """
+
+    rank = None
 
     def __init__(self, face_count, dual_edges):
         dual_edges = list(dual_edges)
@@ -165,17 +176,29 @@ class DualGraph:
 
     def _hangs(self):
         """Thread index -> offsets of the faces of that thread of
-        ``core_threads()`` that a pruned edge hangs from, found once."""
+        ``core_threads()`` that a pruned edge hangs from, found once.  On
+        Ranges a face at both ends of a cycle thread is found at its start
+        only; every thread is cut at both its ends anyway."""
         if self._hung is None:
             hangs = {}
             if self._pendant:
                 feet = {f for e in self._pendant for f in self.faces_of(e)}
                 for i, t in enumerate(self.core_threads()):
-                    offsets = [o for o, f in enumerate(t.vertices) if f in feet]
+                    offsets = _offsets(t.vertices, feet)
                     if offsets:
                         hangs[i] = offsets
             self._hung = hangs
         return self._hung
+
+
+def _offsets(items, wanted) -> list[int]:
+    """The offsets in ``items``, a tuple or a ``bundles.Ranges``, of the
+    members of the set ``wanted`` that it holds: one pass over a tuple,
+    one ``in`` and one ``index`` per wanted member over Ranges, which
+    cost one step per range, so a thread of many copies is not walked."""
+    if items.__class__ is tuple:
+        return [o for o, x in enumerate(items) if x in wanted]
+    return [items.index(x) for x in wanted if x in items]
 
 
 def _core_faces(faces, face_of, pendant):
@@ -208,23 +231,14 @@ def _peel(faces, face_of, degree, stack):
     return pendant
 
 
-def geometric_dual(g: EmbeddedGraph, searched: DualGraph | None = None) -> DualGraph:
+def geometric_dual(g: EmbeddedGraph) -> DualGraph:
     """The geometric dual of g, on g's own faces; a ``bundles.BundledDual``,
-    read off the support's dual, when g is a BundledGraph.
-
-    ``searched`` is a dual of g under other face ids, such as surgery's
-    working dual; the answer of its girth search, if it ran, is kept as
-    this dual's, since that answer does not depend on the face ids.
-    """
+    read off the support's dual, when g is a BundledGraph."""
     if hasattr(g, "bundles"):  # a bundles.BundledGraph
         from .bundles import BundledDual  # bundles builds on this module
 
-        d = BundledDual(g)
-    else:
-        d = DualGraph.on_darts(g.faces(), g.face_of_dart(), g.edge_count)
-    if searched is not None:
-        d._shortest = searched._shortest
-    return d
+        return BundledDual(g)
+    return DualGraph.on_darts(g.faces(), g.face_of_dart(), g.edge_count)
 
 
 @dataclass(frozen=True)
@@ -344,20 +358,22 @@ class WorkingDual:
     Face ids do not stay canonical: a new face, the longest first, takes
     the id of the dead face its first dart lay on while that id is free,
     or else a new id at the end, and a dead face left over becomes an
-    empty tuple.  So most threads that end on a split or merged face keep
-    their end faces' ids.  That is exact for the girth search, whose answer
-    does not depend on how the faces are numbered: its anchor is the
-    smallest edge id on a shortest cycle, its read-back compares edge ids,
-    and the links at a face have distinct first edges.  Threads are
-    kept as maximal chains, but a closed chain may start at another face
-    and a path may run the other way than ``find_threads`` would walk them;
-    the search orients each thread by its anchor.
+    empty tuple (``live`` counts the others).  So most threads that end on
+    a split or merged face keep their end faces' ids.  That is exact for
+    the girth search, whose answer does not depend on how the faces are
+    numbered: its anchor is the smallest edge id on a shortest cycle, its
+    read-back compares edge ids, and the links at a face have distinct
+    first edges.  Threads are kept as maximal chains, but a closed chain
+    may start at another face and a path may run the other way than
+    ``find_threads`` would walk them; the search orients each thread by
+    its anchor, and the far-set selection by the faces' ``rank``.
     """
 
     def __init__(self, d: DualGraph):
         threads = d.core_threads()
         self.faces = list(d.faces)
         self.face_of = list(d.face_of)
+        self.live = d.face_count  # the faces that are not empty tuples
         self.edge_count = d.edge_count
         self.pendant = set(d._pendant)
         self.core = _core_faces(self.faces, self.face_of, self.pendant)
@@ -377,9 +393,13 @@ class WorkingDual:
         self.ends[x] = self.ends[z] = (x, z)
 
     def view(self) -> DualGraph:
-        """The current dual, its threads found; it shares this object's
-        lists, so it holds only until the next ``replace``."""
-        d = DualGraph.on_darts(self.faces, self.face_of, self.edge_count)
+        """The current dual, its threads found, with non-canonical face ids
+        and its live faces counted in ``face_count``; it shares this
+        object's lists, so it holds only until the next ``replace``."""
+        faces = self.faces
+        d = DualGraph.on_darts(faces, self.face_of, self.edge_count)
+        d.face_count = self.live
+        d.rank = lambda f: faces[f][0]
         d._threads = tuple(self.threads.values())
         d._pendant = list(self.pendant)
         return d
@@ -429,6 +449,7 @@ class WorkingDual:
             new[i] = f
         for f in free:
             faces[f] = core[f] = ()
+        self.live += len(born) - len(dead)
         for e in cycle:
             face_of[2 * e] = face_of[2 * e + 1] = None
         for f, walk in zip(new, born):
@@ -651,8 +672,11 @@ def min_pairwise_distance(d: DualGraph, edge_ids) -> int | None:
     # only the threads that hold a queried edge are cut at it; pruned
     # edges lie on no thread
     queried = set(ids)
-    cuts = {i: [t.edges.index(e) for e in queried.intersection(t.edges)]
-            for i, t in enumerate(threads) if not queried.isdisjoint(t.edges)}
+    cuts = {}
+    for i, t in enumerate(threads):
+        offsets = _offsets(t.edges, queried)
+        if offsets:
+            cuts[i] = offsets
 
     links = {}  # face -> (length, other end) of each link at it
 

@@ -25,27 +25,27 @@ Global measurements are memoised per graph: faces, components, genus, the
 parallel copies of each vertex pair (``pair_counts``), the total cost (for
 the cost map it was taken on) and the edge connectivity (``flows``).
 
-``delete_edges`` copies the maps whole, drops the deleted darts, and
-re-links only the surviving predecessor of each deleted dart in its
-rotation.  It seeds the result's edge ids (the parent's minus the deleted
-ones), pair counts (one copy fewer per deleted non-loop edge, pairs at 0
-dropped) and faces from whichever of those the parent has measured.  The
-faces are exact: on a face that holds no deleted dart, phi'(d) = phi(d),
-because twin(d) survives and its old successor phi(d) lies on the same
-face, so it survives too and the splice leaves it in place.  Such a face
-is kept as the same tuple; only the surviving darts of the other faces are
-traced again, and the merged list is sorted as a cold trace would be.
+``delete_edges`` copies the maps whole, drops the deleted darts, and walks
+each face that held one once: the dart before a deleted dart d in its
+rotation is the twin of the dart before d on its face, since
+phi(y) = rotation_next[y ^ 1], so that walk re-links each surviving
+predecessor and gives the darts to trace again.  It seeds the result's
+edge ids (the parent's minus the deleted ones), pair counts (one copy
+fewer per deleted non-loop edge, pairs at 0 dropped) and faces from
+whichever of those the parent has measured.  The faces are exact: on a
+face that holds no deleted dart, phi'(d) = phi(d), because twin(d)
+survives and its old successor phi(d) lies on the same face, so it
+survives too and the splice leaves it in place.  Such a face is kept as
+the same tuple; only the surviving darts of the walked faces are traced
+again, and merged into the kept list in the order of a cold trace.
 Components are the union of the vertex pairs with a positive count, so
 they follow from the seeded pair counts, and the genus is still measured
 by the Euler formula on these faces and components.
 
 Surgery (``surgery.SurgeryState``) applies the same facts to one mutable
 copy of the rotations across many deletions, and builds a graph only at
-the end, with ``delete_edges``.  There the rotation predecessor of a
-deleted dart d is found on its face rather than by walking its vertex:
-phi(y) = rotation_next[y ^ 1], so the dart before d in its rotation is the
-twin of the dart before d on its face.  The faces it traces again keep
-their canonical form, each starting at its smallest dart, but take
+the end, with ``delete_edges``.  The faces it traces again keep their
+canonical form, each starting at its smallest dart, but take
 non-canonical indices; ``_components`` counts the components from its pair
 counts.
 
@@ -56,7 +56,7 @@ per support edge, and draws the copies' darts only when they are read.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from fractions import Fraction
 
 from .errors import (
@@ -232,36 +232,40 @@ class EmbeddedGraph:
 
     def _without(self, doomed) -> "EmbeddedGraph":
         """``delete_edges`` of the edges ``doomed``, all present, but for
-        the pair counts."""
+        the pair counts.
+
+        Each face that holds a deleted dart is walked once.  The dart
+        before a deleted dart d in its rotation is the twin of the dart
+        before d on its face, since phi(y) = rotation_next[y ^ 1], so the
+        walk re-links each surviving predecessor to its next survivor, and
+        its surviving darts are the ones traced again.
+        """
         gone = {d for e in doomed for d in (2 * e, 2 * e + 1)}
-        owner = dict(self.dart_owner)
-        rot = dict(self.rotation_next)
-        for d in gone:
-            del owner[d], rot[d]
-        # re-link the surviving predecessor of each deleted dart, walking
-        # each vertex that loses a dart once around its old rotation
         nxt = self.rotation_next
-        walked = set()
+        owner = dict(self.dart_owner)
+        rot = dict(nxt)
+        walks = []
+        seen = set()
         for d0 in gone:
-            v = self.dart_owner[d0]
-            if v in walked:
+            if d0 in seen:
                 continue
-            walked.add(v)
-            first = nxt[d0]
-            while first in gone and first != d0:
-                first = nxt[first]
-            if first == d0:
-                continue  # v lost all its darts
-            d = first
-            while True:
-                after = nxt[d]
-                if after in gone:
+            walk = [d0]
+            d = nxt[d0 ^ 1]
+            while d != d0:
+                walk.append(d)
+                d = nxt[d ^ 1]
+            seen.update(walk)
+            walks.append(walk)
+            y = walk[-1]  # the dart before d on the face
+            for d in walk:
+                if d in gone and y ^ 1 not in gone:
+                    after = nxt[d]
                     while after in gone:
                         after = nxt[after]
-                    rot[d] = after
-                d = after
-                if d == first:
-                    break
+                    rot[y ^ 1] = after
+                y = d
+        for d in gone:
+            del owner[d], rot[d]
         cost = None
         if self.edge_cost is not None:
             cost = dict(self.edge_cost)
@@ -269,42 +273,22 @@ class EmbeddedGraph:
                 del cost[e]
         h = EmbeddedGraph(self.vertex_count, owner, rot, cost)
         if self._edges is not None:
-            h._edges = [e for e in self._edges if e not in doomed]
-        if self._faces is not None:
-            h._faces = self._spliced_faces(gone, rot)
-        return h
-
-    def _spliced_faces(self, gone, rot):
-        """faces() after deleting the darts ``gone``, whose survivors are
-        spliced by ``rot``: the faces that hold no deleted dart are kept
-        as they are, and only the surviving darts of the others are traced
-        again."""
+            edges = list(self._edges)
+            for e in sorted(doomed, reverse=True):
+                del edges[bisect_left(edges, e)]
+            h._edges = edges
         faces = self._faces
-        touched = []  # index in faces of each face that holds a deleted dart
-        retrace = []
-        seen = set()
-        for d0 in gone:
-            if d0 in seen:
-                continue
-            walk = []
-            d = d0
-            while True:
-                walk.append(d)
-                d = self.rotation_next[d ^ 1]
-                if d == d0:
-                    break
-            seen.update(walk)
-            touched.append(bisect_left(faces, (min(walk),)))
-            retrace.extend(d for d in walk if d not in gone)
-        kept = []
-        start = 0
-        for i in sorted(touched):
-            kept += faces[start:i]
-            start = i + 1
-        kept += faces[start:]
-        kept += _trace(retrace, rot)
-        kept.sort()
-        return kept
+        if faces is not None:
+            # the faces with no deleted dart are kept; each walked face
+            # starts at its smallest dart in faces
+            kept = list(faces)
+            for i in sorted((bisect_left(faces, (min(w),)) for w in walks),
+                            reverse=True):
+                del kept[i]
+            for f in _trace([d for w in walks for d in w if d not in gone], rot):
+                insort(kept, f)
+            h._faces = kept
+        return h
 
     def restrict_to_component(self, vertices) -> "EmbeddedGraph":
         """Standalone embedding of one component.
@@ -346,7 +330,8 @@ def expand_parallel(g: EmbeddedGraph, multiplicity, cost=None):
     ``cost`` optionally maps an old edge id to the Fraction that each of
     its copies carries.  Raises InvalidInputError, before anything is
     built, when a key of ``multiplicity`` is not an edge of g or its value
-    is not a non-negative integer.
+    is not a non-negative integer, or when ``cost`` gives no cost or a
+    negative one for an edge of positive multiplicity.
     """
     for e, m in multiplicity.items():
         if not (isinstance(e, int) and g.has_edge(e)):
@@ -354,6 +339,11 @@ def expand_parallel(g: EmbeddedGraph, multiplicity, cost=None):
         if not isinstance(m, int) or m < 0:
             raise InvalidInputError(
                 f"multiplicity {m!r} of edge {e} is not a non-negative integer")
+        if cost is not None and m:
+            if e not in cost:
+                raise InvalidInputError(f"no cost given for edge {e}")
+            if cost[e] < 0:
+                raise InvalidInputError(f"negative cost {cost[e]} on edge {e}")
     from .bundles import BundledGraph, Origin, Ranges  # bundles builds on this module
 
     g = g.explicit()

@@ -19,11 +19,15 @@ girth (bond-cycle duality), so the girth search stops at its first cycle of
 length k; that is exact, because only a strictly shorter cycle replaces the
 best, and none is shorter than k.  The dual is built here, except on the
 genus branch when surgery leaves the graph connected: the tree is then
-built on surgery's own result, and ``increase_dual_girth`` hands over the
-dual it built of that very graph and searched for its girth last.  Both are
-read as they are, so the girth and the threads are those a fresh build
-would find.  A handed dual must match the graph's face and edge counts,
-which a dual from before surgery's last deletion does not.
+built on surgery's own result, and ``increase_dual_girth`` hands over its
+working dual's last view, which it has searched for the girth.  Its
+threads are the graph's, but its face ids are not canonical, and the one
+place the selection reads face ids in order, ``ThreadGraph.walk``, compares
+them by their canonical rank (``DualGraph.rank``, each face's first dart).
+So the girth, the threads, the far set and the certificate are those a
+fresh build would give.  A handed dual must match the graph's face and
+edge counts (a view counts its live faces), which a dual from before
+surgery's last deletion does not.
 """
 
 from __future__ import annotations
@@ -91,13 +95,18 @@ class ThreadGraph:
     rules of ``find_threads``: a path runs from its end face with the
     smaller id; a cycle at a branch face leaves it along the smaller of its
     two end edges; a cycle that is a whole component starts at its
-    smallest face and leaves along that face's smaller edge.  Threads share
-    no edge, so the heap key (-length, smallest edge id) of a live thread is
-    unique; stale heap entries are skipped when they reach the top.
+    smallest face and leaves along that face's smaller edge.  Faces are
+    compared by their canonical rank: the id itself, or on a dual whose ids
+    are not canonical (a view of surgery's working dual) the face's first
+    dart, its smallest, by which a fresh trace sorts the faces.  Threads
+    share no edge, so the heap key (-length, smallest edge id) of a live
+    thread is unique; stale heap entries are skipped when they reach the
+    top.
     """
 
     def __init__(self, d: DualGraph):
         self.core = d.core_threads()
+        self.rank = d.rank
         self.ends = {}
         self.chain = {}
         self.size = {}  # live thread -> (length, smallest edge id)
@@ -177,9 +186,11 @@ class ThreadGraph:
         starts ``start`` edges into the chain, and wraps round for a
         cycle."""
         (a, b), chain = self.ends[t], self.chain[t]
-        length = self.size[t][0]
+        length, rank = self.size[t][0], self.rank
         if a != b:
-            return (chain, 0) if a < b else (_reversed(chain), 0)
+            if a < b if rank is None else rank(a) < rank(b):
+                return chain, 0
+            return _reversed(chain), 0
         if len(self.at[a]) > 2:  # a cycle at a branch face
             forward = self._edge(chain, 0) < self._edge(chain, length - 1)
             return (chain, 0) if forward else (_reversed(chain), 0)
@@ -188,9 +199,10 @@ class ThreadGraph:
         for c, forward in chain:
             verts = self.core[c].vertices
             verts = verts[:-1] if forward else verts[:0:-1]
-            m = min(verts)
-            if low is None or m < low:
-                low, j = m, pos + verts.index(m)
+            m = min(verts, key=rank)
+            r = m if rank is None else rank(m)
+            if low is None or r < low:
+                low, j = r, pos + verts.index(m)
             pos += len(verts)
         if self._edge(chain, j) < self._edge(chain, j - 1 if j else length - 1):
             return chain, j
@@ -299,11 +311,11 @@ def thin_spanning_tree(g: EmbeddedGraph, dual: DualGraph | None = None,
     when it is first read.  Raises
     InvalidInputError on fewer than 2 vertices: no cut to be thin on.
 
-    ``dual`` is g's geometric dual when the caller holds it already
-    (surgery's last one); it is built here otherwise.  A dual whose face or
-    edge count differs from g's raises DualMismatchError.  ``floor`` is a
-    proven lower bound on the dual girth, handed to the girth search (see
-    ``shortest_dual_cycle``).
+    ``dual`` is g's dual when the caller holds it already (the working
+    dual's last view that surgery hands on); it is built here otherwise.
+    A dual whose face or edge count differs from g's raises
+    DualMismatchError.  ``floor`` is a proven lower bound on the dual
+    girth, handed to the girth search (see ``shortest_dual_cycle``).
     """
     if g.vertex_count < 2:
         raise InvalidInputError("thin_spanning_tree needs at least 2 vertices")

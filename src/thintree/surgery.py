@@ -12,23 +12,26 @@ one mutable copy of the rotations and of the dual (``dual.WorkingDual``),
 and the pair counts.  Each deletion splices out only the deleted darts,
 traces again only the faces that held them, and re-threads only what ends
 on those faces; the genus after it follows by the Euler formula from the
-new face count, and the components from the pair counts.  The working
-dual's face ids are not canonical, which the girth search does not see
-(see ``WorkingDual``), so each intermediate dual is searched by the one
+new face count, and the components from the pair counts, counted again
+only when a pair that lost its last edge no longer joins its ends.  The
+working dual's face ids are not canonical, which the girth search does not
+see (see ``WorkingDual``), so each intermediate dual is searched by the one
 ``shortest_dual_cycle``.
 
 A BundledGraph is drawn out once, before the loop (``explicit``), since
 surgery splices single darts.  The loop ends on a dual whose girth meets
 the threshold (or that has no cycle).  Only then is the graph built, once,
-as g.delete_edges(every deleted edge), with its canonical dual, which
-takes the working dual's last girth search.  The log hands that dual on
-as ``SurgeryLog.dual``, and the spanning step that builds a tree on the
-returned graph reads it rather than building and searching it again.  So surgery builds the duals of g and
-of its result and no other, however often it iterates.
+as g.delete_edges(every deleted edge).  The log hands on the working
+dual's last view, girth searched, as ``SurgeryLog.dual``, and the spanning
+step that builds a tree on the returned graph reads it, ranking its faces
+canonically (see ``spanning.ThreadGraph``), rather than building, walking
+and searching the graph's dual again.  So surgery builds one dual, g's,
+however often it iterates.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
 from .dual import DualGraph, WorkingDual, geometric_dual, shortest_dual_cycle
@@ -59,7 +62,9 @@ class SurgeryLog:
     """Per-iteration bookkeeping for one girth-raising run.
 
     ``dual`` is the dual of the returned graph, holding the loop's last
-    girth search; it is not part of the records.
+    girth search: g's own dual when the loop deleted nothing, else the
+    working dual's last view, whose face ids are not canonical (its
+    ``rank`` orders them).  It is not part of the records.
     """
 
     k: int
@@ -84,9 +89,10 @@ class SurgeryState:
     """A graph under surgery: g less the dual cycles deleted so far.
 
     It holds one mutable copy of g's rotations and one of g's dual
-    (``work``, a ``WorkingDual``), g's pair counts less the deleted edges,
-    and the genus, the component count and V - E + F of the current graph
-    (an isolated vertex counting one face).  ``delete_dual_cycle`` measures
+    (``work``, a ``WorkingDual``), g's pair counts less the deleted edges
+    (and, once a pair has lost its last edge, ``adj``: each vertex's
+    neighbours over those pairs), and the genus, the component count and
+    V - E + F of the current graph (an isolated vertex counting one face).  ``delete_dual_cycle`` measures
     only what its cycle touched; ``graph`` builds the current graph.  ``d``
     is g's geometric dual when the caller holds it already.  A BundledGraph
     g works on its copies drawn one by one (``explicit``), since a deletion
@@ -99,6 +105,7 @@ class SurgeryState:
         self.rot = dict(g.rotation_next)
         self.work = WorkingDual(geometric_dual(g) if d is None else d)
         self.pairs = g.pair_counts()
+        self.adj = None  # vertex -> the vertices it shares a pair with
         self.genus = g.genus()
         self.components = len(g.components())
         self.euler = 2 * self.components - 2 * self.genus
@@ -110,7 +117,8 @@ class SurgeryState:
         The rotations lose only the deleted darts, and only the faces that
         held them are traced again.  The genus after follows by the Euler
         formula from the new face count, and the components from the pair
-        counts, counted again only when a pair lost its last edge.  The new
+        counts, counted again only when a pair lost its last edge and no
+        path of the pairs left (``adj``) joins its ends.  The new
         graph must have smaller genus or more components; a violation means
         the rotation-level surgery disagrees with the surface argument and
         is a fatal correctness bug.
@@ -138,7 +146,7 @@ class SurgeryState:
         work.replace(cycle, hit, dead, born)
 
         owner, pairs = self.g.dart_owner, self.pairs
-        split = False
+        emptied = []
         for e in cycle:
             u, v = owner[2 * e], owner[2 * e + 1]
             if u != v:
@@ -146,9 +154,15 @@ class SurgeryState:
                 pairs[key] -= 1
                 if not pairs[key]:
                     del pairs[key]
-                    split = True
-        comps = (len(_components(self.g.vertex_count, pairs)) if split
-                 else self.components)
+                    emptied.append(key)
+        comps = self.components
+        if emptied:
+            adj = self._adjacency()
+            for u, v in emptied:
+                adj[u].discard(v)
+                adj[v].discard(u)
+            if not all(_joined(adj, u, v) for u, v in emptied):
+                comps = len(_components(self.g.vertex_count, pairs))
         self.euler += len(cycle) + len(born) - len(dead) + bare
         defect = 2 * comps - self.euler
         if defect % 2 or defect < 0:
@@ -169,6 +183,15 @@ class SurgeryState:
         self.genus, self.components = step.genus_after, comps
         self.deleted += cycle
         return step
+
+    def _adjacency(self):
+        """``adj``, built from the current pair counts on the first call."""
+        if self.adj is None:
+            self.adj = adj = defaultdict(set)
+            for u, v in self.pairs:
+                adj[u].add(v)
+                adj[v].add(u)
+        return self.adj
 
     def _splice(self, gone) -> int:
         """Drop the darts ``gone`` from the rotations and link each
@@ -213,6 +236,19 @@ class SurgeryState:
         return self.g.delete_edges(self.deleted) if self.deleted else self.g
 
 
+def _joined(adj, u, v) -> bool:
+    """Whether a path of the adjacency ``adj`` joins u to v."""
+    seen, stack = {u}, [u]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w == v:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
 def increase_dual_girth(g: EmbeddedGraph, k: int):
     """Delete short dual cycles until girth(H*) >= k / (3*sqrt(genus)).
 
@@ -246,10 +282,9 @@ def increase_dual_girth(g: EmbeddedGraph, k: int):
         d = state.work.view()
     h = g
     if state is not None:
-        # the graph is built once; its dual takes the working dual's last
-        # girth search, and its measured genus must be the working one
+        # the graph is built once, and its measured genus must be the
+        # working one; its dual is the working dual's last view, searched
         h = state.graph()
-        d = geometric_dual(h, searched=d)
         assert h.genus() == state.genus, (
             f"working genus {state.genus}, measured {h.genus()}")
     log.dual = d

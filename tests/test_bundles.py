@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from thintree.atsp import discretize, expand_support_embedding, symmetrize
 from thintree.bundles import BundledGraph
-from thintree.dual import geometric_dual, shortest_dual_cycle
+from thintree.dual import geometric_dual, min_pairwise_distance, shortest_dual_cycle
 from thintree.embedding import EmbeddedGraph, build_embedding, expand_parallel
 from thintree.errors import InvalidInputError, OddEulerDefectError, ThinTreeError
 from thintree.flows import edge_connectivity
@@ -87,11 +87,18 @@ def assert_matches_its_copies(g, origin):
     assert d.dual_edges == e.dual_edges
     assert [d.faces_of(x) for x in edges] == [e.faces_of(x) for x in edges]
 
+    # pairwise distances on Ranges threads: a few copies of each bundle
+    # (ends and middles) and, below, the far set
+    some = [c for c in edges if c % 3 == 0 or not g.has_edge(c - 1)]
+    assert min_pairwise_distance(d, some) == min_pairwise_distance(e, some)
+
     if g.vertex_count >= 2 and g.is_connected():
         ours, theirs = (outcome(thin_spanning_tree, h, floor=floor) for h in (g, cold))
         assert ours == theirs
         if not isinstance(ours, type):
             assert ours.certificate_distance == theirs.certificate_distance
+            far = ours.far_set
+            assert min_pairwise_distance(d, far) == min_pairwise_distance(e, far)
         if g.edge_cost is not None:
             assert outcome(weighted_thin_tree, g) == outcome(weighted_thin_tree, cold)
 
@@ -253,3 +260,28 @@ def test_expand_parallel_rejects_bad_multiplicities(mult, match):
         expand_parallel(cube, {**{e: 1 for e in cube.edges()}, **mult})
     with pytest.raises(InvalidInputError, match=match):
         expand_parallel(cycle_graph(3), mult if 0 in mult else {0: 1, **mult})
+
+
+@pytest.mark.parametrize("cost, match", [
+    ({e: Fraction(1) for e in range(12) if e != 11}, "no cost given for edge 11"),
+    ({e: Fraction(-5) for e in range(12)}, "negative cost -5 on edge 0"),
+])
+def test_expand_parallel_rejects_bad_costs(cost, match):
+    # the first once raised a bare KeyError: 11, the second built a graph
+    # on which the weighted extraction failed
+    cube = prism_graph(4)
+    with pytest.raises(InvalidInputError, match=match):
+        expand_parallel(cube, {e: 2 for e in cube.edges()}, cost)
+    # an edge of multiplicity 0 is deleted, and needs no cost
+    g, _ = expand_parallel(cube, {e: 0 if e == 11 else 2 for e in cube.edges()},
+                           {e: Fraction(1) for e in range(11)})
+    assert g.edge_count == 22
+
+
+def test_spanning_step_reads_no_drawn_copy():
+    # the tree, its far set and its certificate run on the support's
+    # threads: the copies are never drawn, nor their faces traced
+    g, _ = expand_parallel(prism_graph(4), {e: 20 + e % 3 for e in range(12)})
+    result = thin_spanning_tree(g, floor=edge_connectivity(g))
+    assert len(result.far_set) > 1 and result.certificate_distance > 1
+    assert g._explicit is None and g._faces is None

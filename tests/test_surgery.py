@@ -13,7 +13,7 @@ from thintree.dual import (
     geometric_dual,
     shortest_dual_cycle,
 )
-from thintree.embedding import build_embedding
+from thintree.embedding import _components, build_embedding
 from thintree.errors import (
     DualMismatchError,
     EdgeAbsentError,
@@ -202,17 +202,46 @@ def surgery_inputs(draw):
     return g, k
 
 
+def assert_same_dual(d, ref):
+    """d is the canonical dual ``ref`` up to face renumbering: the same
+    live faces, the same face tuple at every dart, the same pruned edges,
+    threads (as edge sets) and girth answer."""
+    assert (d.face_count, d.edge_count) == (ref.face_count, ref.edge_count)
+    assert sorted(f for f in d.faces if f) == ref.faces
+    darts = max(len(d.face_of), len(ref.face_of))
+    for x in range(darts):
+        f = d.face_of[x] if x < len(d.face_of) else None
+        r = ref.face_of[x] if x < len(ref.face_of) else None
+        assert (f is None) == (r is None)
+        if f is not None:
+            assert d.faces[f] == ref.faces[r]
+    threads = [sorted(sorted(t.edges) for t in e.core_threads()) for e in (d, ref)]
+    assert threads[0] == threads[1]
+    assert sorted(d._pendant) == sorted(ref._pendant)
+    assert shortest_dual_cycle(d) == shortest_dual_cycle(ref)
+
+
+def spanning_answer(h, d=None):
+    """What the spanning step makes of h on the dual d (built if None):
+    the tree, the far set, g*, the bound and the certificate."""
+    r = thin_spanning_tree(h, d)
+    return r.tree_edges, r.far_set, r.g_star, r.thinness_bound, r.certificate_distance
+
+
+def assert_spans_as_a_fresh_dual(h, log):
+    """The tree on surgery's handed dual is the tree on a dual built anew,
+    where the spanning step runs on h itself."""
+    if h.vertex_count >= 2 and h.is_connected():
+        assert spanning_answer(h, log.dual) == spanning_answer(h)
+
+
 @given(surgery_inputs())
 @settings(max_examples=60, deadline=None)
 def test_handed_dual_is_the_dual_of_the_result(case):
     g, k = case
     h, log = increase_dual_girth(g, k)
-    fresh = geometric_dual(h)
-    assert log.dual.face_count == fresh.face_count
-    assert log.dual.dual_edges == fresh.dual_edges
-    assert shortest_dual_cycle(log.dual) == shortest_dual_cycle(fresh)
-    if h.is_connected():
-        assert thin_spanning_tree(h, log.dual) == thin_spanning_tree(h)
+    assert_same_dual(log.dual, geometric_dual(h))
+    assert_spans_as_a_fresh_dual(h, log)
 
 
 def test_stale_dual_is_rejected():
@@ -227,11 +256,10 @@ def test_stale_dual_is_rejected():
         thin_spanning_tree(before, log.dual)
 
 
-def test_genus_branch_builds_one_dual_per_surgered_graph(monkeypatch):
-    # surgery builds a dual for g and one for its result, however often it
-    # iterates, and the whole-dual thread walks are g's and h's: the
-    # deletions in between edit one working dual.  Each graph surgery meets
-    # is searched once; h's dual takes the working dual's search.
+def test_genus_branch_builds_one_dual_per_solve(monkeypatch):
+    # surgery builds and walks g's dual only, however often it iterates:
+    # the deletions edit one working dual, whose last view the spanning
+    # step reads as h's dual.  Each graph surgery meets is searched once.
     cases = []
     for g in (handled_cube(4), twice_handled_cube(4)):
         h, log = increase_dual_girth(g, edge_connectivity(g))
@@ -244,9 +272,9 @@ def test_genus_branch_builds_one_dual_per_surgered_graph(monkeypatch):
     real_dual, real_walk = geometric_dual, thintree.dual.find_threads
     real_search = thintree.dual._shortest_cycle
 
-    def counted(graph, **kw):
+    def counted(graph):
         built.append(graph.edge_count)
-        return real_dual(graph, **kw)
+        return real_dual(graph)
 
     def walk(d):
         walked.append(d.edge_count)
@@ -264,9 +292,10 @@ def test_genus_branch_builds_one_dual_per_surgered_graph(monkeypatch):
         for seen in (built, walked, searched):
             seen.clear()
         pipeline.bounded_genus_thin_tree(g)
-        assert built == [g.edge_count, h.edge_count]
-        assert walked == [g.edge_count, h.edge_count]  # neither has a pendant
+        assert built == [g.edge_count]
+        assert walked == [g.edge_count]  # g has no pendant
         assert searched == sizes
+        assert sizes[-1] == h.edge_count
 
 
 # --- one working dual across the iterations -------------------------------
@@ -371,14 +400,16 @@ def fresh_picture(g):
 def assert_matches_rebuilt_surgery(g, k):
     """increase_dual_girth against ``rebuilt_surgery``, step by step: the
     same cycle and record, and a working dual that holds the faces, the
-    pruned edges and the threads of the dual built anew.  Returns the
-    number of iterations."""
+    pruned edges and the threads of the dual built anew.  The handed dual
+    is that of H up to face renumbering, and the spanning step makes the
+    same tree on it.  Returns the number of iterations."""
     ref_h, ref_steps, ref_dual = rebuilt_surgery(g, k)
     seen = []
     real = SurgeryState.delete_dual_cycle
 
     def recorded(self, cycle_edges):
         step = real(self, cycle_edges)
+        assert step.components_after == len(_components(self.g.vertex_count, self.pairs))
         seen.append((list(cycle_edges), step, working_picture(self)))
         return step
 
@@ -393,9 +424,8 @@ def assert_matches_rebuilt_surgery(g, k):
     assert (h.dart_owner, h.rotation_next, h.edges()) == (
         ref_h.dart_owner, ref_h.rotation_next, ref_h.edges())
     assert log.records() == [asdict(step) for _, step, _ in ref_steps]
-    assert (log.dual.faces, log.dual.face_of, log.dual.edge_count) == (
-        ref_dual.faces, ref_dual.face_of, ref_dual.edge_count)
-    assert shortest_dual_cycle(log.dual) == shortest_dual_cycle(ref_dual)
+    assert_same_dual(log.dual, ref_dual)
+    assert_spans_as_a_fresh_dual(h, log)
     if log.iterations:
         assert h.genus() == log.iterations[-1].genus_after
     return len(log.iterations)
@@ -439,6 +469,7 @@ def test_working_dual_until_the_dual_is_a_forest(g):
         if found is None:
             break
         step = state.delete_dual_cycle(found[1])
+        assert step.components_after == len(_components(g.vertex_count, state.pairs))
         after = h.delete_edges(found[1])
         assert step == SurgeryIteration(
             tuple(sorted(found[1])), found[0], h.genus(), after.genus(),
