@@ -38,7 +38,7 @@ from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import chain
 
-from .dual import _UNSEARCHED, DualGraph, Thread
+from .dual import DualGraph, Thread
 from .embedding import EmbeddedGraph
 from .errors import EdgeAbsentError, OddEulerDefectError
 
@@ -357,11 +357,7 @@ class BundledDual(DualGraph):
         self.face_count = base.face_count + shift
         self.edge_count = g.edge_count
         self._face_of = None
-        self._dual_edges = None
-        self._threads = None
-        self._pendant = None
-        self._hung = None
-        self._shortest = _UNSEARCHED
+        self._unmeasured()
 
     @property
     def faces(self):

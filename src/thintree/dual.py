@@ -126,6 +126,10 @@ class DualGraph:
         self.face_of = face_of
         self.face_count = len(faces)
         self.edge_count = edge_count
+        self._unmeasured()
+
+    def _unmeasured(self):
+        """Empty every memo; each is filled on its first read."""
         self._dual_edges = None
         self._threads = None
         self._pendant = None  # the edges pruned off the 2-core
@@ -294,11 +298,6 @@ def find_threads(d: DualGraph) -> list[Thread]:
             e = x >> 1
             if e in ends:
                 continue
-            if face_of[x ^ 1] == b:  # loop at a branch vertex: cycle of length 1
-                ends.add(e)
-                threads.append(Thread((e,), (b, b)))
-                walked += 1
-                continue
             edges, verts = _walk(faces, face_of, b, x)
             ends.add(edges[-1])
             walked += len(edges)
@@ -311,19 +310,18 @@ def find_threads(d: DualGraph) -> list[Thread]:
         seen = {f for t in threads for f in t.vertices}
         for f, deg in enumerate(degree):
             if deg == 2 and f not in seen:
-                x = min(faces[f])
-                edges, verts = (([x >> 1], (f, f)) if face_of[x ^ 1] == f
-                                else _walk(faces, face_of, f, x))
+                edges, verts = _walk(faces, face_of, f, min(faces[f]))
                 seen.update(verts)
                 threads.append(Thread(tuple(edges), tuple(verts)))
     return threads
 
 
 def _walk(faces, face_of, start, x):
-    """The chain from face ``start`` along its non-loop dart x, on through
-    faces of degree 2 up to a face of another degree or back at start, as
-    (edge list, face list).  A face of degree 2 entered through dart y has
-    no loop, so its other dart is the way on."""
+    """The chain from face ``start`` along its dart x, on through faces of
+    degree 2 up to a face of another degree or back at start, as (edge
+    list, face list); a loop's dart gives ``([e], [start, start])``.  A
+    face of degree 2 entered through dart y from another face has no loop,
+    so its other dart is the way on."""
     y = x ^ 1
     cur = face_of[y]
     edges, verts = [x >> 1], [start, cur]
@@ -505,10 +503,7 @@ class WorkingDual:
     def _walk_from(self, f, x, loose):
         """Add the thread that leaves face f along dart x; its edges are
         no longer loose."""
-        if self.face_of[x ^ 1] == f:
-            edges, verts = [x >> 1], [f, f]
-        else:
-            edges, verts = _walk(self.core, self.face_of, f, x)
+        edges, verts = _walk(self.core, self.face_of, f, x)
         self._add(Thread(tuple(edges), tuple(verts)))
         loose.difference_update(edges)
 

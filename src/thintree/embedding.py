@@ -25,16 +25,12 @@ Global measurements are memoised per graph: faces, components, genus, the
 parallel copies of each vertex pair (``pair_counts``), the total cost (for
 the cost map it was taken on) and the edge connectivity (``flows``).
 
-``delete_edges`` copies the maps whole, drops the deleted darts, and walks
-each face that held one once: the dart before a deleted dart d in its
-rotation is the twin of the dart before d on its face, since
-phi(y) = rotation_next[y ^ 1], so that walk re-links each surviving
-predecessor and gives the darts to trace again.  It seeds the result's
-edge ids (the parent's minus the deleted ones), pair counts (one copy
-fewer per deleted non-loop edge, pairs at 0 dropped) and faces from
-whichever of those the parent has measured.  The faces are exact: on a
-face that holds no deleted dart, phi'(d) = phi(d), because twin(d)
-survives and its old successor phi(d) lies on the same face, so it
+``delete_edges`` copies the maps whole and splices out the deleted darts
+(``_splice``, on the face walks that hold them).  It seeds the result's
+edge ids (the parent's minus the deleted ones), pair counts (``_drop_pairs``)
+and faces from whichever of those the parent has measured.  The faces are
+exact: on a face that holds no deleted dart, phi'(d) = phi(d), because
+twin(d) survives and its old successor phi(d) lies on the same face, so it
 survives too and the splice leaves it in place.  Such a face is kept as
 the same tuple; only the surviving darts of the walked faces are traced
 again, and merged into the kept list in the order of a cold trace.
@@ -42,12 +38,9 @@ Components are the union of the vertex pairs with a positive count, so
 they follow from the seeded pair counts, and the genus is still measured
 by the Euler formula on these faces and components.
 
-Surgery (``surgery.SurgeryState``) applies the same facts to one mutable
-copy of the rotations across many deletions, and builds a graph only at
-the end, with ``delete_edges``.  The faces it traces again keep their
-canonical form, each starting at its smallest dart, but take
-non-canonical indices; ``_components`` counts the components from its pair
-counts.
+Surgery (``surgery.SurgeryState``) makes the same splice and pair-count
+drop on one mutable copy of the rotations across many deletions, and
+builds a graph only at the end, with ``delete_edges``.
 
 ``expand_parallel`` returns its multigraph of parallel copies as a
 ``bundles.BundledGraph``, which holds the support and a range of copy ids
@@ -219,31 +212,16 @@ class EmbeddedGraph:
             raise EdgeAbsentError(f"edges not present: {absent}")
         h = self._without(doomed)
         if self._pairs is not None:
-            pairs = dict(self._pairs)
-            for e in doomed:
-                u, v = self.endpoints(e)
-                if u != v:
-                    key = (u, v) if u < v else (v, u)
-                    pairs[key] -= 1
-                    if not pairs[key]:
-                        del pairs[key]
-            h._pairs = pairs
+            h._pairs = dict(self._pairs)
+            _drop_pairs(h._pairs, self.endpoints, doomed)
         return h
 
     def _without(self, doomed) -> "EmbeddedGraph":
         """``delete_edges`` of the edges ``doomed``, all present, but for
-        the pair counts.
-
-        Each face that holds a deleted dart is walked once.  The dart
-        before a deleted dart d in its rotation is the twin of the dart
-        before d on its face, since phi(y) = rotation_next[y ^ 1], so the
-        walk re-links each surviving predecessor to its next survivor, and
-        its surviving darts are the ones traced again.
-        """
+        the pair counts: each face that holds a deleted dart is walked once
+        and handed to ``_splice``."""
         gone = {d for e in doomed for d in (2 * e, 2 * e + 1)}
         nxt = self.rotation_next
-        owner = dict(self.dart_owner)
-        rot = dict(nxt)
         walks = []
         seen = set()
         for d0 in gone:
@@ -256,16 +234,11 @@ class EmbeddedGraph:
                 d = nxt[d ^ 1]
             seen.update(walk)
             walks.append(walk)
-            y = walk[-1]  # the dart before d on the face
-            for d in walk:
-                if d in gone and y ^ 1 not in gone:
-                    after = nxt[d]
-                    while after in gone:
-                        after = nxt[after]
-                    rot[y ^ 1] = after
-                y = d
+        rot = dict(nxt)
+        survivors, _ = _splice(rot, gone, walks)
+        owner = dict(self.dart_owner)
         for d in gone:
-            del owner[d], rot[d]
+            del owner[d]
         cost = None
         if self.edge_cost is not None:
             cost = dict(self.edge_cost)
@@ -285,7 +258,7 @@ class EmbeddedGraph:
             for i in sorted((bisect_left(faces, (min(w),)) for w in walks),
                             reverse=True):
                 del kept[i]
-            for f in _trace([d for w in walks for d in w if d not in gone], rot):
+            for f in _trace(survivors, rot):
                 insort(kept, f)
             h._faces = kept
         return h
@@ -386,6 +359,64 @@ def _components(vertex_count, pairs) -> list[list[int]]:
     for v in range(vertex_count):
         groups.setdefault(find(v), []).append(v)
     return sorted(groups.values())
+
+
+def _splice(rot, gone, walks):
+    """Drop the darts ``gone`` from the rotations ``rot``, in place.
+
+    ``walks`` holds, once each, the face walks of ``rot`` that contain a
+    deleted dart.  The dart before a deleted dart d in its rotation is the
+    twin of the dart before d on its face, since phi(y) = rot[y ^ 1], so
+    one pass over the walks links each surviving predecessor to its next
+    survivor, and no vertex is walked round.  Only survivors are re-linked,
+    so the deleted darts' own successors are still read as they were.
+    Returns the surviving darts of the walks, which are the darts to trace
+    again, and the number of vertices left with no dart.
+    """
+    survivors = []
+    linked = set()  # deleted darts that follow a survivor
+    for walk in walks:
+        y = walk[-1]  # the dart before d on the face
+        for d in walk:
+            if d not in gone:
+                survivors.append(d)
+            elif y ^ 1 not in gone:
+                after = rot[d]
+                linked.add(d)
+                while after in gone:
+                    linked.add(after)
+                    after = rot[after]
+                rot[y ^ 1] = after
+            y = d
+    # the others lie on vertices that lost every dart
+    rest = gone - linked
+    bare = 0
+    while rest:
+        d = rest.pop()
+        bare += 1
+        x = rot[d]
+        while x != d:
+            rest.discard(x)
+            x = rot[x]
+    for d in gone:
+        del rot[d]
+    return survivors, bare
+
+
+def _drop_pairs(pairs, endpoints, edges) -> list:
+    """Take the non-loop edges ``edges`` off the pair counts ``pairs``, in
+    place, one copy each; ``endpoints`` maps an edge to its two ends.
+    Returns the pairs that it emptied, which are dropped."""
+    emptied = []
+    for e in edges:
+        u, v = endpoints(e)
+        if u != v:
+            key = (u, v) if u < v else (v, u)
+            pairs[key] -= 1
+            if not pairs[key]:
+                del pairs[key]
+                emptied.append(key)
+    return emptied
 
 
 def _pair_counts(g: EmbeddedGraph, copies=None) -> dict:

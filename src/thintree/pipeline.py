@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .embedding import EmbeddedGraph
+from .embedding import EmbeddedGraph, _cost_sum
 from .errors import DisconnectedError, ExtractionFailureError, InvalidInputError
 from .flows import edge_connectivity
 from .spanning import ThinTreeResult, alpha, thin_spanning_tree
@@ -164,7 +164,7 @@ def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
                 f"{Fraction(k) - i * g_val}")
         trace.append(k_i)
         tree = bounded_genus_thin_tree(residual).tree_edges
-        c_tree = sum((g.edge_cost[e] for e in tree), Fraction(0))
+        c_tree = _cost_sum((1, g.edge_cost[e]) for e in tree)
         if c_tree * rounds <= c_graph:
             break
         residual = residual.delete_edges(tree)

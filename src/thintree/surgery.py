@@ -13,10 +13,11 @@ and the pair counts.  Each deletion splices out only the deleted darts,
 traces again only the faces that held them, and re-threads only what ends
 on those faces; the genus after it follows by the Euler formula from the
 new face count, and the components from the pair counts, counted again
-only when a pair that lost its last edge no longer joins its ends.  The
-working dual's face ids are not canonical, which the girth search does not
-see (see ``WorkingDual``), so each intermediate dual is searched by the one
-``shortest_dual_cycle``.
+only when a pair lost its last edge.  The splice and the pair-count drop
+are those of ``delete_edges`` (``embedding._splice`` and ``_drop_pairs``).
+The working dual's face ids are not canonical, which the girth search does
+not see (see ``WorkingDual``), so each intermediate dual is searched by the
+one ``shortest_dual_cycle``.
 
 A BundledGraph is drawn out once, before the loop (``explicit``), since
 surgery splices single darts.  The loop ends on a dual whose girth meets
@@ -31,11 +32,10 @@ however often it iterates.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
 from .dual import DualGraph, WorkingDual, geometric_dual, shortest_dual_cycle
-from .embedding import EmbeddedGraph, _components, _trace
+from .embedding import EmbeddedGraph, _components, _drop_pairs, _splice, _trace
 from .errors import (
     DichotomyViolationError,
     EdgeAbsentError,
@@ -89,10 +89,9 @@ class SurgeryState:
     """A graph under surgery: g less the dual cycles deleted so far.
 
     It holds one mutable copy of g's rotations and one of g's dual
-    (``work``, a ``WorkingDual``), g's pair counts less the deleted edges
-    (and, once a pair has lost its last edge, ``adj``: each vertex's
-    neighbours over those pairs), and the genus, the component count and
-    V - E + F of the current graph (an isolated vertex counting one face).  ``delete_dual_cycle`` measures
+    (``work``, a ``WorkingDual``), g's pair counts less the deleted edges,
+    and the genus, the component count and V - E + F of the current graph
+    (an isolated vertex counting one face).  ``delete_dual_cycle`` measures
     only what its cycle touched; ``graph`` builds the current graph.  ``d``
     is g's geometric dual when the caller holds it already.  A BundledGraph
     g works on its copies drawn one by one (``explicit``), since a deletion
@@ -105,7 +104,6 @@ class SurgeryState:
         self.rot = dict(g.rotation_next)
         self.work = WorkingDual(geometric_dual(g) if d is None else d)
         self.pairs = g.pair_counts()
-        self.adj = None  # vertex -> the vertices it shares a pair with
         self.genus = g.genus()
         self.components = len(g.components())
         self.euler = 2 * self.components - 2 * self.genus
@@ -114,14 +112,13 @@ class SurgeryState:
     def delete_dual_cycle(self, cycle_edges) -> SurgeryIteration:
         """Delete the primal edges of a dual cycle and recheck the dichotomy.
 
-        The rotations lose only the deleted darts, and only the faces that
-        held them are traced again.  The genus after follows by the Euler
-        formula from the new face count, and the components from the pair
-        counts, counted again only when a pair lost its last edge and no
-        path of the pairs left (``adj``) joins its ends.  The new
-        graph must have smaller genus or more components; a violation means
-        the rotation-level surgery disagrees with the surface argument and
-        is a fatal correctness bug.
+        The rotations lose only the deleted darts (``_splice``, on the
+        faces that held them), and only those faces are traced again.  The
+        genus after follows by the Euler formula from the new face count,
+        and the components from the pair counts, counted again only when a
+        pair lost its last edge.  The new graph must have smaller genus or
+        more components; a violation means the rotation-level surgery
+        disagrees with the surface argument and is a fatal correctness bug.
 
         Raises, before anything changes, InvalidInputError when an edge id
         repeats or the edges are no dual cycle's, and EdgeAbsentError when
@@ -140,29 +137,13 @@ class SurgeryState:
 
         gone = {x for e in cycle for x in (2 * e, 2 * e + 1)}
         dead = {face_of[x] for x in gone}
-        survivors = [x for f in dead for x in faces[f] if x not in gone]
-        bare = self._splice(gone)
+        survivors, bare = _splice(self.rot, gone, [faces[f] for f in dead])
         born = _trace(survivors, self.rot)
         work.replace(cycle, hit, dead, born)
 
-        owner, pairs = self.g.dart_owner, self.pairs
-        emptied = []
-        for e in cycle:
-            u, v = owner[2 * e], owner[2 * e + 1]
-            if u != v:
-                key = (u, v) if u < v else (v, u)
-                pairs[key] -= 1
-                if not pairs[key]:
-                    del pairs[key]
-                    emptied.append(key)
         comps = self.components
-        if emptied:
-            adj = self._adjacency()
-            for u, v in emptied:
-                adj[u].discard(v)
-                adj[v].discard(u)
-            if not all(_joined(adj, u, v) for u, v in emptied):
-                comps = len(_components(self.g.vertex_count, pairs))
+        if _drop_pairs(self.pairs, self.g.endpoints, cycle):
+            comps = len(_components(self.g.vertex_count, self.pairs))
         self.euler += len(cycle) + len(born) - len(dead) + bare
         defect = 2 * comps - self.euler
         if defect % 2 or defect < 0:
@@ -184,69 +165,9 @@ class SurgeryState:
         self.deleted += cycle
         return step
 
-    def _adjacency(self):
-        """``adj``, built from the current pair counts on the first call."""
-        if self.adj is None:
-            self.adj = adj = defaultdict(set)
-            for u, v in self.pairs:
-                adj[u].add(v)
-                adj[v].add(u)
-        return self.adj
-
-    def _splice(self, gone) -> int:
-        """Drop the darts ``gone`` from the rotations and link each
-        surviving predecessor to its next survivor; returns the number of
-        vertices left with no dart.
-
-        The predecessor of dart d in its rotation is the twin of d's
-        predecessor on its face, since phi(y) = rotation_next[y ^ 1], so no
-        vertex is walked round.  Only survivors are re-linked, each after
-        the deleted darts' own successors are read.
-        """
-        rot = self.rot
-        faces, face_of = self.work.faces, self.work.face_of
-        linked = set()  # deleted darts that follow a survivor
-        for d in gone:
-            walk = faces[face_of[d]]
-            p = walk[walk.index(d) - 1] ^ 1
-            if p in gone:
-                continue
-            after = rot[d]
-            linked.add(d)
-            while after in gone:
-                linked.add(after)
-                after = rot[after]
-            rot[p] = after
-        # the others lie on vertices that lost every dart
-        rest = gone - linked
-        bare = 0
-        while rest:
-            d = rest.pop()
-            bare += 1
-            x = rot[d]
-            while x != d:
-                rest.discard(x)
-                x = rot[x]
-        for d in gone:
-            del rot[d]
-        return bare
-
     def graph(self) -> EmbeddedGraph:
         """The current graph, built as g.delete_edges(every deleted edge)."""
         return self.g.delete_edges(self.deleted) if self.deleted else self.g
-
-
-def _joined(adj, u, v) -> bool:
-    """Whether a path of the adjacency ``adj`` joins u to v."""
-    seen, stack = {u}, [u]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w == v:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
 
 
 def increase_dual_girth(g: EmbeddedGraph, k: int):

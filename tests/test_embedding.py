@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from thintree.atsp import discretize, expand_support_embedding, symmetrize
 from thintree.dual import geometric_dual, shortest_dual_cycle
-from thintree.embedding import EmbeddedGraph, build_embedding, expand_parallel
+from thintree.embedding import EmbeddedGraph, _splice, build_embedding, expand_parallel
 from thintree.errors import (
     BadTwinError,
     DisconnectedError,
@@ -354,6 +354,37 @@ def test_deletion_preserves_validity(g, data):
     h = g.delete_edges(doomed)
     assert h.genus() >= 0
     assert len(h.edges()) == len(edges) - len(doomed)
+
+
+def reference_splice(g, gone):
+    """The rotations of g without the darts ``gone``, each vertex's
+    rotation walked round with the deleted darts skipped, and the number of
+    vertices that lost every dart."""
+    rot, bare = {}, 0
+    for v in range(g.vertex_count):
+        darts = g.darts_at(v)
+        kept = [d for d in darts if d not in gone]
+        if darts and not kept:
+            bare += 1
+        rot.update(zip(kept, kept[1:] + kept[:1]))
+    return rot, bare
+
+
+@given(rotation_systems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_splice_matches_a_walk_round_each_vertex(g, data):
+    edges = g.edges()
+    doomed = set(data.draw(st.sets(st.sampled_from(edges), max_size=len(edges))))
+    for v in data.draw(st.sets(st.integers(0, g.vertex_count - 1))):
+        doomed.update(d >> 1 for d in g.darts_at(v))  # every edge at v
+    gone = {d for e in doomed for d in (2 * e, 2 * e + 1)}
+    walks = [f for f in g.faces() if gone.intersection(f)]
+    rot = dict(g.rotation_next)
+    survivors, bare = _splice(rot, gone, walks)
+    expected, expected_bare = reference_splice(g, gone)
+    assert rot == expected
+    assert sorted(survivors) == sorted(d for w in walks for d in w if d not in gone)
+    assert bare == expected_bare
 
 
 # --- deletion seeds its memos from the graph it deletes from ------------
