@@ -211,8 +211,8 @@ class BundledGraph(EmbeddedGraph):
             may assign a plain dict copy id -> cost instead.
 
     See the module docstring for the face structure.  The dart maps
-    ``dart_owner`` and ``rotation_next``, the rotations and the faces are
-    those of ``explicit()``, built on the first read.
+    ``dart_owner`` and ``rotation_next``, the rotations, the faces and the
+    dart -> face map are those of ``explicit()``, built on the first read.
     """
 
     def __init__(self, support, bundles, origin, unit_cost=None):
@@ -257,6 +257,9 @@ class BundledGraph(EmbeddedGraph):
         if self._faces is None:
             self._faces = self.explicit().faces()
         return self._faces
+
+    def face_of_dart(self) -> list:
+        return self.explicit().face_of_dart()
 
     def explicit(self) -> EmbeddedGraph:
         """The same multigraph as a plain EmbeddedGraph, every copy drawn

@@ -236,8 +236,8 @@ def _peel(faces, face_of, degree, stack):
 
 
 def geometric_dual(g: EmbeddedGraph) -> DualGraph:
-    """The geometric dual of g, on g's own faces; a ``bundles.BundledDual``,
-    read off the support's dual, when g is a BundledGraph."""
+    """The dual of g on g's memoised faces and dart -> face map, shared; a
+    ``bundles.BundledDual``, read off the support's, when g is bundled."""
     if hasattr(g, "bundles"):  # a bundles.BundledGraph
         from .bundles import BundledDual  # bundles builds on this module
 

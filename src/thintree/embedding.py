@@ -21,14 +21,16 @@ from the Euler formula
 where an isolated vertex counts one (empty) face.  Graphs are immutable after
 construction; edge deletion returns a new graph.
 
-Global measurements are memoised per graph: faces, components, genus, the
-parallel copies of each vertex pair (``pair_counts``), the total cost (for
-the cost map it was taken on) and the edge connectivity (``flows``).
+Global measurements are memoised per graph: faces with their dart -> face
+map (one trace fills both), components, genus, the parallel copies of each
+vertex pair (``pair_counts``), the total cost (for the cost map it was
+taken on) and the edge connectivity (``flows``).
 
 ``delete_edges`` copies the maps whole and splices out the deleted darts
 (``_splice``, on the face walks that hold them).  It seeds the result's
 edge ids (the parent's minus the deleted ones), pair counts (``_drop_pairs``)
-and faces from whichever of those the parent has measured.  The faces are
+and faces from whichever of those the parent has measured (the dart ->
+face map is built from seeded faces on its first read).  The faces are
 exact: on a face that holds no deleted dart, phi'(d) = phi(d), because
 twin(d) survives and its old successor phi(d) lies on the same face, so it
 survives too and the splice leaves it in place.  Such a face is kept as
@@ -81,6 +83,7 @@ class EmbeddedGraph:
 
     def _unmeasured(self):
         self._faces = None
+        self._face_of = None  # dart -> index in _faces, traced with them
         self._components = None
         self._edges = None
         self._rotations = None  # vertex -> its darts in rotation order
@@ -152,18 +155,27 @@ class EmbeddedGraph:
         sorted by that dart.  Isolated vertices contribute no cycle here but
         are accounted for in genus()."""
         if self._faces is None:
-            self._faces = _trace(self.dart_owner, self.rotation_next)
+            self._faces, self._face_of = _trace(self.dart_owner, self.rotation_next)
         return self._faces
 
     def face_of_dart(self) -> list:
         """List indexed by dart: the index of its face in faces(), None at
-        the ids below the largest dart that are no dart (deleted edges)."""
-        edges = self.edges()
-        owner = [None] * (2 * edges[-1] + 2 if edges else 0)
-        for i, walk in enumerate(self.faces()):
-            for d in walk:
-                owner[d] = i
-        return owner
+        the ids below the largest dart that are no dart (deleted edges).
+
+        The list is the graph's own memo, shared with every caller (a dual
+        holds it as its ``face_of``), so callers must not mutate it.  It is
+        traced with the faces, or built from them once where they were
+        seeded (``delete_edges``).
+        """
+        faces = self.faces()
+        if self._face_of is None:
+            edges = self.edges()
+            owner = [None] * (2 * edges[-1] + 2 if edges else 0)
+            for i, walk in enumerate(faces):
+                for d in walk:
+                    owner[d] = i
+            self._face_of = owner
+        return self._face_of
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, sorted by minimum."""
@@ -258,7 +270,7 @@ class EmbeddedGraph:
             for i in sorted((bisect_left(faces, (min(w),)) for w in walks),
                             reverse=True):
                 del kept[i]
-            for f in _trace(survivors, rot):
+            for f in _trace(survivors, rot)[0]:
                 insort(kept, f)
             h._faces = kept
         return h
@@ -443,22 +455,32 @@ def _cost_sum(terms) -> Fraction:
     return sum((Fraction(n, d) for d, n in groups.items()), Fraction(0))
 
 
-def _trace(dart_owner, rotation_next):
+def _trace(darts, rotation_next):
+    """The cycles of phi through the darts ``darts`` (an iterable of dart
+    ids closed under phi), each starting at its smallest dart and sorted by
+    it, and the list dart -> index of its cycle, None at the ids below the
+    largest dart that are not in ``darts``.
+
+    ``EmbeddedGraph.faces`` keeps both, and the list is then shared
+    (``face_of_dart``): callers must not mutate it.
+    """
+    order = sorted(darts)
+    owner = [None] * ((order[-1] | 1) + 1 if order else 0)
     faces = []
-    seen = set()
-    for d0 in sorted(dart_owner):
-        if d0 in seen:
+    for d0 in order:
+        if owner[d0] is not None:
             continue
+        i = len(faces)
         walk = []
         d = d0
         while True:
             walk.append(d)
-            seen.add(d)
+            owner[d] = i
             d = rotation_next[d ^ 1]
             if d == d0:
                 break
         faces.append(tuple(walk))
-    return faces
+    return faces, owner
 
 
 def build_embedding(vertex_count, rotations, twin_pairs, costs=None) -> EmbeddedGraph:

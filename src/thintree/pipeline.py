@@ -80,9 +80,9 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
     genus = g.genus()
     if genus == 0:
         # planar dual girth is the edge connectivity, so k is a proven floor
-        # for the girth search, and 2*alpha(0)/g* is 10/k
+        # for the girth search, and g* = k makes 2*alpha(0)/g* equal 10/k
         result = thin_spanning_tree(g, floor=k)
-        assert result.thinness_bound == Fraction(10, k)
+        assert result.g_star == k
         return result
 
     h, log = increase_dual_girth(g, k)
@@ -151,14 +151,17 @@ def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
         raise DisconnectedError("weighted_thin_tree needs a connected graph")
     k = edge_connectivity(g)
     g_val = genus_bound(g.genus())
-    rounds = max(1, int(Fraction(k) / (2 * g_val)))
+    num, den = g_val.numerator, g_val.denominator
+    # the schedule in integers: g = num/den, so t = floor(k*den / 2num), and
+    # a round is below k - i*g when k_i*den is below k*den - i*num
+    rounds = max(1, k * den // (2 * num))
     c_graph = g.total_cost()
 
     trace = []
     residual = g
     for i in range(rounds):
         k_i = edge_connectivity(residual)
-        if Fraction(k_i) < Fraction(k) - i * g_val:
+        if k_i * den < k * den - i * num:
             raise ExtractionFailureError(
                 f"round {i}: residual connectivity {k_i} below schedule "
                 f"{Fraction(k) - i * g_val}")

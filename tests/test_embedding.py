@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thintree.atsp import discretize, expand_support_embedding, symmetrize
@@ -29,6 +29,7 @@ from thintree.heldkarp import ATSPInstance, solve_held_karp
 from thintree.oracle import brute_force_edge_connectivity
 from thintree.prng import PCG32
 from thintree.spanning import thin_spanning_tree
+from thintree.surgery import increase_dual_girth
 
 from .conftest import add_edge
 
@@ -523,3 +524,79 @@ def test_components_match_a_dart_walk(g, isolated, data):
     doomed = data.draw(st.lists(st.sampled_from(g.edges())))
     h = g.delete_edges(doomed)
     assert h.components() == components_by_dart_walk(h)
+
+
+# --- the dart -> face map, traced with the faces and shared -------------
+
+def face_of_dart_by_double_loop(g):
+    """The dart -> face list built from g.faces() by visiting every dart of
+    every face, the way face_of_dart built it before it was memoised."""
+    edges = g.edges()
+    owner = [None] * (2 * edges[-1] + 2 if edges else 0)
+    for i, walk in enumerate(g.faces()):
+        for d in walk:
+            owner[d] = i
+    return owner
+
+
+@given(rotation_systems(), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_face_map_matches_a_double_loop_through_deletions(g, warm, data):
+    """Traced at parse, then up to three deletions from a graph whose map
+    was read (so delete_edges seeds the faces) or never traced."""
+    assert g.face_of_dart() == face_of_dart_by_double_loop(g)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        edges = g.edges()
+        if not edges:
+            break
+        doomed = data.draw(st.sets(st.sampled_from(edges), max_size=len(edges)))
+        if warm:
+            g.face_of_dart()
+        else:
+            g = EmbeddedGraph(g.vertex_count, dict(g.dart_owner), dict(g.rotation_next))
+        h = g.delete_edges(doomed)
+        assert h.face_of_dart() is h.face_of_dart()
+        assert h.face_of_dart() == face_of_dart_by_double_loop(h)
+        g = h
+
+
+@pytest.mark.usefixtures("oracle_checked_held_karp")
+@pytest.mark.parametrize("n", [8, 10])
+def test_drawn_copies_face_map_matches_a_double_loop(n):
+    """A bundled lp-support multigraph reads the map of its drawn copies,
+    traced by explicit(), and after a deletion the map built from the
+    faces the drawn graph's delete_edges seeded."""
+    matrix, emb = lp_support_instance(n, PCG32(1))
+    inst = ATSPInstance.from_matrix(matrix)
+    y, c_prime = symmetrize(solve_held_karp(inst), inst)
+    mult, _ = discretize(y, 60)
+    g, _ = expand_support_embedding(emb, mult, c_prime)
+    for _ in range(2):
+        drawn = g.explicit()
+        assert g.face_of_dart() is drawn.face_of_dart()
+        assert g.face_of_dart() == face_of_dart_by_double_loop(drawn)
+        g = g.delete_edges(g.edges()[::3])
+
+
+@given(rotation_systems(), st.integers(min_value=2, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_surgery_result_face_map_matches_a_double_loop(g, q):
+    g = amplify(g, q)
+    assume(g.vertex_count >= 2 and g.is_connected() and g.genus() > 0)
+    h, _ = increase_dual_girth(g, edge_connectivity(g))
+    assert h.face_of_dart() == face_of_dart_by_double_loop(h)
+
+
+def test_surgery_and_the_spanning_step_leave_the_face_map_as_it_was():
+    """The dual of g shares g's map, and surgery edits its own copy."""
+    planar = amplify(prism_graph(4), 3)
+    handled = add_edge(add_edge(planar, 0, 2, 0, 0), 4, 6, 0, 0)  # genus 2
+    for g in (planar, handled):
+        face_of = g.face_of_dart()
+        before = list(face_of)
+        if g.genus():
+            _, log = increase_dual_girth(g, edge_connectivity(g))
+            assert log.iterations
+        thin_spanning_tree(g)
+        assert g.face_of_dart() is face_of
+        assert face_of == before
