@@ -208,7 +208,7 @@ class BundledGraph(EmbeddedGraph):
             ascending, in support-edge order.
         origin: copy id -> support edge, for every copy ever made.
         edge_cost: CopyCosts when made with costs, None without; a caller
-            may assign a plain dict copy id -> cost instead.
+            may assign a dict copy id -> cost instead, at scale 1.
 
     See the module docstring for the face structure.  The dart maps
     ``dart_owner`` and ``rotation_next``, the rotations, the faces and the

@@ -19,7 +19,9 @@ from the Euler formula
     V - E + F = 2*kappa - 2*genus
 
 where an isolated vertex counts one (empty) face.  Graphs are immutable after
-construction; edge deletion returns a new graph.
+construction; edge deletion returns a new graph.  Edge costs are in units of
+1/``scale``: ``build_embedding`` holds them as ints over the lcm of their
+denominators, and they leave the package as Fraction(c, scale).
 
 Global measurements are memoised per graph: faces with their dart -> face
 map (one trace fills both), components, genus, the parallel copies of each
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     BadTwinError,
@@ -71,8 +74,11 @@ class EmbeddedGraph:
         vertex_count: number of vertices (ids 0..vertex_count-1).
         dart_owner: dict dart id -> vertex id.
         rotation_next: dict dart id -> successor dart at the same vertex.
-        edge_cost: dict edge id -> Fraction, or None when unweighted.
+        edge_cost: dict edge id -> cost in units of 1/scale, or None.
+        scale: int, 1 unless ``build_embedding`` scaled the costs.
     """
+
+    scale = 1
 
     def __init__(self, vertex_count, dart_owner, rotation_next, edge_cost=None):
         self.vertex_count = vertex_count
@@ -131,13 +137,13 @@ class EmbeddedGraph:
             self._rotations = rotations
         return list(self._rotations.get(v, ()))
 
-    def total_cost(self) -> Fraction:
-        """Sum of the edge costs, memoised for the current ``edge_cost``
-        map: assigning a new map measures again."""
+    def total_cost(self):
+        """Sum of the edge costs (units of 1/scale), memoised for the
+        current ``edge_cost`` map: assigning a new map measures again."""
         memo = self._total_cost
         if memo is None or memo[0] is not self.edge_cost:
             cost = self.edge_cost
-            memo = (cost, _cost_sum((1, cost[e]) for e in self.edges()))
+            memo = (cost, sum(cost[e] for e in self.edges()))
             self._total_cost = memo
         return memo[1]
 
@@ -251,12 +257,12 @@ class EmbeddedGraph:
         owner = dict(self.dart_owner)
         for d in gone:
             del owner[d]
-        cost = None
+        h = EmbeddedGraph(self.vertex_count, owner, rot)
+        h.scale = self.scale
         if self.edge_cost is not None:
-            cost = dict(self.edge_cost)
+            h.edge_cost = cost = dict(self.edge_cost)
             for e in doomed:
                 del cost[e]
-        h = EmbeddedGraph(self.vertex_count, owner, rot, cost)
         if self._edges is not None:
             edges = list(self._edges)
             for e in sorted(doomed, reverse=True):
@@ -281,7 +287,7 @@ class EmbeddedGraph:
         ``vertices`` must be a full component.  Vertices are renumbered in
         sorted order; edges, darts and costs keep their ids in self.  The
         whole vertex set returns self: the renumbering is then the identity
-        and graphs are immutable.
+        and graphs are immutable.  The result keeps self's ``scale``.
         """
         kept = sorted(set(vertices))
         if kept == list(range(self.vertex_count)):
@@ -295,10 +301,11 @@ class EmbeddedGraph:
                     raise DisconnectedError("vertex set is not a full component")
                 owner[d] = vmap[self.dart_owner[d]]
         rot = {d: self.rotation_next[d] for d in owner}
-        cost = None
+        h = EmbeddedGraph(len(vmap), owner, rot)
+        h.scale = self.scale
         if self.edge_cost is not None:
-            cost = {e: self.edge_cost[e] for e in edges}
-        return EmbeddedGraph(len(vmap), owner, rot, cost)
+            h.edge_cost = {e: self.edge_cost[e] for e in edges}
+        return h
 
 
 def expand_parallel(g: EmbeddedGraph, multiplicity, cost=None):
@@ -312,16 +319,16 @@ def expand_parallel(g: EmbeddedGraph, multiplicity, cost=None):
 
     The expanded graph is a BundledGraph on the support that is left: no
     copy is drawn until its darts are read (see ``bundles``).
-    ``cost`` optionally maps an old edge id to the Fraction that each of
-    its copies carries.  Raises InvalidInputError, before anything is
-    built, when a key of ``multiplicity`` is not an edge of g or its value
-    is not a non-negative integer, or when ``cost`` gives no cost or a
-    negative one for an edge of positive multiplicity.
+    ``cost`` optionally maps an old edge id to the cost, at scale 1, that
+    each of its copies carries.  Raises InvalidInputError, before anything
+    is built, when a key of ``multiplicity`` is not an edge of g or its
+    value is not a non-negative int (a bool is neither), or when ``cost``
+    gives no cost or a negative one for an edge of positive multiplicity.
     """
     for e, m in multiplicity.items():
-        if not (isinstance(e, int) and g.has_edge(e)):
+        if not (type(e) is int and g.has_edge(e)):
             raise InvalidInputError(f"multiplicity given for {e!r}, not an edge")
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise InvalidInputError(
                 f"multiplicity {m!r} of edge {e} is not a non-negative integer")
         if cost is not None and m:
@@ -347,8 +354,8 @@ def expand_parallel(g: EmbeddedGraph, multiplicity, cost=None):
     expanded._components = base.components()
     expanded._pairs = _pair_counts(base, multiplicity)
     if unit is not None:
-        expanded._total_cost = (expanded.edge_cost, _cost_sum(
-            (multiplicity[e], c) for e, c in unit.items()))
+        expanded._total_cost = (expanded.edge_cost,
+                                sum(multiplicity[e] * c for e, c in unit.items()))
     return expanded, origin
 
 
@@ -444,17 +451,6 @@ def _pair_counts(g: EmbeddedGraph, copies=None) -> dict:
     return counts
 
 
-def _cost_sum(terms) -> Fraction:
-    """Exact sum of count * cost over (count, Fraction) terms.  Numerators
-    are summed per denominator, so that only the few group totals are
-    added as Fractions; one ``as_integer_ratio`` call reads both parts."""
-    groups = {}
-    for count, c in terms:
-        n, d = c.as_integer_ratio()
-        groups[d] = groups.get(d, 0) + count * n
-    return sum((Fraction(n, d) for d, n in groups.items()), Fraction(0))
-
-
 def _trace(darts, rotation_next):
     """The cycles of phi through the darts ``darts`` (an iterable of dart
     ids closed under phi), each starting at its smallest dart and sorted by
@@ -493,11 +489,12 @@ def build_embedding(vertex_count, rotations, twin_pairs, costs=None) -> Embedded
         twin_pairs: iterable of (dart, dart) pairs covering all darts.  The
             canonical encoding pairs 2e with 2e+1; anything else is rejected.
         costs: optional dict edge id -> cost (int, str or Fraction), one
-            for every edge.
+            for every edge; kept as ints over their lcm denominator, ``scale``.
 
     Raises:
         MalformedRotationError: a dart is repeated, missing, or rotations
-            do not match vertex_count; or costs cover some edges but not all.
+            do not match vertex_count; or a cost is missing, negative or
+            not a rational.
         BadTwinError: pairs are not the canonical involution.
     """
     if vertex_count < 0:
@@ -538,20 +535,24 @@ def build_embedding(vertex_count, rotations, twin_pairs, costs=None) -> Embedded
         for i, d in enumerate(rotation):
             rot[d] = rotation[(i + 1) % len(rotation)]
 
-    cost_map = None
+    g = EmbeddedGraph(vertex_count, dart_owner, rot)
     if costs is not None:
-        cost_map = {}
+        g.edge_cost = cost = {}
         for e, c in costs.items():
             if 2 * e not in dart_owner:
                 raise MalformedRotationError(f"cost given for absent edge {e}")
-            frac = c if isinstance(c, Fraction) else Fraction(str(c))
-            if frac < 0:
+            try:
+                frac = c if isinstance(c, Fraction) else Fraction(str(c))
+            except (ValueError, ZeroDivisionError):
+                raise MalformedRotationError(f"bad cost {c!r} on edge {e}") from None
+            if frac.numerator < 0:
                 raise MalformedRotationError(f"negative cost on edge {e}")
-            cost_map[e] = frac
-        if len(cost_map) != len(dart_owner) // 2:
+            cost[e] = frac
+        if len(cost) != len(dart_owner) // 2:
             raise MalformedRotationError(
-                f"costs given for {len(cost_map)} of {len(dart_owner) // 2} edges")
-
-    g = EmbeddedGraph(vertex_count, dart_owner, rot, cost_map)
+                f"costs given for {len(cost)} of {len(dart_owner) // 2} edges")
+        g.scale = scale = lcm(*(f.denominator for f in cost.values()))
+        for e, f in cost.items():  # in place: a second map would raise the peak
+            cost[e] = f.numerator * (scale // f.denominator)
     g.genus()  # validates Euler parity
     return g

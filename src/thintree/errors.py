@@ -43,10 +43,6 @@ class EdgeAbsentError(ThinTreeError, ValueError):
     """Queried or deleted edge id is not present in the graph."""
 
 
-class ParityViolationError(ThinTreeError):
-    """A dual vertex meets the cut's dual edge set an odd number of times."""
-
-
 class DualMismatchError(InvalidInputError):
     """A dual handed in with a graph has another face or edge count than
     the graph: it is the dual of some other graph."""

@@ -34,9 +34,8 @@ def parse_cost(text: str) -> Fraction:
     return value
 
 
-def format_cost(value: Fraction) -> str:
+def format_cost(value: Fraction | int) -> str:
     """Decimal string when the denominator is 2^a * 5^b, else 'p/q'."""
-    value = Fraction(value)
     den = value.denominator
     shift = 0
     while den % 2 == 0:
@@ -65,7 +64,8 @@ def write_emb(g: EmbeddedGraph) -> str:
     for e in g.edges():
         line = f"edge {e} {2 * e} {2 * e + 1}"
         if g.edge_cost is not None and e in g.edge_cost:
-            line += f" {format_cost(g.edge_cost[e])}"
+            c = g.edge_cost[e]
+            line += f" {format_cost(c if g.scale == 1 else Fraction(c, g.scale))}"
         lines.append(line)
     return "\n".join(lines) + "\n"
 

@@ -131,9 +131,9 @@ def amplify(g: EmbeddedGraph, q: int, costs=None) -> EmbeddedGraph:
 
 def _edge_costs(g: EmbeddedGraph, model: str, rng: PCG32):
     if model == "unit":
-        return {e: Fraction(1) for e in g.edges()}
+        return dict.fromkeys(g.edges(), 1)
     if model == "uniform-range":
-        return {e: Fraction(rng.randint(1, 100)) for e in g.edges()}
+        return {e: rng.randint(1, 100) for e in g.edges()}
     raise BadParamsError(f"cost model {model!r} not valid for embeddings")
 
 
@@ -182,7 +182,7 @@ def lp_support_instance(n: int, rng: PCG32):
         u, v = base.endpoints(e)
         matrix[u][v] = Fraction(rng.randint(10, 19))
         matrix[v][u] = Fraction(rng.randint(10, 19))
-    base.edge_cost = {e: Fraction(1) for e in base.edges()}
+    base.edge_cost = dict.fromkeys(base.edges(), 1)
     # the exact completion keeps entries integral
     return ATSPInstance.from_matrix(matrix).cost, base
 

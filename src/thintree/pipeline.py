@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .embedding import EmbeddedGraph, _cost_sum
+from .embedding import EmbeddedGraph
 from .errors import DisconnectedError, ExtractionFailureError, InvalidInputError
 from .flows import edge_connectivity
 from .spanning import ThinTreeResult, alpha, thin_spanning_tree
@@ -120,9 +120,11 @@ class WeightedThinTree:
     """A thin tree that meets the averaging bound c(T)*rounds <= c(G).
 
     ``thinness`` is the claimed bound 2*genus_bound(genus)/k; ``cost_ratio``
-    is the measured c(T)/c(G).  ``rounds`` is the planned number of
-    edge-disjoint trees t = floor(k / 2*genus_bound(genus)), the divisor of
-    the averaging bound.  ``connectivity_trace`` holds the measured edge
+    is the measured c(T)/c(G), and ``c_tree`` and ``c_graph`` are c(T) and
+    c(G) in the input's units (divided by the graph's ``scale``).
+    ``rounds`` is the planned number of edge-disjoint trees
+    t = floor(k / 2*genus_bound(genus)), the divisor of the averaging
+    bound.  ``connectivity_trace`` holds the measured edge
     connectivity of each residual round that ran.
     """
 
@@ -167,7 +169,7 @@ def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
                 f"{Fraction(k) - i * g_val}")
         trace.append(k_i)
         tree = bounded_genus_thin_tree(residual).tree_edges
-        c_tree = _cost_sum((1, g.edge_cost[e]) for e in tree)
+        c_tree = sum(g.edge_cost[e] for e in tree)
         if c_tree * rounds <= c_graph:
             break
         residual = residual.delete_edges(tree)
@@ -178,9 +180,9 @@ def weighted_thin_tree(g: EmbeddedGraph) -> WeightedThinTree:
     return WeightedThinTree(
         tree_edges=tuple(sorted(tree)),
         thinness=2 * g_val / k,
-        cost_ratio=c_tree / c_graph if c_graph else Fraction(0),
-        c_tree=c_tree,
-        c_graph=c_graph,
+        cost_ratio=Fraction(c_tree, c_graph) if c_graph else Fraction(0),
+        c_tree=Fraction(c_tree, g.scale),
+        c_graph=Fraction(c_graph, g.scale),
         rounds=rounds,
         connectivity_trace=trace,
     )

@@ -47,7 +47,7 @@ from .dual import (
     geometric_dual,
     min_pairwise_distance,
 )
-from .embedding import EmbeddedGraph, _cost_sum
+from .embedding import EmbeddedGraph
 from .errors import (
     DisconnectedError,
     DualMismatchError,
@@ -272,7 +272,7 @@ def tree_cost_ratio(g: EmbeddedGraph, tree_edges) -> Fraction | None:
     total = g.total_cost()
     if total <= 0:
         return None
-    return _cost_sum((1, g.edge_cost[e]) for e in tree_edges) / total
+    return Fraction(sum(g.edge_cost[e] for e in tree_edges), total)
 
 
 def _bfs_spanning_tree(g: EmbeddedGraph, allowed) -> list[int]:

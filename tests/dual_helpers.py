@@ -6,7 +6,11 @@ from __future__ import annotations
 
 from thintree.dual import Cut, DualGraph, Thread
 from thintree.embedding import EmbeddedGraph
-from thintree.errors import DegreeOneVertexError, ParityViolationError
+from thintree.errors import DegreeOneVertexError, ThinTreeError
+
+
+class ParityViolationError(ThinTreeError):
+    """A dual vertex meets the cut's dual edge set an odd number of times."""
 
 
 def kind(t: Thread) -> str:

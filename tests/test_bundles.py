@@ -262,6 +262,18 @@ def test_expand_parallel_rejects_bad_multiplicities(mult, match):
         expand_parallel(cycle_graph(3), mult if 0 in mult else {0: 1, **mult})
 
 
+def test_expand_parallel_rejects_bools():
+    # True == 1 and isinstance(True, int), so a bool once passed for edge 1
+    # or for one copy
+    cube = prism_graph(4)
+    with pytest.raises(InvalidInputError, match="True, not an edge"):
+        expand_parallel(cube, {True: 2, 0: True})
+    with pytest.raises(InvalidInputError, match="True of edge 0 is not"):
+        expand_parallel(cube, {0: True})
+    with pytest.raises(InvalidInputError, match="False of edge 1 is not"):
+        expand_parallel(cube, {1: False})
+
+
 @pytest.mark.parametrize("cost, match", [
     ({e: Fraction(1) for e in range(12) if e != 11}, "no cost given for edge 11"),
     ({e: Fraction(-5) for e in range(12)}, "negative cost -5 on edge 0"),

@@ -105,6 +105,28 @@ def test_negative_cost_rejected():
         build_embedding(1, [[0, 1]], [(0, 1)], costs={0: -1})
 
 
+@pytest.mark.parametrize("cost", ["abc", None, True, "1/0"])
+def test_cost_that_is_no_rational_rejected(cost):
+    with pytest.raises(MalformedRotationError, match=f"bad cost {cost!r} on edge 0"):
+        build_embedding(2, [[0], [1]], [(0, 1)], {0: cost})
+
+
+def test_costs_are_ints_over_their_scale():
+    costs = {0: "1/2", 1: Fraction(2, 3), 2: 3, 3: "0.25"}
+    g = build_embedding(2, [[0, 2, 4, 6], [7, 5, 3, 1]],
+                        [(0, 1), (2, 3), (4, 5), (6, 7)], costs)
+    assert g.scale == 12
+    assert g.edge_cost == {0: 6, 1: 8, 2: 36, 3: 3}
+    assert g.total_cost() == 53
+    # deletion and restriction keep the units their costs are in
+    assert g.delete_edges([1]).scale == 12
+    assert g.delete_edges([1]).total_cost() == 45
+    apart = g.delete_edges([0, 1, 2, 3])
+    assert apart.restrict_to_component([0]).scale == 12
+    assert build_embedding(2, [[0], [1]], [(0, 1)], {0: 5}).scale == 1
+    assert build_embedding(2, [[0], [1]], [(0, 1)]).scale == 1
+
+
 def test_partial_costs_rejected():
     # costs on edge 0 of two parallel edges, none on edge 1
     with pytest.raises(MalformedRotationError, match="1 of 2 edges"):

@@ -126,7 +126,8 @@ def test_emb_roundtrip():
     assert h.vertex_count == g.vertex_count
     assert h.dart_owner == g.dart_owner
     assert h.rotation_next == g.rotation_next
-    assert h.edge_cost == g.edge_cost
+    assert h.scale == 4
+    assert {e: Fraction(c, h.scale) for e, c in h.edge_cost.items()} == g.edge_cost
     assert write_emb(h) == text
 
 

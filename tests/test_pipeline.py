@@ -9,6 +9,7 @@ from thintree.dual import geometric_dual
 from thintree.embedding import EmbeddedGraph, build_embedding
 from thintree.errors import DisconnectedError, ExtractionFailureError
 from thintree.flows import edge_connectivity
+from thintree.formats import parse_cost, read_emb, write_emb
 from thintree.genlab import amplify, cycle_graph, prism_graph, torus_grid
 from thintree.oracle import (
     brute_force_edge_connectivity,
@@ -21,7 +22,7 @@ from thintree.pipeline import (
     weighted_thin_tree,
 )
 from thintree.prng import PCG32
-from thintree.spanning import thin_spanning_tree
+from thintree.spanning import thin_spanning_tree, tree_cost_ratio
 from thintree.surgery import SurgeryLog, SurgeryState
 
 from .conftest import add_edge
@@ -252,6 +253,74 @@ def test_weighted_trees_are_edge_disjoint(cube):
         assert not (set(result.tree_edges) & seen)
         seen |= set(result.tree_edges)
         residual = residual.delete_edges(result.tree_edges)
+
+
+# --- non-integral EMB costs --------------------------------------------
+
+def mixed_costs(g):
+    """Integers plus 1/2, 1/3 or 1/4 by edge id: denominators 1 to 4."""
+    return {e: 1 + (e * 37) % 100 + (Fraction(1, 1 + e % 4) if e % 4 else 0)
+            for e in g.edges()}
+
+
+def parsed_costs(text):
+    """Edge id -> the exact Fraction of its cost string in an EMB/1 text,
+    read apart from ``read_emb``: the oracle for the scaled ints."""
+    rows = (ln.split() for ln in text.splitlines())
+    return {int(row[1]): parse_cost(row[4]) for row in rows if row[0] == "edge"}
+
+
+@pytest.mark.parametrize("base, q, genus", [
+    (prism_graph(4), 20, 0),   # planar branch, 3 planned trees
+    (torus_grid(3, 3), 22, 1),  # genus branch: surgery and connectors
+], ids=["cube", "torus"])
+def test_non_integral_costs_match_their_fractions(base, q, genus):
+    drawn = amplify(base, q)
+    drawn.edge_cost = mixed_costs(drawn)
+    text = write_emb(drawn)
+    g = read_emb(text)
+    assert g.genus() == genus
+    assert g.scale == 12
+    assert all(type(c) is int for c in g.edge_cost.values())
+    assert write_emb(g) == text
+    costs = parsed_costs(text)
+    assert costs == drawn.edge_cost
+
+    # the same text with every cost multiplied by the scale
+    drawn.edge_cost = {e: 12 * c for e, c in costs.items()}
+    scaled = read_emb(write_emb(drawn))
+    assert scaled.scale == 1
+
+    w, w_scaled = weighted_thin_tree(g), weighted_thin_tree(scaled)
+    assert (w.tree_edges, w.rounds, w.connectivity_trace, w.thinness) == (
+        w_scaled.tree_edges, w_scaled.rounds, w_scaled.connectivity_trace,
+        w_scaled.thinness)
+    c_tree = sum((costs[e] for e in w.tree_edges), Fraction(0))
+    c_graph = sum(costs.values(), Fraction(0))
+    assert (w.c_tree, w.c_graph, w.cost_ratio) == (c_tree, c_graph, c_tree / c_graph)
+    assert (w_scaled.c_tree, w_scaled.c_graph, w_scaled.cost_ratio) == (
+        12 * c_tree, 12 * c_graph, c_tree / c_graph)
+    assert tree_cost_ratio(g, w.tree_edges) == c_tree / c_graph
+    assert brute_force_thinness(g, w.tree_edges).max_ratio <= w.thinness
+
+
+@given(rotation_systems(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_parsed_cost_sums_are_their_fraction_sums(g, data):
+    g.edge_cost = {e: Fraction(data.draw(st.integers(0, 99)),
+                               data.draw(st.sampled_from((1, 2, 3, 4))))
+                   for e in g.edges()}
+    text = write_emb(g)
+    h = read_emb(text)
+    assert write_emb(h) == text
+    total = sum(g.edge_cost.values(), Fraction(0))
+    assert Fraction(h.total_cost(), h.scale) == total
+    part = data.draw(st.sets(st.sampled_from(g.edges())))
+    ratio = sum((g.edge_cost[e] for e in part), Fraction(0)) / total if total else None
+    assert tree_cost_ratio(h, part) == ratio
+    kept = h.delete_edges(part)
+    assert Fraction(kept.total_cost(), kept.scale) == total - sum(
+        (g.edge_cost[e] for e in part), Fraction(0))
 
 
 def expensive_first_tree():
