@@ -51,16 +51,28 @@ def symmetrize(x: HKSolution, inst: ATSPInstance):
     instance's integer units.  The degree identity
     y(delta(v)) = 2 is asserted exactly.
     """
+    xs = x.x
     y = {}
-    for (i, j), val in x.x.items():
-        key = (min(i, j), max(i, j))
-        y[key] = y.get(key, Fraction(0)) + val
-    n = inst.n
-    c_prime = {key: min(inst.cost[key[0]][key[1]], inst.cost[key[1]][key[0]])
-               for key in y}
-    for v in range(n):
-        total = sum((val for (a, b), val in y.items() if v in (a, b)), Fraction(0))
-        assert total == 2, f"y(delta({v})) = {total} != 2"
+    for (i, j), val in xs.items():
+        if i < j:
+            back = xs.get((j, i))
+            y[i, j] = val if back is None else val + back
+        elif (j, i) not in xs:
+            y[j, i] = val
+    cost = inst.cost
+    c_prime = {}
+    # lcm of a list, not a generator: the argument tuple built from a
+    # generator is resized to its length, and freed onto that length's
+    # tuple free list, which so grows by one tuple per call
+    den = math.lcm(*[val.denominator for val in y.values()])
+    degree = [0] * inst.n  # y(delta(v)) * den
+    for (a, b), val in y.items():
+        c_prime[a, b] = min(cost[a][b], cost[b][a])
+        units = val.numerator * (den // val.denominator)
+        degree[a] += units
+        degree[b] += units
+    for v, total in enumerate(degree):
+        assert total == 2 * den, f"y(delta({v})) = {Fraction(total, den)} != 2"
     return y, c_prime
 
 
@@ -146,13 +158,16 @@ def round_to_tour(inst: ATSPInstance, x: HKSolution, tree_arcs,
     if len(tree_arcs) != n - 1:
         raise ValueError(f"{len(tree_arcs)} tree arcs for {n} vertices")
     scale = 2 * alpha * denominator
+    sn, sd = scale.numerator, scale.denominator
 
     arc_set = sorted(set(x.x) | set(tree_arcs))
     tree = set(tree_arcs)
     arcs = []
     for (u, v) in arc_set:
-        x_a = x.x.get((u, v), Fraction(0))
-        upper = math.ceil(scale * x_a) + 1
+        x_a = x.x.get((u, v))
+        upper = 1  # ceil(scale * x_a) + 1, as a floor of the negated product
+        if x_a is not None:
+            upper -= -sn * x_a.numerator // (sd * x_a.denominator)
         lower = 1 if (u, v) in tree else 0
         arcs.append((u, v, lower, max(upper, lower), inst.cost[u][v]))
     try:
@@ -171,16 +186,20 @@ def round_to_tour(inst: ATSPInstance, x: HKSolution, tree_arcs,
     assert len(order) == n, "Eulerian circuit missed vertices"
     tour = Tour.from_order(order, inst)
 
-    tour_cost = tour.cost * inst.scale
+    tour_cost = tour.cost.numerator * (inst.scale // tour.cost.denominator)
     circuit_cost = sum(f * c for (_, _, _, _, c), f in zip(arcs, flow))
     assert tour_cost <= circuit_cost, "shortcutting increased the cost"
-    c_x = sum((inst.cost[i][j] * val for (i, j), val in x.x.items()), Fraction(0))
+    # c(x) = c_x / den over the lcm den of x's denominators; the bound
+    # scale * c(x) + c(T) is compared times sd * den
+    den = math.lcm(*[val.denominator for val in x.x.values()])  # a list: see symmetrize
+    c_x = sum(inst.cost[i][j] * val.numerator * (den // val.denominator)
+              for (i, j), val in x.x.items())
     c_tree = sum(inst.cost[u][v] for u, v in tree_arcs)
-    bound = scale * c_x + c_tree
-    if tour_cost > bound:
+    bound = sn * c_x + sd * den * c_tree
+    if tour_cost * sd * den > bound:
         raise CostBoundViolatedError(
             f"tour cost {tour.cost} exceeds 2*alpha*D*c(x) + c(T) = "
-            f"{bound / inst.scale}")
+            f"{Fraction(bound, sd * den * inst.scale)}")
     return tour
 
 

@@ -161,7 +161,9 @@ class EmbeddedGraph:
         sorted by that dart.  Isolated vertices contribute no cycle here but
         are accounted for in genus()."""
         if self._faces is None:
-            self._faces, self._face_of = _trace(self.dart_owner, self.rotation_next)
+            face_of = [None] * ((max(self.dart_owner, default=-1) | 1) + 1)
+            self._faces = _trace(self.dart_owner, self.rotation_next, face_of)
+            self._face_of = face_of
         return self._faces
 
     def face_of_dart(self) -> list:
@@ -276,7 +278,7 @@ class EmbeddedGraph:
             for i in sorted((bisect_left(faces, (min(w),)) for w in walks),
                             reverse=True):
                 del kept[i]
-            for f in _trace(survivors, rot)[0]:
+            for f in _trace(survivors, rot):
                 insort(kept, f)
             h._faces = kept
         return h
@@ -451,17 +453,19 @@ def _pair_counts(g: EmbeddedGraph, copies=None) -> dict:
     return counts
 
 
-def _trace(darts, rotation_next):
+def _trace(darts, rotation_next, face_of=None):
     """The cycles of phi through the darts ``darts`` (an iterable of dart
     ids closed under phi), each starting at its smallest dart and sorted by
-    it, and the list dart -> index of its cycle, None at the ids below the
-    largest dart that are not in ``darts``.
+    it.
 
-    ``EmbeddedGraph.faces`` keeps both, and the list is then shared
-    (``face_of_dart``): callers must not mutate it.
+    ``face_of``, when given, is a list of None indexed by dart, at least
+    one longer than the largest dart; it is filled with dart -> index of
+    its cycle (``EmbeddedGraph.faces`` keeps it and shares it through
+    ``face_of_dart``).  A partial trace passes none, and its marks live in
+    a dict over ``darts`` alone.
     """
     order = sorted(darts)
-    owner = [None] * ((order[-1] | 1) + 1 if order else 0)
+    owner = dict.fromkeys(order) if face_of is None else face_of
     faces = []
     for d0 in order:
         if owner[d0] is not None:
@@ -476,7 +480,7 @@ def _trace(darts, rotation_next):
             if d == d0:
                 break
         faces.append(tuple(walk))
-    return faces, owner
+    return faces
 
 
 def build_embedding(vertex_count, rotations, twin_pairs, costs=None) -> EmbeddedGraph:
@@ -541,10 +545,12 @@ def build_embedding(vertex_count, rotations, twin_pairs, costs=None) -> Embedded
         for e, c in costs.items():
             if 2 * e not in dart_owner:
                 raise MalformedRotationError(f"cost given for absent edge {e}")
-            try:
-                frac = c if isinstance(c, Fraction) else Fraction(str(c))
-            except (ValueError, ZeroDivisionError):
-                raise MalformedRotationError(f"bad cost {c!r} on edge {e}") from None
+            frac = c
+            if not (type(c) is int or isinstance(c, Fraction)):
+                try:
+                    frac = Fraction(str(c))
+                except (ValueError, ZeroDivisionError):
+                    raise MalformedRotationError(f"bad cost {c!r} on edge {e}") from None
             if frac.numerator < 0:
                 raise MalformedRotationError(f"negative cost on edge {e}")
             cost[e] = frac

@@ -6,6 +6,12 @@ max-flow is used because the number of augmentations is capacity-independent
 (shortest augmenting paths), which keeps Fraction capacities exact and fast
 at this scale.  One residual network serves all three: max-flow finds its
 paths by BFS, min-cost flow by a Bellman-Ford queue over the same arcs.
+
+A global min cut is a sweep of max-flows from vertex 0, each bounded by
+the best cut so far: a flow stops augmenting once it reaches that value,
+which it then cannot beat.  A directed sweep needs the flows into 0 too,
+unless the arcs form a circulation: then every side sends out what it
+takes in, and the flows out of 0 alone find the same cut.
 """
 
 from __future__ import annotations
@@ -39,37 +45,46 @@ class FlowNetwork:
     def _augment(self, s: int, t: int, prev_arc: list):
         """Push the bottleneck along the s-t path whose last arc into each
         vertex is ``prev_arc``; returns the amount pushed."""
+        head, cap = self.head, self.cap
         path = []
         v = t
         while v != s:
             idx = prev_arc[v]
             path.append(idx)
-            v = self.head[idx ^ 1]
-        bottleneck = min(self.cap[idx] for idx in path)
+            v = head[idx ^ 1]
+        bottleneck = min(map(cap.__getitem__, path))
         for idx in path:
-            self.cap[idx] -= bottleneck
-            self.cap[idx ^ 1] += bottleneck
+            cap[idx] -= bottleneck
+            cap[idx ^ 1] += bottleneck
         return bottleneck
 
-    def max_flow(self, s: int, t: int):
-        """Edmonds-Karp; returns the flow value."""
+    def max_flow(self, s: int, t: int, enough=None):
+        """Edmonds-Karp; returns the flow value.
+
+        With ``enough``, augmenting stops once the flow reaches it, and the
+        value returned is then some value >= ``enough``.  A flow that stays
+        below ``enough`` runs the same augmentations as an unbounded one, so
+        its value and ``min_cut_side`` are exact.  Each BFS stops when it
+        labels t: t's path is fixed from then on.
+        """
+        head, cap, adj, n = self.head, self.cap, self.adj, self.n
         total = 0
-        while True:
-            prev_arc = [None] * self.n
+        while enough is None or total < enough:
+            prev_arc = [None] * n
             prev_arc[s] = -1
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                if u == t:
-                    break
-                for idx in self.adj[u]:
-                    v = self.head[idx]
-                    if prev_arc[v] is None and self.cap[idx] > 0:
+            queue = [s]
+            for u in queue:  # a list grown while read is a FIFO queue
+                for idx in adj[u]:
+                    v = head[idx]
+                    if prev_arc[v] is None and cap[idx] > 0:
                         prev_arc[v] = idx
-                        q.append(v)
-            if prev_arc[t] is None:
+                        queue.append(v)
+                if prev_arc[t] is not None:
+                    break
+            else:
                 return total
             total += self._augment(s, t, prev_arc)
+        return total
 
     def min_cost_flow(self, s: int, t: int):
         """Successive shortest paths (Bellman-Ford queue, so residual arcs
@@ -104,15 +119,15 @@ class FlowNetwork:
     def min_cut_side(self, s: int) -> frozenset:
         """Vertices reachable from s in the residual network (run after
         max_flow to read off a minimum cut)."""
+        head, cap, adj = self.head, self.cap, self.adj
         seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for idx in self.adj[u]:
-                v = self.head[idx]
-                if v not in seen and self.cap[idx] > 0:
+        queue = [s]
+        for u in queue:
+            for idx in adj[u]:
+                v = head[idx]
+                if v not in seen and cap[idx] > 0:
                     seen.add(v)
-                    q.append(v)
+                    queue.append(v)
         return frozenset(seen)
 
 
@@ -121,7 +136,9 @@ def _min_cut_sweep(n: int, arcs, pairs):
     ``pairs`` on one network with the directed ``arcs`` (u, v, capacity).
 
     The network is built once and its capacities restored before each
-    pair.  Stops at a zero, which no later pair can undercut; returns
+    pair.  Each flow is bounded by the best value so far: a flow that
+    reaches it cannot replace the best, and one that stays below it is
+    exact.  Stops at a zero, which no later pair can undercut; returns
     (None, None) when ``pairs`` is empty.
     """
     net = FlowNetwork(n)
@@ -131,7 +148,7 @@ def _min_cut_sweep(n: int, arcs, pairs):
     best, best_side = None, None
     for s, t in pairs:
         net.cap[:] = capacities
-        value = net.max_flow(s, t)
+        value = net.max_flow(s, t, best)
         if best is None or value < best:
             best, best_side = value, net.min_cut_side(s)
             if best == 0:
@@ -164,9 +181,22 @@ def directed_global_min_cut(n: int, arcs: dict):
     Returns (value, side) minimizing the weight leaving ``side`` over all
     proper sides; deterministic (first minimum found, scanning sinks in
     ascending order, source side before sink side).
+
+    When the positive arcs form a circulation (every vertex balanced, as
+    Held-Karp's degree rows make x), the weight leaving a side equals the
+    weight entering it, so the (t, 0) flow repeats the (0, t) flow just
+    before it and only the pairs (0, t) are swept: the first minimum, its
+    value and its side are the ones the two-sided sweep finds.
     """
     positive = [(u, v, w) for (u, v), w in sorted(arcs.items()) if w > 0]
-    pairs = (p for t in range(1, n) for p in ((0, t), (t, 0)))
+    balance = [0] * n
+    for u, v, w in positive:
+        balance[u] += w
+        balance[v] -= w
+    if any(balance):
+        pairs = (p for t in range(1, n) for p in ((0, t), (t, 0)))
+    else:
+        pairs = ((0, t) for t in range(1, n))
     return _min_cut_sweep(n, positive, pairs)
 
 

@@ -24,9 +24,13 @@ from .errors import FormatError
 
 
 def parse_cost(text: str) -> Fraction:
-    """Exact value of a decimal string such as '12' or '0.375'."""
+    """Exact value of a decimal string such as '12' or '0.375'.  A string
+    of ASCII digits is read by int(), which skips Fraction's regex."""
     try:
-        value = Fraction(text)
+        if text.isascii() and text.isdigit():
+            value = Fraction(int(text))
+        else:
+            value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"bad decimal cost {text!r}") from None
     if value < 0:

@@ -225,7 +225,9 @@ def solve_held_karp(inst: ATSPInstance) -> HKSolution:
         tableau = _solve_on(inst.cost, arcs, sides)
         while True:
             # separated on the tableau's integer numerators over d: scaling
-            # every capacity by d > 0 keeps the same cuts
+            # every capacity by d > 0 keeps the same cuts, and the degree
+            # rows balance the numerators at every vertex, so the sweep
+            # runs the flows out of vertex 0 only
             flow = {a: v for a, v in zip(arcs, tableau.numerators()) if v > 0}
             value, side = directed_global_min_cut(n, flow)
             if value is None or value >= tableau.d:

@@ -138,7 +138,7 @@ class SurgeryState:
         gone = {x for e in cycle for x in (2 * e, 2 * e + 1)}
         dead = {face_of[x] for x in gone}
         survivors, bare = _splice(self.rot, gone, [faces[f] for f in dead])
-        born = _trace(survivors, self.rot)[0]
+        born = _trace(survivors, self.rot)
         work.replace(cycle, hit, dead, born)
 
         comps = self.components

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from thintree import atsp
 from thintree.atsp import (
     Tour,
     atsp_approx,
@@ -15,6 +17,7 @@ from thintree.embedding import EmbeddedGraph
 from thintree.errors import (
     CirculationInfeasibleError,
     ConnectivityShortfallError,
+    CostBoundViolatedError,
     EmbeddingMismatchError,
 )
 from thintree.flows import edge_connectivity, min_cost_circulation
@@ -135,6 +138,90 @@ def test_round_to_tour_bound_on_fractional():
     assert tour.cost >= opt
 
 
+def scale_12_instance():
+    """Five vertices, every cost in [1, 2) over denominators whose lcm is
+    12, so the triangle inequality is strict."""
+    inst = ATSPInstance.from_matrix(
+        [[Fraction(12 + (7 * i + 5 * j) % 11, 12) if i != j else 0
+          for j in range(5)] for i in range(5)])
+    assert inst.scale == 12
+    return inst
+
+
+# weights of the four arc-disjoint Hamiltonian cycles i -> i + k (mod 5),
+# k = 1..4: x_a is the weight of a's cycle
+CYCLE_WEIGHTS = [
+    (Fraction(1, 2), Fraction(1, 2), 0, 0),
+    (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), 0),
+    (Fraction(1, 7), Fraction(2, 7), Fraction(3, 7), Fraction(1, 7)),
+    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 42)),
+]
+
+
+def cycle_solution(inst, weights):
+    x = {(i, (i + k) % 5): w for k, w in enumerate(weights, 1) for i in range(5) if w}
+    obj = sum(inst.cost[i][j] * v for (i, j), v in x.items()) / inst.scale
+    return HKSolution(x=x, objective=obj, cuts_added=0)
+
+
+TREE_ARCS = [(0, 1), (1, 2), (2, 3), (3, 4)]  # the tour returns by 4 -> 0
+
+
+@pytest.mark.parametrize("weights", CYCLE_WEIGHTS)
+@pytest.mark.parametrize("alpha, d", [(Fraction(3, 5), 12), (Fraction(7, 9), 63),
+                                      (Fraction(1, 11), 125)])
+def test_round_to_tour_capacities_are_their_fraction_ceilings(monkeypatch, weights,
+                                                              alpha, d):
+    inst = scale_12_instance()
+    x = cycle_solution(inst, weights)
+    seen = []
+
+    def recorded(n, arcs):
+        seen.extend(arcs)
+        return min_cost_circulation(n, arcs)
+
+    monkeypatch.setattr(atsp, "min_cost_circulation", recorded)
+    tour = round_to_tour(inst, x, TREE_ARCS, alpha, d)
+    assert tour.order == (0, 1, 2, 3, 4)
+    assert [(u, v) for u, v, *_ in seen] == sorted(set(x.x) | set(TREE_ARCS))
+    for u, v, lower, upper, cost in seen:
+        assert upper == math.ceil(2 * alpha * d * x.x.get((u, v), Fraction(0))) + 1
+        assert lower == ((u, v) in TREE_ARCS) and cost == inst.cost[u][v]
+
+
+@pytest.mark.parametrize("weights", CYCLE_WEIGHTS)
+def test_round_to_tour_bound_holds_with_equality(weights):
+    """The circulation is the tree path plus the direct arc 4 -> 0, so
+    2*alpha*D*c(x) = c(4, 0) makes the tour cost the bound exactly: it
+    passes, and one unit of 1/12 less in 2*alpha*D*c(x) raises."""
+    inst = scale_12_instance()
+    x = cycle_solution(inst, weights)
+    c_x = x.objective * inst.scale
+    d = 60
+    back = inst.cost[4][0]
+    tour = round_to_tour(inst, x, TREE_ARCS, back / (2 * d * c_x), d)
+    assert tour.order == (0, 1, 2, 3, 4)
+    c_tree = sum(inst.cost[u][v] for u, v in TREE_ARCS)
+    assert tour.cost * inst.scale == c_tree + back
+    bound = Fraction(c_tree + back - 1, inst.scale)
+    with pytest.raises(CostBoundViolatedError,
+                       match=rf"exceeds 2\*alpha\*D\*c\(x\) \+ c\(T\) = {bound}$"):
+        round_to_tour(inst, x, TREE_ARCS, (back - 1) / (2 * d * c_x), d)
+
+
+def test_symmetrize_asserts_each_degree_exactly():
+    inst = scale_12_instance()
+    for weights in CYCLE_WEIGHTS:
+        x = cycle_solution(inst, weights)
+        y, _ = symmetrize(x, inst)
+        assert y == {(i, j): x.x.get((i, j), 0) + x.x.get((j, i), 0)
+                     for i in range(5) for j in range(i + 1, 5)
+                     if (i, j) in x.x or (j, i) in x.x}
+    x.x[(0, 1)] -= Fraction(1, 7)
+    with pytest.raises(AssertionError, match=r"y\(delta\(0\)\) = 13/7 != 2"):
+        symmetrize(x, inst)
+
+
 def test_round_to_tour_rejects_alpha_out_of_range():
     inst = ATSPInstance.from_matrix(
         [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
@@ -150,7 +237,6 @@ def test_circulation_infeasible_when_capacity_missing():
 
 
 def test_atsp_approx_shortfall_on_bogus_y(monkeypatch):
-    from thintree import atsp
     # not a Held-Karp solution: two disjoint 2-cycles give the shadow
     # y = 2 on (0, 1) and (2, 3), whose disconnected support violates
     # y(delta) >= 2

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from thintree.atsp import discretize, expand_support_embedding, symmetrize
 from thintree.dual import geometric_dual, shortest_dual_cycle
-from thintree.embedding import EmbeddedGraph, _splice, build_embedding, expand_parallel
+from thintree.embedding import (
+    EmbeddedGraph,
+    _splice,
+    _trace,
+    build_embedding,
+    expand_parallel,
+)
 from thintree.errors import (
     BadTwinError,
     DisconnectedError,
@@ -367,6 +373,41 @@ def test_any_rotation_system_has_integer_genus(g):
 def test_faces_partition_darts(g):
     darts = sorted(d for f in g.faces() for d in f)
     assert darts == sorted(g.dart_owner)
+
+
+def cycles_of_phi(darts, rotation_next):
+    """Each dart's cycle of phi, walked from it and turned to start at its
+    smallest dart, sorted."""
+    cycles = set()
+    for d0 in darts:
+        walk = [d0]
+        d = rotation_next[d0 ^ 1]
+        while d != d0:
+            walk.append(d)
+            d = rotation_next[d ^ 1]
+        i = walk.index(min(walk))
+        cycles.add(tuple(walk[i:] + walk[:i]))
+    return sorted(cycles)
+
+
+@given(rotation_systems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_partial_traces_walk_their_faces(g, data):
+    """A trace of some faces' darts, on the graph and after a deletion
+    that leaves dart ids unused, gives those faces; the whole trace fills
+    the map it is handed."""
+    edges = g.edges()
+    doomed = data.draw(st.sets(st.sampled_from(edges), max_size=len(edges)))
+    for h in (g, g.delete_edges(doomed)):
+        faces = h.faces()
+        chosen = data.draw(st.sets(st.sampled_from(faces), max_size=len(faces))
+                           if faces else st.just(set()))
+        darts = {d for f in chosen for d in f}
+        assert _trace(darts, h.rotation_next) == sorted(chosen)
+        assert _trace(darts, h.rotation_next) == cycles_of_phi(darts, h.rotation_next)
+        face_of = [None] * (2 * max(edges) + 2)
+        assert _trace(h.dart_owner, h.rotation_next, face_of) == faces
+        assert face_of[:len(h.face_of_dart())] == h.face_of_dart()
 
 
 @given(rotation_systems(), st.data())

@@ -88,6 +88,93 @@ def test_max_flow_cancels_through_reverse_arcs():
     assert net.min_cut_side(0) == {0}
 
 
+def two_sided_sweep(n: int, arcs: dict):
+    """The directed sweep over (0, t) and then (t, 0) for every sink t,
+    each an unbounded flow on a fresh network: the first strict minimum
+    (value, source side), stopping at a zero."""
+    best, best_side = None, None
+    for t in range(1, n):
+        for s, sink in ((0, t), (t, 0)):
+            net = FlowNetwork(n)
+            for (u, v), w in sorted(arcs.items()):
+                if w > 0:
+                    net.add_arc(u, v, w)
+            value = net.max_flow(s, sink)
+            if best is None or value < best:
+                best, best_side = value, net.min_cut_side(s)
+                if best == 0:
+                    return best, best_side
+    return best, best_side
+
+
+@st.composite
+def circulations(draw):
+    """Sums of up to five directed cycles of weight 1-4 on 2-9 vertices."""
+    n = draw(st.integers(2, 9))
+    arcs = {}
+    for _ in range(draw(st.integers(0, 5))):
+        order = draw(st.permutations(range(n)))
+        cycle = order[:draw(st.integers(2, n))]
+        w = draw(st.integers(1, 4))
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            arcs[u, v] = arcs.get((u, v), 0) + w
+    return n, arcs
+
+
+@given(circulations())
+@settings(max_examples=200, deadline=None)
+def test_circulation_sweep_matches_the_two_sided_sweep(case):
+    n, arcs = case
+    value, side = directed_global_min_cut(n, arcs)
+    assert (value, side) == two_sided_sweep(n, arcs)
+    assert value == min(leaving(arcs, s) for s in proper_sides(n))
+
+
+def test_circulation_sweeps_one_side(monkeypatch):
+    """A directed 5-cycle plus a chord's return path runs the 4 flows out
+    of vertex 0; the same arcs with one unbalanced extra run all 8."""
+    calls = []
+    max_flow = FlowNetwork.max_flow
+
+    def counted(self, s, t, enough=None):
+        calls.append((s, t))
+        return max_flow(self, s, t, enough)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    ring = {(0, 1): 2, (1, 2): 2, (2, 3): 2, (3, 4): 2, (4, 0): 2, (1, 3): 1,
+            (3, 1): 1}
+    assert directed_global_min_cut(5, ring) == (2, frozenset({0}))
+    assert calls == [(0, 1), (0, 2), (0, 3), (0, 4)]
+    calls.clear()
+    assert directed_global_min_cut(5, {**ring, (2, 4): 1})[0] == 2
+    assert calls == [p for t in range(1, 5) for p in ((0, t), (t, 0))]
+
+
+@given(weighted_pairs(directed=True), st.data())
+@settings(max_examples=200, deadline=None)
+def test_bounded_max_flow(case, data):
+    """Below ``enough`` the bounded flow is the flow, with the same
+    residual side; otherwise it reaches ``enough`` without passing the
+    flow."""
+    n, arcs = case
+    s = data.draw(st.integers(0, n - 1))
+    t = data.draw(st.sampled_from([v for v in range(n) if v != s]))
+    enough = data.draw(WEIGHTS)
+    nets = []
+    for _ in range(2):
+        net = FlowNetwork(n)
+        for (u, v), w in sorted(arcs.items()):
+            net.add_arc(u, v, w)
+        nets.append(net)
+    full = nets[0].max_flow(s, t)
+    bounded = nets[1].max_flow(s, t, enough)
+    if full < enough:
+        assert bounded == full
+        assert nets[1].min_cut_side(s) == nets[0].min_cut_side(s)
+    else:
+        assert enough <= bounded <= full
+
+
 @st.composite
 def bounded_arcs(draw):
     """At most 6 arcs on at most 4 vertices, loops allowed, upper <= 3;

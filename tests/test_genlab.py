@@ -187,6 +187,36 @@ def test_cost_formatting():
         parse_cost("abc")
 
 
+@pytest.mark.parametrize("text", ["12", "007", "0.375", "7/3", " 12 ", "1e3", "-1",
+                                  "\u00b2", "", "1_000", "\u0661\u0662"])
+def test_parse_cost_accepts_what_fraction_accepts(text):
+    """Digit strings take int(); every string is accepted with Fraction's
+    value, or rejected, as Fraction(text) decides."""
+    try:
+        expected = Fraction(text)
+    except ValueError:
+        expected = None
+    if expected is None or expected < 0:
+        with pytest.raises(FormatError):
+            parse_cost(text)
+    else:
+        value = parse_cost(text)
+        assert type(value) is Fraction and value == expected
+
+
+def test_digit_costs_read_like_their_fractions():
+    """read_emb, read_atsp and format_cost see the values of the strings."""
+    g = read_emb("EMB 1 3 3\nrot 0 0 5\nrot 1 1 2\nrot 2 3 4\n"
+                 "edge 0 0 1 007\nedge 1 2 3 0.375\nedge 2 4 5 12\n")
+    assert g.scale == 8
+    assert [Fraction(g.edge_cost[e], g.scale) for e in g.edges()] == [
+        7, Fraction(3, 8), 12]
+    matrix = read_atsp("ATSP 1 2\n0 007\n1.5 0\n")
+    assert matrix == [[0, 7], [Fraction(3, 2), 0]]
+    assert all(type(c) is Fraction for row in matrix for c in row)
+    assert [format_cost(c) for c in matrix[0]] == ["0", "7"]
+
+
 def test_pcg32_reference_stream():
     # fixed stream so accidental generator changes are caught
     rng = PCG32(42)
