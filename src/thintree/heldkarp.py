@@ -1,17 +1,20 @@
-"""Held-Karp LP relaxation via cutting planes.
+"""Held-Karp LP relaxation via cutting planes and pricing, on one tableau.
 
 The restricted LP keeps the degree equalities and the subtour constraints
-found so far, over a restricted set of arc columns.  Separation is a global
-directed min cut on the current support (n-1 max-flow pairs with the
-fractional values as capacities).  The most violated cut is added and the
-LP re-solved by dual simplex on the kept tableau (Lemke 1954) until no
-directed cut falls below one.  Then every arc is priced with the exact
-duals of the final tableau, and the arcs that price below zero join the
-columns (Dantzig-Fulkerson-Johnson 1954; Applegate-Bixby-Chvatal-Cook
-2006, ch. 12) until none does.  The simplex is exact, so the final solution
-is exactly feasible and exactly optimal over the generated constraint set
-at every n, and that optimality over every arc is the dual certificate
-each solve re-asserts.
+found so far, over a restricted set of arc columns.  It is solved cold
+once, from the basis of the tour 0 -> 1 -> ... -> n-1 -> 0, which is
+feasible, so phase 1 makes no pivot; that tableau is kept to the end.
+Separation is a global directed min cut on the current support (max-flow
+pairs with the fractional values as capacities).  The most violated cut
+is added and the LP re-solved by dual simplex on the kept tableau (Lemke
+1954) until no directed cut falls below one.  Then every arc is priced
+with the exact duals, and the arcs that price below zero join the same
+tableau as columns, re-optimised by primal simplex (Dantzig-Fulkerson-
+Johnson 1954; Applegate-Bixby-Chvatal-Cook 2006, ch. 12), and separation
+resumes, until no arc prices below zero.  The simplex is exact, so the
+final solution is exactly feasible and exactly optimal over the generated
+constraint set at every n, and that optimality over every arc is the dual
+certificate each solve re-asserts.
 """
 
 from __future__ import annotations
@@ -187,42 +190,37 @@ def _cut_row(arcs, side) -> list:
     return [int(i in inside and j not in inside) for i, j in arcs]
 
 
-def _solve_on(cost, arcs, sides):
-    """The optimal tableau of a cold solve over the columns ``arcs``, with
-    the rows of ``sides`` appended in order by dual simplex."""
-    n = len(cost)
-    degree_rows = [[0] * len(arcs) for _ in range(2 * n)]  # out(v), then in(v)
-    for col, (i, j) in enumerate(arcs):
-        degree_rows[i][col] = 1
-        degree_rows[n + j][col] = 1
-    costs = [cost[i][j] for i, j in arcs]
-    tableau = solve_lp(costs, degree_rows, [1] * (2 * n))
-    for side in sides:
-        tableau.add_row(_cut_row(arcs, side), 1)
-    return tableau
-
-
 def solve_held_karp(inst: ATSPInstance) -> HKSolution:
-    """Solve the Held-Karp relaxation of ``inst`` exactly.
+    """Solve the Held-Karp relaxation of ``inst`` exactly, on one tableau.
 
     The 0 <= x <= 1 bounds are implied by the degree equalities, so only
     those equalities plus the generated cut constraints reach the simplex.
-    The LP starts on the columns of ``start_arcs``.  A cold solve takes the
-    2n degree rows; each cut found afterwards is appended to its optimal
-    tableau as x(delta+(S)) - s = 1 with a new slack s, and dual simplex
-    pivots restore the optimum.  Once no cut is violated, every arc is
-    priced with the exact duals (``negative_arcs``); the arcs that price
-    below zero join the columns and the LP is solved cold again, with the
-    cuts so far re-appended in order.  The loop ends exactly when the
-    all-arc ``check_dual_certificate`` passes.
+    The LP starts on the columns of ``start_arcs``, and its one cold solve
+    takes the 2n degree rows from the basis of the tour 0 -> 1 -> ... ->
+    n-1 -> 0, which is feasible, so phase 1 makes no pivot.  Each cut
+    found afterwards is appended to the optimal tableau as x(delta+(S)) -
+    s = 1 with a new slack s, and dual simplex pivots restore the optimum.
+    Once no cut is violated, every arc is priced with the exact duals
+    (``negative_arcs``); the arcs that price below zero join the same
+    tableau as columns and primal simplex restores the optimum, after
+    which separation resumes.  The loop ends exactly when the all-arc
+    ``check_dual_certificate`` passes.
     """
     n = inst.n
     if n < 3:
         raise InvalidInputError(f"Held-Karp needs at least 3 vertices, got {n}")
-    arcs = start_arcs(inst.cost)
+    cost = inst.cost
+    arcs = start_arcs(cost)  # one per column, in the order they entered
+    degree_rows = [[0] * len(arcs) for _ in range(2 * n)]  # out(v), then in(v)
+    for col, (i, j) in enumerate(arcs):
+        degree_rows[i][col] = 1
+        degree_rows[n + j][col] = 1
+    column = {arc: col for col, arc in enumerate(arcs)}
+    tour = [column[v, (v + 1) % n] for v in range(n)]
+    tableau = solve_lp([cost[i][j] for i, j in arcs], degree_rows, [1] * (2 * n),
+                       start=tour)
     sides = []
     while True:
-        tableau = _solve_on(inst.cost, arcs, sides)
         while True:
             # separated on the tableau's integer numerators over d: scaling
             # every capacity by d > 0 keeps the same cuts, and the degree
@@ -242,15 +240,21 @@ def solve_held_karp(inst: ATSPInstance) -> HKSolution:
         rows, z, den = tableau.duals()
         duals = HKDuals(u_out=rows[:n], u_in=rows[n:], z=z, sides=sides,
                         denominator=den)
-        entering = negative_arcs(inst.cost, duals)
+        entering = negative_arcs(cost, duals)
         if not entering:
             break
         if not set(entering).isdisjoint(arcs):
             raise DualCertificateError("an arc of the LP prices below zero")
-        arcs = sorted(arcs + entering)
+        for i, j in entering:
+            degree = [0] * (2 * n)
+            degree[i] = degree[n + j] = 1
+            crossing = [int(i in side and j not in side) for side in sides]
+            tableau.add_column(cost[i][j], degree, crossing)
+        arcs += entering
+        tableau.run_phase()
 
     objective, values = tableau.result()  # Fractions, final optimum only
-    x = {a: val for a, val in zip(arcs, values) if val > 0}
-    check_dual_certificate(inst.cost, duals, objective)
+    x = {a: val for a, val in sorted(zip(arcs, values)) if val > 0}
+    check_dual_certificate(cost, duals, objective)
     return HKSolution(x=x, objective=objective / inst.scale,
                       cuts_added=len(sides), columns=len(arcs), duals=duals)

@@ -230,7 +230,7 @@ def verify_hk_certificate(cost: list[list[Fraction]], x: dict, duals,
     if n > MAX_SUBTOUR_VERTICES:
         return
     # every subtour row by enumeration, in integers over a common denominator
-    scale = math.lcm(*(value.denominator for value in x.values()))
+    scale = math.lcm(*[value.denominator for value in x.values()])  # a list: see atsp.symmetrize
     support = [(i, j, int(value * scale)) for (i, j), value in x.items() if value]
     for mask in range(1, (1 << n) - 1):
         crossing = sum(w for i, j, w in support if mask >> i & 1 and not mask >> j & 1)

@@ -14,6 +14,17 @@ s >= 0, and the LP is re-solved by dual simplex on the kept tableau (Lemke
 1954): the new row starts with s basic, every reduced cost stays
 non-negative, and pivots remove the rows with a negative right-hand side.
 The objective row also carries the exact row duals (``Tableau.duals``).
+
+An optimal tableau also takes further columns (``Tableau.add_column``), and
+primal simplex re-optimises from the kept basis, which the new column
+leaves primal feasible (Dantzig-Fulkerson-Johnson 1954).  The column is
+B^-1 times the new variable's column, read off columns the tableau already
+keeps: that of each original row's artificial, and minus that of each
+added row's slack.
+
+``solve_lp`` can start from a basis: the ``start`` columns are pivoted in
+one at a time by the ratio test, so the basis stays primal feasible, and
+phase 1 makes no pivot when they already zero every artificial.
 """
 
 from __future__ import annotations
@@ -26,10 +37,13 @@ from .errors import InfeasibleError
 class Tableau:
     """Integer simplex tableau over one denominator ``d``.
 
-    Columns: ``num_vars`` real variables, one artificial per original row
-    (kept through phase 2, so the objective row prices them), then the rhs.
-    The last row is the objective, over the same ``d``.  Row i has basic
-    variable ``basis[i]``.
+    Columns: ``num_vars`` real variables (those of ``add_column`` before the
+    slacks of ``add_row``, which come last), one artificial per original
+    row (kept through phase 2, so the objective row prices them), then the
+    rhs.  The last row is the objective, over the same ``d``.  Row i has
+    basic variable ``basis[i]``.  ``dropped`` holds, for each original row
+    ``solve_lp`` dropped as redundant, its artificial part: multipliers
+    under which the original rows sum to the zero row, right-hand side 0.
     """
 
     def __init__(self, rows, num_vars):
@@ -39,6 +53,7 @@ class Tableau:
         self.num_vars = num_vars
         self.num_rows = len(rows)  # original rows, one artificial each
         self.num_added = 0         # rows appended by add_row
+        self.dropped = []
 
     def pivot(self, row_i, col_j):
         """Pivot on T[r][s] = p: every other row becomes
@@ -71,10 +86,10 @@ class Tableau:
         self.basis[row_i] = col_j
 
     def run_phase(self):
-        """Primal simplex; only real variables enter, artificials never
-        return to the basis."""
-        tableau, basis, num_vars = self.tableau, self.basis, self.num_vars
-        m = len(basis)
+        """Primal simplex from a primal feasible basis; only real variables
+        enter, artificials never return to the basis."""
+        tableau, num_vars = self.tableau, self.num_vars
+        m = len(self.basis)
         iterations = 0
         bland_after = 20 * (m + num_vars) + 200
         while True:
@@ -94,22 +109,29 @@ class Tableau:
                         break
             if enter < 0:
                 return
-            # min ratio T[i][rhs] / T[i][enter] over T[i][enter] > 0, ties
-            # to the smallest basic index; compared by cross-multiplying
-            leave = -1
-            for i in range(m):
-                a = tableau[i][enter]
-                if a <= 0:
-                    continue
-                b = tableau[i][-1]
-                if leave >= 0:
-                    new, old = b * best_a, best_b * a
-                    if new > old or (new == old and basis[i] > basis[leave]):
-                        continue
-                leave, best_a, best_b = i, a, b
+            leave = self.ratio_row(enter)
             assert leave >= 0, "LP unbounded: invalid model"
             self.pivot(leave, enter)
             assert iterations < 200000, "simplex failed to terminate"
+
+    def ratio_row(self, enter):
+        """The row that leaves when column ``enter`` enters: the minimum
+        ratio T[i][rhs] / T[i][enter] over T[i][enter] > 0, ties to the
+        smallest basic index, compared by cross-multiplying; -1 when no
+        entry is positive."""
+        tableau, basis = self.tableau, self.basis
+        leave = -1
+        for i in range(len(basis)):
+            a = tableau[i][enter]
+            if a <= 0:
+                continue
+            b = tableau[i][-1]
+            if leave >= 0:
+                new, old = b * best_a, best_b * a
+                if new > old or (new == old and basis[i] > basis[leave]):
+                    continue
+            leave, best_a, best_b = i, a, b
+        return leave
 
     def run_dual(self):
         """Dual simplex from a dual feasible tableau: the row with the most
@@ -185,6 +207,44 @@ class Tableau:
         self.num_added += 1
         self.run_dual()
 
+    def add_column(self, cost, coeffs, added=()):
+        """Append a real variable with integer objective coefficient
+        ``cost``, coefficients ``coeffs`` in the original rows and ``added``
+        in the rows of ``add_row``, in order (missing trailing entries are
+        0).  Call ``run_phase`` after the last new column to re-optimise.
+
+        The column enters after the other ``add_column`` variables, before
+        the slacks.  Its entries are B^-1 times its column, a sum of kept
+        columns: each original row's artificial times that row's
+        coefficient, and each added row's slack times minus its
+        coefficient (the slack's own column there is -1); the objective
+        entry applies the same sum to the objective row, plus d * cost.
+        The right-hand side does not change, so the basis stays primal
+        feasible.  A row ``solve_lp`` dropped as redundant keeps its
+        artificial column, and its dependency must hold for the new column
+        too, or ValueError is raised.  That is exact for the arcs of a
+        degree system: each has one out-row and one in-row coefficient,
+        and the dependency is the sum of the out-rows minus that of the
+        in-rows.
+        """
+        coeffs, added = list(coeffs), list(added)
+        added += [0] * (self.num_added - len(added))
+        if (len(coeffs) != self.num_rows or len(added) != self.num_added
+                or any(int(a) != a for a in coeffs + added + [cost])):
+            raise ValueError("column must be integers over the rows")
+        for dependency in self.dropped:
+            if sum(a * w for a, w in zip(coeffs, dependency)):
+                raise ValueError("column breaks a dropped row's dependency")
+        col = self.num_vars - self.num_added  # the first slack's place
+        terms = [(self.num_vars + r, int(a)) for r, a in enumerate(coeffs) if a]
+        terms += [(col + r, -int(a)) for r, a in enumerate(added) if a]
+        tableau, basis = self.tableau, self.basis
+        for row in tableau:
+            row.insert(col, sum(a * row[j] for j, a in terms))
+        tableau[len(basis)][col] += self.d * int(cost)
+        basis[:] = [b + (b >= col) for b in basis]
+        self.num_vars += 1
+
     def numerators(self):
         """The basic solution's real variables as integer numerators over
         ``d`` (which is positive)."""
@@ -215,16 +275,21 @@ class Tableau:
         return rows, added, self.d
 
 
-def solve_lp(costs, rows, rhs):
+def solve_lp(costs, rows, rhs, start=()):
     """Minimize costs.x over A x = b, x >= 0.
 
     Parameters:
         costs: integer per-variable objective coefficients.
         rows: list of integer constraint coefficient lists (dense, len == #vars).
         rhs: integer right-hand sides, all >= 0.
+        start: columns to pivot into the artificial basis first, in order,
+            each by the ratio test (one with no positive entry is skipped).
+            When they zero every artificial, phase 1 makes no pivot; with
+            none, the path is that of a cold start.
 
     Returns the optimal ``Tableau``: ``result()`` reads the objective and
-    values as Fractions, and ``add_row`` takes further rows.  Raises
+    values as Fractions, ``add_row`` takes further rows and
+    ``add_column`` further columns.  Raises
     InfeasibleError when the feasible region is empty and ValueError on
     malformed input.  Unboundedness raises AssertionError (our LPs are
     bounded by construction).
@@ -255,7 +320,14 @@ def solve_lp(costs, rows, rhs):
     for row in tableau:  # price out the artificial basis
         obj = [o - v for o, v in zip(obj, row)]
     tableau.append(obj)
-    t.run_phase()
+    for j in start:
+        if not 0 <= j < num_vars:
+            raise ValueError(f"start column {j} out of range")
+        leave = -1 if j in t.basis else t.ratio_row(j)
+        if leave >= 0:
+            t.pivot(leave, j)
+    if not start or tableau[m][-1] != 0:
+        t.run_phase()
     if tableau[m][-1] != 0:
         raise InfeasibleError(f"phase-1 objective {Fraction(-tableau[m][-1], t.d)}")
 
@@ -270,6 +342,7 @@ def solve_lp(costs, rows, rhs):
             drop.append(i)
         else:
             t.pivot(i, enter)
+    t.dropped = [tableau[i][num_vars:num_vars + m] for i in drop]
     for i in reversed(drop):
         del tableau[i]
         del basis[i]

@@ -15,7 +15,7 @@ from thintree.heldkarp import (
 from thintree.genlab import lp_support_instance, random_metric
 from thintree.oracle import brute_force_atsp, verify_hk_certificate
 from thintree.prng import PCG32
-from thintree.simplex import solve_lp
+from thintree.simplex import Tableau, solve_lp
 
 pytestmark = pytest.mark.usefixtures("oracle_checked_held_karp")
 
@@ -261,20 +261,23 @@ def test_perturbed_duals_are_rejected():
 # duals.sides of lp-support seeds 0-8, recorded when separation still ran on
 # Fraction capacities; min cuts do not move under a positive scale.  The
 # sides follow the pivot path: (8, 8) was re-recorded when the LP started on
-# a restricted arc set, which ends at the same value through a fourth cut.
+# a restricted arc set, which ends at the same value through a fourth cut,
+# and (8, 2), (8, 3), (8, 8) and (10, 2) when one tableau started at the
+# tour basis and took the priced arcs as columns, which lands on other
+# optimal vertices of the same value.
 LP_SUPPORT_SIDES = {
     (8, 0): [(0, 1), (0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 2, 3, 4, 5)],
     (8, 1): [(0, 1, 2, 3, 6, 7), (0, 1, 3, 4, 5, 7)],
-    (8, 2): [],
-    (8, 3): [(0, 1, 3, 4, 5, 7), (0, 1, 2, 3, 5, 6)],
+    (8, 2): [(0, 1, 2, 3, 4, 5)],
+    (8, 3): [(0, 1, 3, 4, 5, 7)],
     (8, 4): [(0, 3, 4, 7)],
     (8, 5): [],
     (8, 6): [(0, 1), (0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 2, 3, 4, 5), (0, 1, 4, 5, 6, 7)],
     (8, 7): [],
-    (8, 8): [(0, 1), (0, 1, 4, 5, 6, 7), (0, 1, 2, 3), (0, 1, 2, 3, 5, 6)],
+    (8, 8): [(0, 1), (0, 1, 2, 3), (0, 1, 4, 5, 6, 7), (0, 1, 2, 3, 5, 6)],
     (10, 0): [(0, 4), (0, 1, 4, 5, 6, 9)],
     (10, 1): [(0, 5), (0, 1, 2, 5, 6, 7)],
-    (10, 2): [(0, 1, 2, 3, 5, 6, 7, 8)],
+    (10, 2): [(0, 5), (0, 1, 2, 3, 5, 6, 7, 8)],
     (10, 3): [(0, 1, 5, 6), (0, 1, 3, 4, 5, 6, 8, 9), (0, 1, 2, 5, 6, 7, 8, 9)],
     (10, 4): [(0, 4), (0, 4, 5, 9), (0, 2, 3, 4, 5, 7, 8, 9)],
     (10, 5): [(0, 4, 5, 9), (0, 1, 4, 5, 6, 7, 8, 9), (0, 5)],
@@ -336,16 +339,54 @@ def test_pricing_restricts_the_columns():
 
 
 def test_pricing_adds_every_negative_arc_in_one_round(monkeypatch):
-    # lp-support n = 8, seed 2: the first LP leaves arcs that price below
-    # zero, and one round of pricing brings in all of them, so two cold
-    # solves end the loop (adding one arc per round takes four)
-    solves = []
-    solve_on = heldkarp._solve_on
-    monkeypatch.setattr(heldkarp, "_solve_on",
-                        lambda *args: solves.append(args) or solve_on(*args))
-    sol = solve_held_karp(_instance("lp-support", 8, 2))
-    assert len(solves) == 2
+    # lp-support n = 8, seed 2: the first optimum leaves six arcs that price
+    # below zero, and one pricing round brings in all of them, so the next
+    # round finds none (adding one arc per round takes three rounds); the
+    # last pricing is check_dual_certificate's
+    found = []
+    pricing = heldkarp.negative_arcs
+    monkeypatch.setattr(heldkarp, "negative_arcs",
+                        lambda cost, duals: found.append(pricing(cost, duals)) or found[-1])
+    inst = _instance("lp-support", 8, 2)
+    sol = solve_held_karp(inst)
+    assert [len(arcs) for arcs in found] == [6, 0, 0]
+    assert sol.columns == len(start_arcs(inst.cost)) + 6
     assert sol.objective == 110
+
+
+@pytest.mark.parametrize("family,n,seed", CERTIFIED[::3])
+def test_one_cold_solve_and_one_row_per_cut(monkeypatch, family, n, seed):
+    # the priced arcs join the kept tableau as columns, so nothing is
+    # solved twice and no cut row is appended twice
+    solves, rows = [], []
+    monkeypatch.setattr(heldkarp, "solve_lp",
+                        lambda *args, **kw: solves.append(args) or solve_lp(*args, **kw))
+    add_row = Tableau.add_row
+    monkeypatch.setattr(Tableau, "add_row",
+                        lambda self, *args: rows.append(args) or add_row(self, *args))
+    sol = solve_held_karp(_instance(family, n, seed))
+    assert len(solves) == 1
+    assert len(rows) == sol.cuts_added
+
+
+@pytest.mark.parametrize("n", [10, 30])
+def test_the_tour_start_skips_phase_1(monkeypatch, n):
+    # the tour 0 -> 1 -> ... -> n-1 -> 0 meets every degree row, so the
+    # cold solve pivots it in and runs phase 2 only
+    phases, cold = [], []
+    run_phase = Tableau.run_phase
+    monkeypatch.setattr(Tableau, "run_phase",
+                        lambda self: phases.append(self) or run_phase(self))
+
+    def counted(*args, **kwargs):
+        before = len(phases)
+        tableau = solve_lp(*args, **kwargs)
+        cold.append(len(phases) - before)
+        return tableau
+
+    monkeypatch.setattr(heldkarp, "solve_lp", counted)
+    solve_held_karp(_instance("lp-support", n, 1))
+    assert cold == [1]
 
 
 def test_oracle_rejects_a_solve_whose_pricing_skips_a_needed_arc(monkeypatch):

@@ -262,9 +262,9 @@ def test_add_row_rejects_non_integer_rows():
 
 @pytest.mark.parametrize("n", [8, 10, 12])
 def test_minus_d_pivots_match_the_full_rescale(n):
-    """Every pivot of the Held-Karp LPs, the cold solves, the dual simplex
-    rounds and the drive-out, leaves the tableau and d of the full-rescale
-    step.  Some of them pivot on -d and some on another negative element;
+    """Every pivot of the Held-Karp LPs, the tour start, the cold solve,
+    the dual simplex rounds, the drive-out and the primal rounds after
+    pricing, leaves the tableau and d of the full-rescale step.  Some of them pivot on -d and some on another negative element;
     for both, the pivot row alone is negated."""
     with checked_pivots() as kinds:
         for seed in (1, 2):
@@ -272,3 +272,147 @@ def test_minus_d_pivots_match_the_full_rescale(n):
             solve_held_karp(ATSPInstance.from_matrix(matrix))
     assert "-d" in kinds, f"no -d pivot among {len(kinds)}"
     assert "negative" in kinds, f"no other negative pivot among {len(kinds)}"
+
+
+@st.composite
+def lps_with_start(draw):
+    """An LP whose rhs is A x0 for some x0 >= 0 (rows negated so b >= 0) or
+    drawn at random, so it may be infeasible, and a start: 0-6 columns in
+    any order, repeats allowed."""
+    costs, rows, rhs = draw(feasible_lps())
+    if draw(st.booleans()):
+        rhs = [draw(st.integers(min_value=0, max_value=6)) for _ in rows]
+    column = st.integers(min_value=0, max_value=len(costs) - 1)
+    return costs, rows, rhs, draw(st.lists(column, max_size=6))
+
+
+@given(lps_with_start())
+@settings(max_examples=300, deadline=None)
+def test_solve_lp_from_a_start_matches_basis_enumeration(lp):
+    costs, rows, rhs, start = lp
+    int_costs, scale = _integer_costs(costs)
+    best = _basis_oracle(costs, rows, rhs)
+    if best is None:
+        with pytest.raises(InfeasibleError):
+            solve_lp(int_costs, rows, rhs, start=start)
+        return
+    with checked_pivots():
+        objective, x = solve_lp(int_costs, rows, rhs, start=start).result()
+    assert objective / scale == best
+    assert all(v >= 0 for v in x)
+    for row, b in zip(rows, rhs):
+        assert sum(a * v for a, v in zip(row, x)) == b
+
+
+def test_a_feasible_start_skips_phase_1(monkeypatch):
+    # x3 = 2 alone meets x1 + x2 + x3 = 2, so phase 1 makes no pivot and
+    # phase 2 moves to x1 = 2
+    phases = []
+    run_phase = Tableau.run_phase
+    monkeypatch.setattr(Tableau, "run_phase",
+                        lambda self: phases.append(self.basis[:]) or run_phase(self))
+    tableau = solve_lp([1, 2, 3], [[1, 1, 1]], [2], start=[2])
+    assert phases == [[2]]
+    assert tableau.result() == (2, [2, 0, 0])
+    phases.clear()
+    solve_lp([1, 2, 3], [[1, 1, 1]], [2])
+    assert len(phases) == 2
+    with pytest.raises(ValueError):
+        solve_lp([1, 2, 3], [[1, 1, 1]], [2], start=[3])
+
+
+@st.composite
+def lps_with_rows_and_columns(draw):
+    """A feasible LP, then 1-4 steps, each an integer row a.x - s = b over
+    the real variables so far (slacks excluded), or a column with a cost
+    >= 0 (so the LP stays bounded) and coefficients in every row so far."""
+    costs, rows, rhs = draw(feasible_lps())
+    entry = st.integers(min_value=-3, max_value=3)
+    width, added, steps = len(costs), 0, []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            steps.append(("row", [draw(entry) for _ in range(width)], draw(entry)))
+            added += 1
+        else:
+            steps.append(("column", draw(st.integers(min_value=0, max_value=5)),
+                          [draw(entry) for _ in rows],
+                          [draw(entry) for _ in range(added)]))
+            width += 1
+    return costs, rows, rhs, steps
+
+
+def _grown_system(costs, rows, rhs, steps):
+    """The LP after ``steps`` as one cold system a.x = b, rows as given (a
+    rhs may be negative): the original variables, then the new columns,
+    then slack s_r with coefficient -1 in the r-th appended row."""
+    m = len(rows)
+    variables = [(c, [row[j] for row in rows]) for j, c in enumerate(costs)]
+    cut_rhs = []
+    for step in steps:
+        if step[0] == "row":
+            for (_, column), a in zip(variables, step[1]):
+                column.append(a)
+            cut_rhs.append(step[2])
+        else:
+            variables.append((step[1], step[2] + step[3]))
+    k = len(cut_rhs)
+    variables += [(0, [0] * m + [-int(r == q) for q in range(k)]) for r in range(k)]
+    all_rows = [[column[i] for _, column in variables] for i in range(m + k)]
+    return [c for c, _ in variables], all_rows, list(rhs) + cut_rhs
+
+
+@given(lps_with_rows_and_columns())
+@settings(max_examples=200, deadline=None)
+def test_add_column_matches_a_cold_solve_and_the_oracle(lp):
+    costs, rows, rhs, steps = lp
+    costs, _ = _integer_costs(costs)
+    tableau = solve_lp(costs, rows, rhs)
+    for done, step in enumerate(steps, 1):
+        if step[0] == "row":
+            try:
+                tableau.add_row(step[1], step[2])
+            except InfeasibleError:
+                grown = _grown_system(costs, rows, rhs, steps[:done])
+                assert _basis_oracle(*grown) is None
+                return
+            continue
+        if any(sum(a * w for a, w in zip(step[2], dependency))
+               for dependency in tableau.dropped):
+            with pytest.raises(ValueError, match="dependency"):
+                tableau.add_column(*step[1:])
+            return
+        tableau.add_column(*step[1:])
+        tableau.run_phase()
+    all_costs, all_rows, all_rhs = _grown_system(costs, rows, rhs, steps)
+    best = _basis_oracle(all_costs, all_rows, all_rhs)
+    objective, x = tableau.result()
+    cold_rows = [row if b >= 0 else [-a for a in row] for row, b in zip(all_rows, all_rhs)]
+    cold = solve_lp(all_costs, cold_rows, [abs(b) for b in all_rhs])
+    assert objective == best == cold.result()[0]
+    # x is an optimal point of the cold system, as the cold solve's is
+    assert all(v >= 0 for v in x)
+    for row, b in zip(all_rows, all_rhs):
+        assert sum(a * v for a, v in zip(row, x)) == b
+    assert sum(c * v for c, v in zip(all_costs, x)) == objective
+    # the duals price every column non-negatively and match the optimum
+    row_duals, added_duals, den = tableau.duals()
+    y = [Fraction(v, den) for v in row_duals + added_duals]
+    for j, c in enumerate(all_costs):
+        assert c >= sum(yi * row[j] for yi, row in zip(y, all_rows))
+    assert sum(yi * b for yi, b in zip(y, all_rhs)) == best
+
+
+def test_add_column_enters_the_kept_optimum():
+    # min x1 + 2 x2 over x1 + x2 = 2 and the row x2 - s = 1 puts x1 = x2 = 1;
+    # a column x3 of cost 1 in both rows replaces x2 and the slack row
+    tableau = solve_lp([1, 2], [[1, 1]], [2])
+    tableau.add_row([0, 1], 1)
+    assert tableau.result() == (3, [1, 1, 0])
+    tableau.add_column(1, [1], [1])
+    assert tableau.num_vars == 4
+    tableau.run_phase()
+    assert tableau.result() == (2, [1, 0, 1, 0])
+    with pytest.raises(ValueError):
+        tableau.add_column(1, [1, 1], [1])
+    with pytest.raises(ValueError):
+        tableau.add_column(Fraction(1, 2), [1], [1])
