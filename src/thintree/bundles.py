@@ -24,10 +24,13 @@ so ``BundledDual`` reads the faces and threads off the support's dual: a
 support face moves up by the bigons of the bundles before its smallest
 dart, the bigons of a bundle take consecutive ids, and each core thread is
 a support thread with every edge replaced by its copies and the bigons
-between, as Ranges.  Only a cycle that is a whole component is turned to
-start at its smallest face, as ``find_threads`` walks it.  So the girth
-search, the far-set selection and the spanning tree run on the support's
-few threads, and their answers are those on the copies drawn one by one.
+between, as Ranges, walked as the support's are: face ids increase with
+the support's, copy ids with their support edge, and a bigon's smallest
+dart lies above its bundle's first, whose face is a support face on the
+same cycle, so the walk on the copies starts and lists each cycle that is
+a whole component as the support's walk does.  So the girth search, the
+far-set selection and the spanning tree run on the support's few threads,
+and their answers are those on the copies drawn one by one.
 Surgery splices single darts and works on ``explicit()``.
 """
 
@@ -47,7 +50,7 @@ class Ranges(Sequence):
     """A sequence of ints held as the concatenation of a few ranges.
 
     Length, indexing, ``index`` and ``low`` (the minimum) cost one step
-    per range; a slice with step 1 or -1 and ``+`` give Ranges again.  It
+    per range; a slice with step 1 or -1 gives Ranges again.  It
     equals (and hashes as) any sequence of the same ints, a tuple among
     them.
     """
@@ -111,9 +114,6 @@ class Ranges(Sequence):
             if x in r:
                 return start + r.index(x)
         raise ValueError(f"{x} is not in the sequence")
-
-    def __add__(self, other):
-        return Ranges(self.ranges + other.ranges)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):
@@ -333,10 +333,9 @@ class BundledDual(DualGraph):
     bigons of the bundles before its smallest dart, and the bigons of a
     bundle take consecutive ids.  ``core_threads`` are the support dual's
     core threads with each edge replaced by its copies and each bundle's
-    bigons inserted, as Ranges; only a cycle that is a whole component is
-    turned to start at its smallest face.  ``faces``, ``face_of`` and
-    ``dual_edges`` are those of the copies drawn one by one, built on the
-    first read.
+    bigons inserted, as Ranges, each walked and listed as the support's
+    (see the module docstring).  ``faces``, ``face_of`` and ``dual_edges``
+    are those of the copies drawn one by one, built on the first read.
     """
 
     def __init__(self, g: BundledGraph):
@@ -404,22 +403,9 @@ class BundledDual(DualGraph):
 
     def core_threads(self) -> tuple[Thread, ...]:
         if self._threads is None:
-            base, bundles = self._base, self._graph.bundles
-            threads = base.core_threads()
-            pendant = set(base._pendant)
-            self._pendant = [c for e in base._pendant for c in bundles[e]]
-            out, whole = [], []
-            for t in threads:
-                f = t.vertices[0]
-                # a cycle at a face of degree 2 in the 2-core is a whole
-                # component, which find_threads walks after the others
-                if f == t.vertices[-1] and 2 == sum(
-                        x >> 1 not in pendant for x in base.faces[f]):
-                    whole.append(_from_smallest(self._bundled(t)))
-                else:
-                    out.append(self._bundled(t))
-            whole.sort(key=lambda t: t.vertices[0])
-            self._threads = tuple(out + whole)
+            base = self._base
+            self._threads = tuple(map(self._bundled, base.core_threads()))
+            self._pendant = [c for e in base._pendant for c in self._graph.bundles[e]]
         return self._threads
 
     def _bundled(self, t: Thread) -> Thread:
@@ -443,14 +429,3 @@ class BundledDual(DualGraph):
             verts.append(range(f, f + 1))
         return Thread(Ranges(edges), Ranges(verts))
 
-
-def _from_smallest(t: Thread) -> Thread:
-    """Cycle thread t, a whole component, walked as ``find_threads`` walks
-    it: from its smallest face, along the smaller of that face's edges."""
-    edges = t.edges
-    ring = t.vertices[:len(edges)]
-    j = ring.index(min(ring))
-    if edges[j] < edges[j - 1]:
-        return Thread(edges[j:] + edges[:j], ring[j:] + ring[:j + 1])
-    return Thread(edges[:j][::-1] + edges[j:][::-1],
-                  ring[:j + 1][::-1] + ring[j:][::-1])

@@ -38,17 +38,17 @@ one position of a thread per step, and reads out a whole-component cycle
 once, when it walks it.  So both run on the support's few threads, however
 many copies the bundles hold.
 
-Surgery edits one dual across its deletions (``WorkingDual``).  A dual
-cycle runs along whole threads, so a deletion drops the threads that end
-in its darts, peels a new face of degree 1, walks again as one the threads
-that meet at a new face of degree 2, and gives every other thread that
-ends on a new face the new ids of its end faces.  Its face ids are not
-canonical, and need not be: the girth search's answer does not depend on
-how the faces are numbered (see ``WorkingDual``).  Its last view is handed
-on as the dual of surgery's result.  The far-set selection reads face ids
-in order only to fix a thread's walk direction, and on a view it ranks
-faces by their first dart (``DualGraph.rank``): each face starts at its
-smallest dart, and canonical ids are sorted by it.  A view's
+Surgery edits one ``DualGraph`` across its deletions (``WorkingDual``).
+A dual cycle runs along whole threads, so a deletion drops the threads
+that end in its darts, peels a new face of degree 1, walks again as one
+the threads that meet at a new face of degree 2, and gives every other
+thread that ends on a new face the new ids of its end faces.  Its face
+ids are not canonical, and need not be: the girth search's answer does
+not depend on how the faces are numbered (see ``WorkingDual``).  It is
+handed on as the dual of surgery's result.  The far-set selection reads
+face ids in order only to fix a thread's walk direction, and there it
+ranks faces by their first dart (``WorkingDual.rank``): each face starts
+at its smallest dart, and canonical ids are sorted by it.  Its
 ``face_count`` counts its live faces.
 """
 
@@ -93,8 +93,8 @@ class DualGraph:
         face_of: list dart -> face.
         rank: None when the face ids are canonical, ranked as a fresh
             trace ranks the faces, by each face's first (smallest) dart;
-            on a view of surgery's ``WorkingDual``, whose ids are not, the
-            function face -> that dart.
+            on surgery's ``WorkingDual``, whose ids are not, the method
+            face -> that dart.
     """
 
     rank = None
@@ -338,7 +338,7 @@ def _walk(faces, face_of, start, x):
     return edges, verts
 
 
-class WorkingDual:
+class WorkingDual(DualGraph):
     """The dual of a graph under surgery, edited in place.
 
     It holds its own copies of a dual's face list and dart -> face list,
@@ -346,8 +346,8 @@ class WorkingDual:
     the 2-core's threads.  A thread is known by its two end darts, the
     darts by which it leaves its first face and enters its last: a thread
     is keyed by the first, and ``ends`` maps each end dart to the pair.
-    ``replace`` changes only what one deletion touched; ``view`` gives the
-    current dual to search.
+    ``replace`` changes only what one deletion touched, then empties the
+    memos, so the girth search reads the dual as it stands.
 
     A dual cycle through one edge of a thread runs along the whole thread,
     so the threads a cycle deletes are those that end in its darts
@@ -356,11 +356,11 @@ class WorkingDual:
     Face ids do not stay canonical: a new face, the longest first, takes
     the id of the dead face its first dart lay on while that id is free,
     or else a new id at the end, and a dead face left over becomes an
-    empty tuple (``live`` counts the others).  So most threads that end on
-    a split or merged face keep their end faces' ids.  That is exact for
-    the girth search, whose answer does not depend on how the faces are
-    numbered: its anchor is the smallest edge id on a shortest cycle, its
-    read-back compares edge ids, and the links at a face have distinct
+    empty tuple (``face_count`` counts the others).  So most threads that
+    end on a split or merged face keep their end faces' ids.  That is exact
+    for the girth search, whose answer does not depend on how the faces
+    are numbered: its anchor is the smallest edge id on a shortest cycle,
+    its read-back compares edge ids, and the links at a face have distinct
     first edges.  Threads are kept as maximal chains, but a closed chain
     may start at another face and a path may run the other way than
     ``find_threads`` would walk them; the search orients each thread by
@@ -369,16 +369,17 @@ class WorkingDual:
 
     def __init__(self, d: DualGraph):
         threads = d.core_threads()
-        self.faces = list(d.faces)
-        self.face_of = list(d.face_of)
-        self.live = d.face_count  # the faces that are not empty tuples
-        self.edge_count = d.edge_count
+        self._attach(list(d.faces), list(d.face_of), d.edge_count)
         self.pendant = set(d._pendant)
         self.core = _core_faces(self.faces, self.face_of, self.pendant)
         self.threads = {}
         self.ends = {}
         for t in threads:
             self._add(t)
+
+    def rank(self, f):
+        """Face f's first dart, its smallest: its rank in a fresh trace."""
+        return self.faces[f][0]
 
     def _add(self, t):
         face_of = self.face_of
@@ -389,18 +390,6 @@ class WorkingDual:
         z = last + 1 if face_of[last + 1] == t.vertices[-1] else last
         self.threads[x] = t
         self.ends[x] = self.ends[z] = (x, z)
-
-    def view(self) -> DualGraph:
-        """The current dual, its threads found, with non-canonical face ids
-        and its live faces counted in ``face_count``; it shares this
-        object's lists, so it holds only until the next ``replace``."""
-        faces = self.faces
-        d = DualGraph.on_darts(faces, self.face_of, self.edge_count)
-        d.face_count = self.live
-        d.rank = lambda f: faces[f][0]
-        d._threads = tuple(self.threads.values())
-        d._pendant = list(self.pendant)
-        return d
 
     def threads_of(self, cycle) -> set:
         """The keys of the threads that make up the edges ``cycle``.
@@ -447,7 +436,7 @@ class WorkingDual:
             new[i] = f
         for f in free:
             faces[f] = core[f] = ()
-        self.live += len(born) - len(dead)
+        self.face_count += len(born) - len(dead)
         for e in cycle:
             face_of[2 * e] = face_of[2 * e + 1] = None
         for f, walk in zip(new, born):
@@ -499,6 +488,9 @@ class WorkingDual:
         while loose:
             x = 2 * min(loose)
             self._walk_from(face_of[x], x, loose)
+        self._unmeasured()
+        self._threads = tuple(threads.values())
+        self._pendant = pendant
 
     def _walk_from(self, f, x, loose):
         """Add the thread that leaves face f along dart x; its edges are

@@ -79,9 +79,9 @@ def bounded_genus_thin_tree(g: EmbeddedGraph) -> ThinTreeResult:
     k = edge_connectivity(g)
     genus = g.genus()
     if genus == 0:
-        # planar dual girth is the edge connectivity, so k is a proven floor
-        # for the girth search, and g* = k makes 2*alpha(0)/g* equal 10/k
-        result = thin_spanning_tree(g, floor=k)
+        # planar dual girth is the edge connectivity, so the k measured
+        # above floors the girth search; g* = k makes 2*alpha(0)/g* equal 10/k
+        result = thin_spanning_tree(g)
         assert result.g_star == k
         return result
 

@@ -13,21 +13,23 @@ minimum pairwise dual distance m (capped at the dual girth), which makes the
 selected set 1/m-thin; it is measured only when read.
 
 The dual is ``geometric_dual`` of the graph: its faces as they are, one
-dart -> face map, and threads walked on the darts.  On the planar branch
-the caller hands in the edge connectivity k as a proven floor on the dual
-girth (bond-cycle duality), so the girth search stops at its first cycle of
-length k; that is exact, because only a strictly shorter cycle replaces the
-best, and none is shorter than k.  The dual is built here, except on the
-genus branch when surgery leaves the graph connected: the tree is then
-built on surgery's own result, and ``increase_dual_girth`` hands over its
-working dual's last view, which it has searched for the girth.  Its
-threads are the graph's, but its face ids are not canonical, and the one
-place the selection reads face ids in order, ``ThreadGraph.walk``, compares
-them by their canonical rank (``DualGraph.rank``, each face's first dart).
-So the girth, the threads, the far set and the certificate are those a
-fresh build would give.  A handed dual must match the graph's face and
-edge counts (a view counts its live faces), which a dual from before
-surgery's last deletion does not.
+dart -> face map, and threads walked on the darts.  On a planar graph the
+edge connectivity k is a proven floor on the dual girth (bond-cycle
+duality).  When k is already measured on the graph, as ``pipeline`` does
+first, the girth search stops at its first cycle of length k; that is
+exact, because only a strictly shorter cycle replaces the best, and none
+is shorter than k.  k is not measured here: its n-1 max flows can cost
+more than the search they cut.  The dual is built here, except on the genus
+branch when surgery leaves the graph connected: the tree is then built on
+surgery's result and on the working dual, girth searched, that
+``increase_dual_girth`` hands over.  Its threads are the graph's, but its
+face ids are not canonical, and the one place the selection reads face ids
+in order, ``ThreadGraph.walk``, compares them by their canonical rank
+(``DualGraph.rank``, each face's first dart).  So the girth, the threads,
+the far set and the certificate are those a fresh build would give.  A
+handed dual must match the graph's face and edge counts (the working dual
+counts its live faces), which a dual from before surgery's last deletion
+does not.
 """
 
 from __future__ import annotations
@@ -97,11 +99,10 @@ class ThreadGraph:
     two end edges; a cycle that is a whole component starts at its
     smallest face and leaves along that face's smaller edge.  Faces are
     compared by their canonical rank: the id itself, or on a dual whose ids
-    are not canonical (a view of surgery's working dual) the face's first
-    dart, its smallest, by which a fresh trace sorts the faces.  Threads
-    share no edge, so the heap key (-length, smallest edge id) of a live
-    thread is unique; stale heap entries are skipped when they reach the
-    top.
+    are not canonical (surgery's working dual) the face's first dart, its
+    smallest, by which a fresh trace sorts the faces.  Threads share no
+    edge, so the heap key (-length, smallest edge id) of a live thread is
+    unique; stale heap entries are skipped when they reach the top.
     """
 
     def __init__(self, d: DualGraph):
@@ -300,8 +301,8 @@ def _bfs_spanning_tree(g: EmbeddedGraph, allowed) -> list[int]:
     return sorted(tree)
 
 
-def thin_spanning_tree(g: EmbeddedGraph, dual: DualGraph | None = None,
-                       floor: int = 1) -> ThinTreeResult:
+def thin_spanning_tree(g: EmbeddedGraph,
+                       dual: DualGraph | None = None) -> ThinTreeResult:
     """Spanning tree with thinness bound 2*alpha/g*.
 
     For g* <= 2*alpha the bound is at least 1, so any spanning tree does and
@@ -312,25 +313,27 @@ def thin_spanning_tree(g: EmbeddedGraph, dual: DualGraph | None = None,
     InvalidInputError on fewer than 2 vertices: no cut to be thin on.
 
     ``dual`` is g's dual when the caller holds it already (the working
-    dual's last view that surgery hands on); it is built here otherwise.
-    A dual whose face or edge count differs from g's raises
-    DualMismatchError.  ``floor`` is a proven lower bound on the dual
-    girth, handed to the girth search (see ``shortest_dual_cycle``).
+    dual that surgery hands on); it is built here otherwise, and when g is
+    planar and its edge connectivity is already measured, the girth search
+    stops at it, a proven floor (see ``shortest_dual_cycle``).  A dual
+    whose face or edge count differs from g's raises DualMismatchError.
     """
     if g.vertex_count < 2:
         raise InvalidInputError("thin_spanning_tree needs at least 2 vertices")
     if not g.is_connected():
         raise DisconnectedError("thin_spanning_tree needs a connected graph")
+    genus = g.genus()
     if dual is None:
         d = geometric_dual(g)
+        floor = 1 if genus else g._connectivity or 1  # k, if measured
     elif dual.face_count != len(g.faces()) or dual.edge_count != g.edge_count:
         raise DualMismatchError(
             f"dual has {dual.face_count} faces and {dual.edge_count} edges, "
             f"the graph {len(g.faces())} faces and {g.edge_count} edges")
     else:
-        d = dual
+        d, floor = dual, 1
     g_star = dual_girth(d, floor)
-    a = alpha(g.genus())
+    a = alpha(genus)
 
     if g_star <= 2 * a:
         far = g.edges()

@@ -15,19 +15,19 @@ on those faces; the genus after it follows by the Euler formula from the
 new face count, and the components from the pair counts, counted again
 only when a pair lost its last edge.  The splice and the pair-count drop
 are those of ``delete_edges`` (``embedding._splice`` and ``_drop_pairs``).
-The working dual's face ids are not canonical, which the girth search does
-not see (see ``WorkingDual``), so each intermediate dual is searched by the
-one ``shortest_dual_cycle``.
+The working dual is a ``DualGraph`` whose face ids are not canonical,
+which the girth search does not see (see ``WorkingDual``), so the one
+``shortest_dual_cycle`` searches it after each deletion.
 
 A BundledGraph is drawn out once, before the loop (``explicit``), since
 surgery splices single darts.  The loop ends on a dual whose girth meets
 the threshold (or that has no cycle).  Only then is the graph built, once,
 as g.delete_edges(every deleted edge).  The log hands on the working
-dual's last view, girth searched, as ``SurgeryLog.dual``, and the spanning
-step that builds a tree on the returned graph reads it, ranking its faces
-canonically (see ``spanning.ThreadGraph``), rather than building, walking
-and searching the graph's dual again.  So surgery builds one dual, g's,
-however often it iterates.
+dual, girth searched, as ``SurgeryLog.dual``; the spanning step reads it
+for the returned graph, ranking its faces canonically (see
+``spanning.ThreadGraph``), rather than building, walking and searching
+that graph's dual again.  So surgery builds one dual, g's, however often
+it iterates.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class SurgeryLog:
 
     ``dual`` is the dual of the returned graph, holding the loop's last
     girth search: g's own dual when the loop deleted nothing, else the
-    working dual's last view, whose face ids are not canonical (its
-    ``rank`` orders them).  It is not part of the records.
+    working dual, whose face ids are not canonical (its ``rank`` orders
+    them).  It is not part of the records.
     """
 
     k: int
@@ -200,11 +200,11 @@ def increase_dual_girth(g: EmbeddedGraph, k: int):
         if state is None:
             state = SurgeryState(g, d)
         log.iterations.append(state.delete_dual_cycle(found[1]))
-        d = state.work.view()
+        d = state.work
     h = g
     if state is not None:
         # the graph is built once, and its measured genus must be the
-        # working one; its dual is the working dual's last view, searched
+        # working one; its dual is the working dual, searched
         h = state.graph()
         assert h.genus() == state.genus, (
             f"working genus {state.genus}, measured {h.genus()}")

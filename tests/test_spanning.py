@@ -14,7 +14,9 @@ from thintree.dual import (
 )
 from thintree.embedding import build_embedding
 from thintree.errors import DegreeOneVertexError, DisconnectedError, NoLongThreadError
+from thintree.flows import edge_connectivity
 from thintree.genlab import (
+    BASES,
     amplify,
     cycle_graph,
     lp_support_instance,
@@ -346,6 +348,37 @@ def test_tree_is_subset_of_far_set(cube):
     for q in (2, 6, 12):
         r = thin_spanning_tree(amplify(cube, q))
         assert set(r.tree_edges) <= set(r.far_set)
+
+
+@pytest.mark.parametrize("base, n, q", [("cube", 0, 8), ("wheel", 6, 8), ("prism", 5, 8),
+                                        ("prism", 6, 20)])
+def test_planar_tree_floors_its_search_at_a_measured_k(monkeypatch, base, n, q):
+    """On a planar graph whose dual it builds, the spanning step floors the
+    girth search at the edge connectivity once k is measured on the graph,
+    and otherwise runs the full search without measuring k."""
+    import thintree.dual
+
+    searches = []
+    real = thintree.dual._chain_distance
+    monkeypatch.setattr(thintree.dual, "_chain_distance",
+                        lambda *a: searches.append(a) or real(*a))
+
+    def counted(fn, *args):
+        del searches[:]
+        return fn(*args), len(searches)
+
+    fresh = amplify(BASES[base](n), q)
+    r, unmeasured = counted(thin_spanning_tree, fresh)
+    assert fresh._connectivity is None  # the spanning step measured no k
+    measured = amplify(BASES[base](n), q)
+    k = edge_connectivity(measured)
+    s, spanning = counted(thin_spanning_tree, measured)
+    h = amplify(BASES[base](n), q)
+    _, floored = counted(dual_girth, geometric_dual(h), k)
+    _, full = counted(dual_girth, geometric_dual(h))
+    assert r.g_star == s.g_star == k
+    assert (r.tree_edges, r.far_set) == (s.tree_edges, s.far_set)
+    assert spanning == floored < full == unmeasured
 
 
 def test_disconnected_rejected():

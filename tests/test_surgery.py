@@ -475,6 +475,6 @@ def test_working_dual_until_the_dual_is_a_forest(g):
             tuple(sorted(found[1])), found[0], h.genus(), after.genus(),
             len(h.components()), len(after.components()))
         assert working_picture(state) == fresh_picture(after)
-        h, d = after, state.work.view()
+        h, d = after, state.work
     assert state.graph().dart_owner == h.dart_owner
     assert state.genus == h.genus() and state.components == len(h.components())
